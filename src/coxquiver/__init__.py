@@ -3,13 +3,14 @@ type A: cycle types, factored Coxeter polynomials and (reduced) Coxeter
 numbers, computed exactly through quiver realizations.
 """
 
-from .errors import CanonicalizationError, InvariantViolation, NotDynkinTypeA
+from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
 from .invariants import (
     CoxeterNumbers,
     coxeter_numbers,
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
     coxeter_polynomial_of_cycle_type,
+    cycle_type_and_corank,
     cycle_type_from_cox_poly,
     cycle_type_of_form,
     enumerate_coxeter_polynomials,
@@ -46,9 +47,9 @@ from .quiver import (
 # realize() itself stays in its module to avoid shadowing the submodule name
 from .realize import (
     RealizationResult,
+    basis_change_to_canonical,
     canonical_extension_quiver,
-    realize_algorithm71,
-    realize_backtracking,
+    realize_quiver,
     representative_quiver_A,
     representative_quiver_star,
     weak_congruence_to_canonical,

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
-from .errors import InvariantViolation, NotDynkinTypeA
+from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
 from .invariants import (
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
+    coxeter_polynomial_of_cycle_type,
+    cycle_type_and_corank,
     cycle_type_from_cox_poly,
     cycle_type_of_form,
     enumerate_coxeter_polynomials,
@@ -24,12 +27,12 @@ from .invariants import (
 from .partitions import FactoredCoxPoly, Partition
 from .quiver import Quiver, cycle_type_of_quiver, inverse_quiver
 from .realize import (
-    realize_algorithm71,
+    realize,
     representative_quiver_A,
     representative_quiver_star,
 )
 from .sweep import CHECKS, run_sweep
-from .unitform import UnitForm, corank, form_of_quiver
+from .unitform import UnitForm, form_of_quiver
 
 INFINITY = "∞"
 
@@ -61,14 +64,18 @@ def _load_json(path: str) -> object:
 
 def _load_quiver(path: str) -> Quiver:
     try:
-        return Quiver.from_json(_load_json(path))
+        return Quiver.from_json(_load_json(path), connected=True)
+    except NotConnected:
+        raise
     except ValueError as exc:
         raise InputError(f"bad quiver in {path}: {exc}") from exc
 
 
 def _load_form(path: str) -> UnitForm:
     try:
-        return UnitForm.from_json(_load_json(path))
+        return UnitForm.from_json(_load_json(path), connected=True)
+    except NotConnected:
+        raise
     except ValueError as exc:
         raise InputError(f"bad unit form in {path}: {exc}") from exc
 
@@ -165,9 +172,8 @@ def _print_table(rows: list[list[str]], header: list[str]) -> None:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     form = _form_from_args(args)
-    ct = cycle_type_of_form(form)
-    c = corank(form)
-    poly = coxeter_polynomial(form)
+    ct, c = cycle_type_and_corank(form)
+    poly = coxeter_polynomial_of_cycle_type(ct, c)
     numbers = coxeter_numbers_of_cycle_type(ct)
     if args.format == "json":
         _print_json({
@@ -194,7 +200,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     form = _form_from_args(args)
-    result = realize_algorithm71(form)
+    result = realize(form)
     if args.format == "json":
         _print_json(result.to_json())
     else:
@@ -296,6 +302,9 @@ def _cmd_representative(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"--jobs must be between 1 and {cpus}, the CPU count")
     report = run_sweep(args.max_vertices, args.max_arrows, seed=args.seed,
                        jobs=args.jobs)
     if args.format == "json":

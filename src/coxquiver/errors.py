@@ -13,8 +13,6 @@ class NotDynkinTypeA(ValueError):
     """The unit form admits no quiver realization."""
 
 
-class CanonicalizationError(RuntimeError):
-    """The search for a weak congruence to the canonical form failed.
-
-    Callers normally fall back to the backtracking realizer.
-    """
+class NotConnected(ValueError):
+    """The form or quiver is not connected; the invariants computed here are
+    defined for connected ones only."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvariantViolation
 from .linalg import (
     IntMatrix,
     IntPoly,
@@ -30,8 +29,8 @@ from .partitions import (
     partitions_by_length,
 )
 from .quiver import cycle_type_of_quiver
-from .realize import realize_backtracking
-from .unitform import UnitForm, corank, coxeter_matrix
+from .realize import realize_quiver
+from .unitform import UnitForm, coxeter_matrix
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,14 @@ def cycle_type_of_form(f: UnitForm) -> Partition:
     Well defined: all realizations of one form share their cycle type.
     Raises NotDynkinTypeA when no realization exists.
     """
-    return cycle_type_of_quiver(realize_backtracking(f).quiver)
+    return cycle_type_of_quiver(realize_quiver(f))
+
+
+def cycle_type_and_corank(f: UnitForm) -> tuple[Partition, int]:
+    """Cycle type and corank from one realization: a connected quiver on m
+    vertices realizing n variables has corank n - m + 1."""
+    q = realize_quiver(f)
+    return cycle_type_of_quiver(q), f.n - q.m + 1
 
 
 def _lcm(values: tuple[int, ...]) -> int:
@@ -87,9 +93,7 @@ def coxeter_numbers(f: UnitForm) -> CoxeterNumbers:
 def coxeter_polynomial(f: UnitForm) -> FactoredCoxPoly:
     """Factored Coxeter polynomial (v-1)^{c-1} prod_a (v^{pi_a} - 1), stored
     in the nu-form so corank 0 has a nonnegative exponent."""
-    ct = cycle_type_of_form(f)
-    c = corank(f)
-    return FactoredCoxPoly(c + ct.length - 1, ct.parts)
+    return coxeter_polynomial_of_cycle_type(*cycle_type_and_corank(f))
 
 
 def coxeter_polynomial_of_cycle_type(ct: Partition, c: int) -> FactoredCoxPoly:
@@ -104,9 +108,9 @@ def spectral_multiplicity(f: UnitForm, d: int) -> int:
     corank plus length minus one."""
     if d < 1:
         raise ValueError("root order must be >= 1")
-    ct = cycle_type_of_form(f)
+    ct, c = cycle_type_and_corank(f)
     if d == 1:
-        return corank(f) + ct.length - 1
+        return c + ct.length - 1
     return sum(1 for p in ct.parts if p % d == 0)
 
 
@@ -212,10 +216,3 @@ def verify_reduced_coxeter_number(f: UnitForm) -> bool:
         return first_identity is None
     return first_identity == numbers.coxeter_number
 
-
-def assert_main_identity(f: UnitForm, direct: IntPoly) -> None:
-    """Raise InvariantViolation unless the factored Coxeter polynomial
-    expands to the directly computed one."""
-    if coxeter_polynomial(f).expand() != poly_normalize(direct):
-        raise InvariantViolation("factored Coxeter polynomial disagrees with "
-                                 "the characteristic polynomial route")

@@ -1,7 +1,8 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything here is arbitrary-precision integer (or ``fractions.Fraction``
-internally); no floating point is used anywhere in the package.
+Everything here is arbitrary-precision integer arithmetic, with rational
+questions (rank, definiteness) answered by fraction-free elimination; no
+floating point is used anywhere in the package.
 
 Conventions
 -----------
@@ -16,9 +17,10 @@ Conventions
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
+
+from .errors import InvariantViolation
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntPoly = tuple[int, ...]
@@ -64,10 +66,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(
         tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -168,7 +166,7 @@ def rational_rank(m: IntMatrix) -> int:
                 num = pivot * row_i[j] - lead * pivot_row_vals[j]
                 q, r = divmod(num, prev)
                 if r:
-                    raise AssertionError("fraction-free elimination lost exactness")
+                    raise InvariantViolation("fraction-free elimination lost exactness")
                 new_row.append(q)
             a[i] = new_row
         prev = pivot
@@ -176,33 +174,6 @@ def rational_rank(m: IntMatrix) -> int:
         if rank == rows:
             break
     return rank
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1.
-
-    Raises ValueError when the input is not square or not unimodular.
-    """
-    if not is_square(m):
-        raise ValueError("inverse requires a square matrix")
-    n = len(m)
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (determinant {det})")
-    # Gauss-Jordan over the rationals; the result is integral by unimodularity.
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    inv = tuple(tuple(int(a[i][n + j]) for j in range(n)) for i in range(n))
-    return inv
 
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
@@ -241,7 +212,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
         trace = sum(work[i][i] for i in range(n))
         q, r = divmod(-trace, k)
         if r:
-            raise AssertionError("Faddeev-LeVerrier division was not exact")
+            raise InvariantViolation("Faddeev-LeVerrier division was not exact")
         coeffs_high.append(q)
         if k < n:
             work = tuple(
@@ -284,7 +255,7 @@ def is_psd(m: IntMatrix) -> bool:
                 num = pivot * row_i[j] - lead * row_k[j]
                 q, r = divmod(num, prev)
                 if r:
-                    raise AssertionError("fraction-free elimination lost exactness")
+                    raise InvariantViolation("fraction-free elimination lost exactness")
                 row_i[j] = q
             row_i[k] = 0
         prev = pivot
@@ -322,28 +293,6 @@ def permutation_from_matrix(m: IntMatrix) -> PermutationMap:
             raise ValueError("not a permutation matrix")
         images[v] = ones[0] + 1
     return check_permutation(tuple(images))
-
-
-def is_permutation_matrix(m: IntMatrix) -> bool:
-    try:
-        permutation_from_matrix(m)
-    except ValueError:
-        return False
-    return True
-
-
-def compose(p: PermutationMap, q: PermutationMap) -> PermutationMap:
-    """Composition p after q: (p . q)(v) = p(q(v))."""
-    if len(p) != len(q):
-        raise ValueError("size mismatch in permutation composition")
-    return tuple(p[q[v] - 1] for v in range(len(p)))
-
-
-def inverse_permutation(p: PermutationMap) -> PermutationMap:
-    images = [0] * len(p)
-    for v, w in enumerate(p, start=1):
-        images[w - 1] = v
-    return tuple(images)
 
 
 def cycle_decomposition(p: PermutationMap) -> tuple[tuple[int, ...], ...]:
@@ -428,12 +377,6 @@ def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
         while len(rem) > 1 and rem[-1] == 0:
             rem.pop()
     return poly_normalize(quot), poly_normalize(rem)
-
-
-def poly_divides(b: IntPoly, a: IntPoly) -> bool:
-    """Whether b divides a exactly (b must have unit leading coefficient)."""
-    _, rem = poly_divmod(a, b)
-    return rem == (0,)
 
 
 def v_power_minus_one(t: int) -> IntPoly:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotConnected
 from .linalg import (
     IntMatrix,
     PermutationMap,
@@ -63,7 +63,13 @@ class Quiver:
         return {"vertices": self.m, "arrows": [list(a) for a in self.arrows]}
 
     @classmethod
-    def from_json(cls, data: object) -> "Quiver":
+    def from_json(cls, data: object, *, connected: bool = False) -> "Quiver":
+        """Parse ``{"vertices": m, "arrows": [[s, t], ...]}``.
+
+        With ``connected`` set, fewer than m - 1 arrows raise NotConnected
+        before anything of size m is allocated: they cannot connect m
+        vertices.
+        """
         if not isinstance(data, dict):
             raise ValueError("quiver JSON must be an object")
         unknown = set(data) - {"vertices", "arrows"}
@@ -71,13 +77,19 @@ class Quiver:
             raise ValueError(f"unknown keys in quiver JSON: {sorted(unknown)}")
         if "vertices" not in data or "arrows" not in data:
             raise ValueError("quiver JSON needs 'vertices' and 'arrows'")
-        arrows = data["arrows"]
+        m, arrows = data["vertices"], data["arrows"]
+        # bool is a subclass of int, but a JSON true is not an integer
+        if type(m) is not int or m < 1:
+            raise ValueError("'vertices' must be a positive integer")
         if not isinstance(arrows, list) or not all(
-            isinstance(a, list) and len(a) == 2 and all(isinstance(x, int) for x in a)
+            isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)
             for a in arrows
         ):
             raise ValueError("quiver arrows must be a list of [source, target] pairs")
-        return cls(data["vertices"], tuple((a[0], a[1]) for a in arrows))
+        if connected and len(arrows) < m - 1:
+            raise NotConnected(f"{len(arrows)} arrows cannot connect {m} "
+                               "vertices: the quiver is not connected")
+        return cls(m, tuple((a[0], a[1]) for a in arrows))
 
 
 @dataclass(frozen=True)

@@ -1,64 +1,44 @@
-"""Constructive bridges between unit forms and quivers.
+"""Quiver realizations of unit forms, and the representative quivers.
 
-Two independent strategies produce a quiver realization of a connected
-non-negative unit form of Dynkin type A:
-
-* a backtracking search assigning each variable a signed vertex pair so the
-  incidence columns reproduce the symmetric Gram matrix, and
-* the canonical route: find a weak congruence to the reference form of the
-  right rank and corank, pull the canonical quiver's incidence matrix back
-  through it, and read off the arrows.
+A connected non-negative unit form is of Dynkin type A exactly when a
+loop-less quiver realizes it: arrow i has the incidence column
+e_source - e_target, and the inner products of these columns are the
+entries of the symmetric Gram matrix G + G^T.  :func:`realize` finds such a
+quiver in one breadth-first pass, or proves that none exists, and adds the
+basis change onto the canonical extension quiver of the same rank and
+corank.
 
 The module also builds the representative quiver families realizing every
-admissible cycle type, and the canonical extension quivers used as weak
-congruence targets.
+admissible cycle type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CanonicalizationError, InvariantViolation, NotDynkinTypeA
-from .linalg import (
-    IntMatrix,
-    identity,
-    mat_mul,
-    transpose,
-    unimodular_inverse,
-)
+from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
+from .linalg import IntMatrix, is_psd
 from .partitions import Partition
-from .quiver import (
-    Quiver,
-    gram_matrix,
-    incidence_matrix,
-    is_connected as quiver_is_connected,
-    relabel_vertices,
-)
-from .unitform import (
-    UnitForm,
-    corank,
-    is_connected,
-    is_non_negative,
-    symmetric_gram,
-)
+from .quiver import Quiver
+from .unitform import UnitForm, symmetric_gram
+
+STRATEGY = "breadth_first"
 
 
 @dataclass(frozen=True)
 class RealizationResult:
-    """A quiver with the same unit form as the input, plus the basis change
-    when one was produced by the canonical route."""
+    """A quiver with the same unit form as the input, the basis change B
+    with I(quiver) B = I(canonical extension quiver), and the strategy
+    name, which is always :data:`STRATEGY`."""
 
     quiver: Quiver
-    basis_change: IntMatrix | None
+    basis_change: IntMatrix
     strategy: str
 
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.to_json(),
-            "basis_change": (
-                None if self.basis_change is None
-                else [list(row) for row in self.basis_change]
-            ),
+            "basis_change": [list(row) for row in self.basis_change],
             "strategy": self.strategy,
         }
 
@@ -154,237 +134,220 @@ def canonical_extension_quiver(r: int, c: int) -> Quiver:
     return Quiver(r + 1, arrows)
 
 
-# ---------------------------------------------------------------------------
-# backtracking realization
-# ---------------------------------------------------------------------------
-
-def _validate_input_form(f: UnitForm) -> None:
-    if not is_connected(f):
-        raise ValueError("realization requires a connected unit form")
-    if not is_non_negative(f):
-        raise ValueError("realization requires a non-negative unit form")
-
-
-def _normalize_labels(q: Quiver) -> Quiver:
-    """Relabel vertices in first-appearance order along the arrow list."""
-    order: list[int] = []
-    seen = set()
-    for s, t in q.arrows:
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-        if t not in seen:
-            seen.add(t)
-            order.append(t)
-    if len(order) != q.m:
-        raise ValueError("cannot normalize labels with isolated vertices")
-    rho = [0] * q.m
-    for new_label, old_label in enumerate(order, start=1):
-        rho[old_label - 1] = new_label
-    return relabel_vertices(q, tuple(rho))
-
-
-def realize_backtracking(f: UnitForm) -> RealizationResult:
-    """Search for vertex pairs (s_i, t_i) whose incidence columns reproduce
-    the symmetric Gram matrix exactly.
-
-    Vertices are introduced in first-appearance order and the first arrow is
-    pinned to (1, 2), which breaks both the relabeling and the global
-    orientation symmetry; the search is exhaustive up to those symmetries.
-    Raises NotDynkinTypeA when no assignment exists.
-    """
-    _validate_input_form(f)
-    return _realize_backtracking_impl(f)
-
-
-def _realize_backtracking_impl(f: UnitForm) -> RealizationResult:
-    n = f.n
-    m = n - corank(f) + 1
-    if m < 2:
-        raise NotDynkinTypeA("form has rank 0; no loop-less realization exists")
-    g = symmetric_gram(f)
-    arrows: list[tuple[int, int]] = []
-
-    def dot(a: tuple[int, int], b: tuple[int, int]) -> int:
-        return (a[0] == b[0]) + (a[1] == b[1]) - (a[0] == b[1]) - (a[1] == b[0])
-
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return used == m
-        if used + 2 * (n - i) < m:
-            return False
-        row = g[i]
-        max_s = min(used + 1, m)
-        for s in range(1, max_s + 1):
-            used_s = used + 1 if s == used + 1 else used
-            max_t = min(used_s + 1, m)
-            for t in range(1, max_t + 1):
-                if t == s:
-                    continue
-                cand = (s, t)
-                if all(dot(cand, arrows[j]) == row[j] for j in range(i)):
-                    arrows.append(cand)
-                    if extend(i + 1, used_s + 1 if t == used_s + 1 else used_s):
-                        return True
-                    arrows.pop()
-        return False
-
-    if not extend(0, 0):
-        raise NotDynkinTypeA(
-            f"no quiver on {m} vertices realizes this form: not Dynkin type A"
-        )
-    q = Quiver(m, tuple(arrows))
-    if not quiver_is_connected(q):
-        raise InvariantViolation("realized quiver of a connected form is disconnected")
-    return RealizationResult(q, None, "backtracking")
 
 
 # ---------------------------------------------------------------------------
-# canonical route
+# breadth-first realization
 # ---------------------------------------------------------------------------
 
-def _signed_permutation_match(g: IntMatrix, target: IntMatrix) -> IntMatrix | None:
-    """Monomial matrix S with entries +-1 and S^T g S = target, or None.
-
-    Column k of S is sigma_k e_{p(k)}, so the condition reads
-    target[k][l] = sigma_k sigma_l g[p(k)][p(l)].
-    """
+def _breadth_first(g: IntMatrix) -> list[tuple[int, int]]:
+    """Variables in breadth-first order of the Gram graph from variable 1,
+    each paired with the neighbour it was reached from (-1 for the root)."""
     n = len(g)
-    profile_g = [tuple(sorted(abs(x) for x in row)) for row in g]
-    profile_t = [tuple(sorted(abs(x) for x in row)) for row in target]
-    assignment: list[tuple[int, int]] = []  # (p(k), sigma_k)
-    used = [False] * n
+    parent = [-2] * n
+    parent[0] = -1
+    order = [0]
+    for i in order:  # the list grows while it is walked
+        row = g[i]
+        for j in range(n):
+            if row[j] and parent[j] == -2:
+                parent[j] = i
+                order.append(j)
+    if len(order) < n:
+        raise NotConnected("realization requires a connected unit form")
+    return [(i, parent[i]) for i in order]
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for p in range(n):
-            if used[p] or profile_g[p] != profile_t[k]:
-                continue
-            for sigma in ((1,) if k == 0 else (1, -1)):
-                ok = True
-                for l in range(k):
-                    pl, sl = assignment[l]
-                    if sigma * sl * g[p][pl] != target[k][l]:
-                        ok = False
-                        break
-                if ok:
-                    assignment.append((p, sigma))
-                    used[p] = True
-                    if extend(k + 1):
-                        return True
-                    assignment.pop()
-                    used[p] = False
-        return False
 
-    if not extend(0):
-        return None
+def _candidate(known: int, source: bool, row: tuple[int, ...],
+               placed: list[int], arrows: list, fresh: int) -> tuple[int, int]:
+    """The one column with ``known`` as its source (or target) that can have
+    inner product ``row[j]`` with every placed column j.
+
+    On a placed arrow (u, v) the column's inner product is the incidence
+    entry of ``known`` plus or minus that of the other endpoint x, so the
+    first placed arrow where the two disagree names x.  When none does, x
+    touches no placed arrow and is the unused vertex ``fresh``.
+    """
+    sign = 1 if source else -1
+    x = fresh
+    for j in placed:
+        u, v = arrows[j]
+        r = sign * ((known == u) - (known == v)) - row[j]
+        if r:
+            x = u if r == sign else v
+            break
+    return (known, x) if source else (x, known)
+
+
+def _fits(column: tuple[int, int], row: tuple[int, ...], placed: list[int],
+          arrows: list) -> bool:
+    s, t = column
+    for j in placed:
+        u, v = arrows[j]
+        if (s == u) + (t == v) - (s == v) - (t == u) != row[j]:
+            return False
+    return True
+
+
+def _stuck(i: int, row: tuple[int, ...], placed: list[int]) -> str:
+    neighbours = sorted(j for j in placed if row[j])
+    entries = ", ".join(f"{row[j]} with variable {j + 1}" for j in neighbours)
+    others = len(placed) - len(neighbours)
+    return (f"not Dynkin type A: no incidence column for variable {i + 1} has "
+            f"the Gram entries {entries} and 0 with the {others} other placed "
+            "variables")
+
+
+def realize_quiver(f: UnitForm) -> Quiver:
+    """A quiver whose triangular Gram matrix is the form's, for a connected
+    form of Dynkin type A; raises NotDynkinTypeA for any other connected
+    non-negative form.
+
+    Variables are placed in breadth-first order of the Gram graph, the
+    first one as the arrow (1, 2).  The next variable's column shares
+    endpoints with the column of the neighbour p it was reached from: an
+    entry 2 or -2 makes it that column or its reverse, an entry 1 or -1
+    means one shared endpoint, as the same end (entry 1) or the opposite
+    one (entry -1).  Each of the at most two shapes fixes the other
+    endpoint, which is kept only if the column has the right inner product
+    with every placed column.
+
+    Why taking the first survivor never loses a realization: the placed
+    columns span the root lattice of the vertices placed so far, so two
+    survivors differ by a vector orthogonal to that lattice, constant on
+    the placed vertices.  Once three or more vertices are placed that
+    forces them to be equal.  With two
+    vertices every placed column is +-(e_1 - e_2), and the two survivors
+    differ by the symmetry -(1 2) of the A root system, which fixes the
+    placed columns.  So if any quiver realizes the form, one realizes it
+    with the columns placed so far, and a variable with no surviving
+    column proves the form is not of type A.
+
+    O(n^2) inner products; the vertex count gives the corank n - m + 1,
+    and a realization proves non-negativity.  Exactness of the Gram matrix
+    holds by construction: every pair of columns was checked when the
+    later one was placed.
+    """
+    g = symmetric_gram(f)
+    order = _breadth_first(g)
+    arrows: list = [None] * f.n
+    arrows[0] = (1, 2)
+    placed = [0]
+    m = 2
+    for i, p in order[1:]:
+        row = g[i]
+        a, b = arrows[p]
+        entry = row[p]
+        if entry in (2, -2):
+            shapes = [(a, b) if entry == 2 else (b, a)]
+        elif entry in (1, -1):
+            # the shape with the shared endpoint as source first, the other
+            # built only when the first does not fit
+            ends = ((a, True), (b, False)) if entry == 1 else ((b, True), (a, False))
+            shapes = (_candidate(known, source, row, placed, arrows, m + 1)
+                      for known, source in ends)
+        else:
+            shapes = ()
+        # a loop has inner product 0 with the parent column, so never fits
+        for column in shapes:
+            if _fits(column, row, placed, arrows):
+                break
+        else:
+            if not is_psd(g):
+                raise ValueError("the form is indefinite: realization requires "
+                                 "a non-negative unit form")
+            raise NotDynkinTypeA(_stuck(i, row, placed))
+        m = max(m, *column)
+        arrows[i] = column
+        placed.append(i)
+    return Quiver(m, tuple(arrows))
+
+
+def basis_change_to_canonical(q: Quiver) -> IntMatrix:
+    """Unimodular B with I(Q) B = I(C) for the canonical extension quiver C
+    of rank m - 1 and corank n - m + 1 of a connected quiver Q; then
+    B^T (G + G^T) B is the symmetric Gram matrix of C.
+
+    The spanning tree takes arrows in index order when they join two
+    components.  Spine column j of B is the signed tree path from vertex j
+    to j + 1.  The spine columns sum to the tree path from 1 to m, so each
+    corank column, the arc m -> 1, is minus that sum plus the fundamental
+    cycle of one arrow outside the tree.  B is unimodular because the tree
+    paths are a basis change of the root lattice and each fundamental
+    cycle adds one new arrow with coefficient 1.
+    """
+    m, n, arrows = q.m, q.n, q.arrows
+    parent = list(range(m + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree: list[list[int]] = [[] for _ in range(m + 1)]
+    cycles = []
+    for i, (s, t) in enumerate(arrows):
+        rs, rt = find(s), find(t)
+        if rs == rt:
+            cycles.append(i)
+        else:
+            parent[rs] = rt
+            tree[s].append(i)
+            tree[t].append(i)
+    if len(cycles) != n - m + 1:
+        raise NotConnected("a basis change needs a connected quiver")
+    # path[v]: arrow coefficients of the tree path with sum e_v - e_1
+    path: list = [None] * (m + 1)
+    path[1] = {}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for i in tree[v]:
+            s, t = arrows[i]
+            w = s if t == v else t
+            if path[w] is None:
+                path[w] = {**path[v], i: 1 if s == w else -1}
+                stack.append(w)
+
+    def combine(*terms: tuple[int, dict]) -> dict:
+        out: dict[int, int] = {}
+        for sign, vector in terms:
+            for i, x in vector.items():
+                out[i] = out.get(i, 0) + sign * x
+        return out
+
+    columns = [combine((1, path[j]), (-1, path[j + 1])) for j in range(1, m)]
+    columns += [combine((1, path[m]), (1, {i: 1}), (-1, path[arrows[i][0]]),
+                        (1, path[arrows[i][1]])) for i in cycles]
+    target = canonical_extension_quiver(m - 1, len(cycles)).arrows
     rows = [[0] * n for _ in range(n)]
-    for k, (p, sigma) in enumerate(assignment):
-        rows[p][k] = sigma
+    for k, (column, (s, t)) in enumerate(zip(columns, target)):
+        image = [0] * (m + 1)
+        for i, x in column.items():
+            rows[i][k] = x
+            u, v = arrows[i]
+            image[u] += x
+            image[v] -= x
+        if image[s] != 1 or image[t] != -1 or sum(map(abs, image)) != 2:
+            raise InvariantViolation(
+                f"column {k + 1} of the basis change does not map the quiver's "
+                "incidence matrix onto the canonical one")
     return tuple(tuple(row) for row in rows)
 
 
-def weak_congruence_to_canonical(f: UnitForm) -> IntMatrix:
-    """Unimodular B with B^T G_f B equal to the symmetric Gram matrix of the
-    canonical extension quiver of matching rank and corank.
-
-    Strategy: repeatedly clear +1 off-diagonal entries with the elementary
-    substitution x_i -> x_i - x_j (which keeps the diagonal at 2), then match
-    the stabilized Gram matrix against the canonical one by a signed
-    permutation of variables.  Raises CanonicalizationError when the
-    iteration bound is hit, a state repeats, or no match exists; callers
-    fall back to the backtracking realizer.
-    """
-    _validate_input_form(f)
-    return _weak_congruence_impl(f)
-
-
-def _weak_congruence_impl(f: UnitForm) -> IntMatrix:
-    n = f.n
-    c = corank(f)
-    r = n - c
-    if r < 1:
-        raise CanonicalizationError("form has rank 0")
-    target = gram_matrix(canonical_extension_quiver(r, c))
-    g = [list(row) for row in symmetric_gram(f)]
-    b = [list(row) for row in identity(n)]
-    max_steps = 10 * n * n
-    seen = {tuple(map(tuple, g))}
-    for _ in range(max_steps + 1):
-        pivot = next(
-            ((i, j) for i in range(n) for j in range(n) if i != j and g[i][j] == 1),
-            None,
-        )
-        if pivot is None:
-            break
-        i, j = pivot
-        # substitution x_i -> x_i - x_j: column j of both G and B gains -column i
-        for k in range(n):
-            g[k][j] -= g[k][i]
-        for k in range(n):
-            g[j][k] -= g[i][k]
-        for k in range(n):
-            b[k][j] -= b[k][i]
-        key = tuple(map(tuple, g))
-        if key in seen:
-            raise CanonicalizationError("inflation loop revisited a Gram matrix")
-        seen.add(key)
-    else:
-        raise CanonicalizationError("inflation iteration bound exceeded")
-    frozen = tuple(tuple(row) for row in g)
-    s = _signed_permutation_match(frozen, target)
-    if s is None:
-        raise CanonicalizationError(
-            "stabilized Gram matrix does not match the canonical one up to a "
-            "signed permutation"
-        )
-    return mat_mul(tuple(tuple(row) for row in b), s)
-
-
-def realize_algorithm71(f: UnitForm) -> RealizationResult:
-    """Canonical realization: pull the canonical quiver's incidence matrix
-    back through a weak congruence and read off the arrows.
-
-    Falls back to :func:`realize_backtracking` when the weak congruence
-    search fails; the strategy field records which route produced the
-    result.
-    """
-    _validate_input_form(f)
-    n = f.n
-    c = corank(f)
-    r = n - c
-    if r < 1:
-        raise NotDynkinTypeA("form has rank 0; no loop-less realization exists")
-    try:
-        basis = _weak_congruence_impl(f)
-    except CanonicalizationError:
-        return _realize_backtracking_impl(f)
-    basis_inv = unimodular_inverse(basis)
-    canonical = canonical_extension_quiver(r, c)
-    inc = mat_mul(incidence_matrix(canonical), basis_inv)
-    if mat_mul(transpose(inc), inc) != symmetric_gram(f):
-        raise InvariantViolation("pulled-back incidence matrix does not "
-                                 "reproduce the Gram matrix")
-    arrows = []
-    for i in range(n):
-        col = [inc[v][i] for v in range(r + 1)]
-        plus = [v for v, x in enumerate(col) if x == 1]
-        minus = [v for v, x in enumerate(col) if x == -1]
-        if len(plus) != 1 or len(minus) != 1 or any(
-            x not in (-1, 0, 1) for x in col
-        ):
-            raise InvariantViolation(
-                f"column {i + 1} of the pulled-back incidence matrix is not "
-                "a signed vertex pair"
-            )
-        arrows.append((plus[0] + 1, minus[0] + 1))
-    q = Quiver(r + 1, tuple(arrows))
-    if not quiver_is_connected(q):
-        raise InvariantViolation("canonical route produced a disconnected quiver")
-    return RealizationResult(_normalize_labels(q), basis, "algorithm71")
-
-
 def realize(f: UnitForm) -> RealizationResult:
-    """Realize a form as a quiver, preferring the canonical route."""
-    return realize_algorithm71(f)
+    """The breadth-first realization of a connected form of Dynkin type A,
+    with the basis change onto the canonical extension quiver.
+
+    Raises NotConnected for a disconnected form, ValueError for an
+    indefinite one and NotDynkinTypeA for any other form not of type A.
+    """
+    q = realize_quiver(f)
+    return RealizationResult(q, basis_change_to_canonical(q), STRATEGY)
+
+
+def weak_congruence_to_canonical(f: UnitForm) -> IntMatrix:
+    """Unimodular B with B^T (G_f + G_f^T) B equal to the symmetric Gram
+    matrix of the canonical extension quiver of matching rank and corank."""
+    return realize(f).basis_change

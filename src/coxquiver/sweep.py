@@ -47,7 +47,7 @@ from .quiver import (
     triangular_gram,
     vertex_permutation,
 )
-from .realize import realize_algorithm71
+from .realize import realize
 from .unitform import UnitForm
 
 _SAMPLE_CAP = 20
@@ -351,10 +351,10 @@ def _check_form(rec, strategies: dict[str, int], gram_tri,
         rec("coxeter_numbers",
             f"{label}: Phi^{first_identity} = Id for a multi-part cycle type")
 
-    # realization round trip (canonical route with its built-in fallback)
+    # realization round trip, basis change to the canonical quiver included
     form = UnitForm(n, gram_tri)
     try:
-        result = realize_algorithm71(form)
+        result = realize(form)
     except (ValueError, InvariantViolation) as exc:
         rec("realization_roundtrip", f"{label}: realization failed: {exc}")
     else:
@@ -447,22 +447,23 @@ def _phase1_units(max_vertices: int, max_arrows: int, seed: int | None,
     return units
 
 
-def _merge_phase1(report: SweepReport, results,
-                  forms: dict[bytes, tuple[int, ...]]) -> None:
-    for count, counts, samples, unit_forms in results:
-        report.quiver_count += count
-        for check in CHECKS:
-            report.failure_counts[check] += counts[check]
-            space = _SAMPLE_CAP - len(report.failure_samples[check])
-            if space > 0:
-                report.failure_samples[check].extend(samples[check][:space])
-        for key, ct_parts in unit_forms.items():
-            known = forms.get(key)
-            if known is None:
-                forms[key] = ct_parts
-            elif known != ct_parts:
-                report.record("cycle_type_membership",
-                              "equal forms with different cycle types across units")
+def _fan_out(worker, units: list, jobs: int):
+    """Results of ``worker`` on each unit, in unit order; ``jobs`` > 1 runs
+    the units on a pool of worker processes that is shut down when the
+    results are exhausted or abandoned."""
+    if jobs == 1:
+        yield from map(worker, units)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(worker, units)
+
+
+def _merge_failures(report: SweepReport, counts: dict, samples: dict) -> None:
+    for check in CHECKS:
+        report.failure_counts[check] += counts[check]
+        space = _SAMPLE_CAP - len(report.failure_samples[check])
+        if space > 0:
+            report.failure_samples[check].extend(samples[check][:space])
 
 
 def run_sweep(max_vertices: int, max_arrows: int, *,
@@ -484,35 +485,24 @@ def run_sweep(max_vertices: int, max_arrows: int, *,
     report = SweepReport(max_vertices, max_arrows)
     units = _phase1_units(max_vertices, max_arrows, seed, congruence_sample_rate)
     forms: dict[bytes, tuple[int, ...]] = {}
-
-    if jobs == 1:
-        _merge_phase1(report, map(_phase1_worker, units), forms)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            _merge_phase1(report, pool.map(_phase1_worker, units), forms)
+    for count, counts, samples, unit_forms in _fan_out(_phase1_worker, units, jobs):
+        report.quiver_count += count
+        _merge_failures(report, counts, samples)
+        for key, ct_parts in unit_forms.items():
+            known = forms.get(key)
+            if known is None:
+                forms[key] = ct_parts
+            elif known != ct_parts:
+                report.record("cycle_type_membership",
+                              "equal forms with different cycle types across units")
 
     report.form_count = len(forms)
     items = sorted(forms.items())
-    if jobs == 1:
-        chunks = [items]
-    else:
-        step = max(1, (len(items) + 4 * jobs - 1) // (4 * jobs))
-        chunks = [items[i:i + step] for i in range(0, len(items), step)]
-
-    if jobs == 1:
-        results = map(_phase2_worker, chunks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(_phase2_worker, chunks)
-    for counts, samples, strategies in results:
-        for check in CHECKS:
-            report.failure_counts[check] += counts[check]
-            space = _SAMPLE_CAP - len(report.failure_samples[check])
-            if space > 0:
-                report.failure_samples[check].extend(samples[check][:space])
+    pieces = 1 if jobs == 1 else 4 * jobs
+    step = max(1, -(-len(items) // pieces))
+    chunks = [items[i:i + step] for i in range(0, len(items), step)]
+    for counts, samples, strategies in _fan_out(_phase2_worker, chunks, jobs):
+        _merge_failures(report, counts, samples)
         for name, value in strategies.items():
             report.strategy_counts[name] = report.strategy_counts.get(name, 0) + value
-    if jobs > 1:
-        pool.shutdown()
-
     return report

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import NotConnected
 from .linalg import (
     IntMatrix,
     IntPoly,
@@ -49,7 +50,13 @@ class UnitForm:
         return {"n": self.n, "upper": entries}
 
     @classmethod
-    def from_json(cls, data: object) -> "UnitForm":
+    def from_json(cls, data: object, *, connected: bool = False) -> "UnitForm":
+        """Parse ``{"n": n, "upper": [[i, j, value], ...]}``.
+
+        With ``connected`` set, fewer than n - 1 entries raise NotConnected
+        before the n x n matrix is allocated: they cannot connect n
+        variables.
+        """
         if not isinstance(data, dict):
             raise ValueError("unit form JSON must be an object")
         unknown = set(data) - {"n", "upper"}
@@ -57,27 +64,30 @@ class UnitForm:
             raise ValueError(f"unknown keys in unit form JSON: {sorted(unknown)}")
         if "n" not in data or "upper" not in data:
             raise ValueError("unit form JSON needs 'n' and 'upper'")
-        n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        n, entries = data["n"], data["upper"]
+        if type(n) is not int or n < 1:
             raise ValueError("'n' must be a positive integer")
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        entries = data["upper"]
         if not isinstance(entries, list):
             raise ValueError("'upper' must be a list of [i, j, value] triples")
+        if connected and len(entries) < n - 1:
+            raise NotConnected(f"{len(entries)} entries cannot connect {n} "
+                               "variables: the form is not connected")
+        seen = set()
         for entry in entries:
+            # bool is a subclass of int, but a JSON true is not an integer
             if (
                 not isinstance(entry, list)
                 or len(entry) != 3
-                or not all(isinstance(x, int) for x in entry)
+                or not all(type(x) is int for x in entry)
             ):
                 raise ValueError("'upper' must be a list of [i, j, value] triples")
-            i, j, value = entry
+            i, j, _ = entry
             if not (1 <= i < j <= n):
                 raise ValueError(f"entry ({i}, {j}) is not strictly upper triangular")
-            rows[i - 1][j - 1] = value
-        return cls(n, tuple(tuple(row) for row in rows))
+            if (i, j) in seen:
+                raise ValueError(f"entry ({i}, {j}) is given twice")
+            seen.add((i, j))
+        return form_from_upper(n, entries)
 
 
 def form_from_upper(n: int, entries: Sequence[tuple[int, int, int]]) -> UnitForm:
@@ -184,14 +194,3 @@ def check_strong_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:
     bt = transpose(b)
     return mat_mul(mat_mul(bt, f.gram_upper), b) == g.gram_upper
 
-
-def check_weak_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:
-    """Whether b is unimodular and B^T (G_f + G_f^T) B = G_g + G_g^T."""
-    if f.n != g.n:
-        return False
-    if len(b) != f.n or any(len(row) != f.n for row in b):
-        raise ValueError("basis change matrix must be square of matching size")
-    if determinant(b) not in (1, -1):
-        return False
-    bt = transpose(b)
-    return mat_mul(mat_mul(bt, symmetric_gram(f)), b) == symmetric_gram(g)

@@ -1,12 +1,15 @@
 """CLI surface tests: verbs, formats, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from coxquiver import cli
 from coxquiver.cli import main
+from coxquiver.errors import InvariantViolation
 
 KRONECKER_QUIVER = {"vertices": 2, "arrows": [[1, 2], [1, 2]]}
 A3_FORM = {"n": 2, "upper": [[1, 2, -1]]}
@@ -157,8 +160,9 @@ def test_realize_verb(capsys, a3_form_path):
     code, out, _ = run_cli(capsys, "realize", "--form", a3_form_path)
     assert code == 0
     data = json.loads(out)
-    assert data["strategy"] in ("algorithm71", "backtracking")
+    assert data["strategy"] == "breadth_first"
     assert data["quiver"]["vertices"] == 3
+    assert data["basis_change"] == [[1, 0], [0, 1]]
 
 
 def test_realize_rejects_type_d(capsys, tmp_path):
@@ -246,6 +250,77 @@ def test_disconnected_form_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cycle-type", "--form", str(path))
     assert code == 1
     assert "connected" in err
+
+
+def write_json(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("form, message", [
+    ({"n": 2, "upper": [[1, 2, -1], [1, 2, 2]]}, "given twice"),
+    ({"n": 2, "upper": [[True, 2, -1]]}, "triples"),
+    ({"n": 2, "upper": [[1, 2, False]]}, "triples"),
+    ({"n": True, "upper": []}, "'n'"),
+])
+def test_malformed_form_exit_2(capsys, tmp_path, form, message):
+    code, out, err = run_cli(capsys, "invariants", "--form", write_json(tmp_path, form))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("quiver, message", [
+    ({"vertices": 2, "arrows": [[True, 2]]}, "pairs"),
+    ({"vertices": True, "arrows": []}, "'vertices'"),
+])
+def test_malformed_quiver_exit_2(capsys, tmp_path, quiver, message):
+    code, out, err = run_cli(capsys, "cycle-type", "--quiver", write_json(tmp_path, quiver))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_too_few_entries_to_connect_exit_1_before_allocating(capsys, tmp_path):
+    # n x n and m x m sized work would not fit in memory; the count of
+    # entries (arrows) alone shows the input is disconnected
+    path = write_json(tmp_path, {"n": 10 ** 9, "upper": [[1, 2, -1]]})
+    code, _, err = run_cli(capsys, "invariants", "--form", path)
+    assert code == 1
+    assert "not connected" in err
+    path = write_json(tmp_path, {"vertices": 10 ** 9, "arrows": [[1, 2]]})
+    code, _, err = run_cli(capsys, "cycle-type", "--quiver", path)
+    assert code == 1
+    assert "not connected" in err
+
+
+def test_verify_jobs_bounded_by_cpu_count(capsys):
+    # only the validation runs: neither value starts a worker
+    for jobs in (0, (os.cpu_count() or 1) + 1):
+        code, out, err = run_cli(capsys, "verify", "--max-vertices", "2",
+                                 "--max-arrows", "1", "--jobs", str(jobs))
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
+def test_invariant_violation_exit_3(capsys, monkeypatch, a3_form_path):
+    def broken(form):
+        raise InvariantViolation("fraction-free elimination lost exactness")
+
+    monkeypatch.setattr(cli, "cycle_type_and_corank", broken)
+    code, out, err = run_cli(capsys, "invariants", "--form", a3_form_path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal invariant violation:")
+
+
+def test_realize_rejection_names_the_variable(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "upper": [[1, 2, -1], [1, 3, -1], [1, 4, -1]]})
+    code, _, err = run_cli(capsys, "invariants", "--form", path)
+    assert code == 1
+    assert "variable 4" in err and "-1 with variable 1" in err
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from coxquiver.linalg import (
     char_poly,
     cycle_decomposition,
-    determinant,
     identity,
     is_psd,
     mat_mul,
@@ -26,7 +25,6 @@ from coxquiver.linalg import (
     poly_normalize,
     rational_rank,
     transpose,
-    unimodular_inverse,
     unitriangular_inverse,
     v_power_minus_one,
 )
@@ -142,39 +140,11 @@ def test_mat_mul_dimension_mismatch():
         mat_mul(((1, 2),), ((1, 2),))
 
 
-def test_unimodular_inverse_elementary():
-    assert unimodular_inverse(((1, 2), (0, 1))) == ((1, -2), (0, 1))
-    assert unimodular_inverse(identity(3)) == identity(3)
-
-
-def test_unimodular_inverse_kronecker_gram():
-    g = ((1, 2), (0, 1))
-    inv = unimodular_inverse(g)
-    assert mat_mul(g, inv) == identity(2)
-
-
-def test_unimodular_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        unimodular_inverse(((2, 0), (0, 1)))
-
-
-@given(square_matrices(4, st.integers(min_value=-2, max_value=2)))
-@settings(max_examples=120)
-def test_unimodular_inverse_roundtrip(m):
-    det = determinant(m)
-    if det in (1, -1):
-        inv = unimodular_inverse(m)
-        assert mat_mul(m, inv) == identity(len(m))
-        assert mat_mul(inv, m) == identity(len(m))
-    else:
-        with pytest.raises(ValueError):
-            unimodular_inverse(m)
-
-
 def test_unitriangular_inverse_matches_general():
     m = ((1, -1, 3), (0, 1, -2), (0, 0, 1))
-    assert unitriangular_inverse(m) == unimodular_inverse(m)
+    assert unitriangular_inverse(m) == ((1, 1, -1), (0, 1, 2), (0, 0, 1))
     assert mat_mul(m, unitriangular_inverse(m)) == identity(3)
+    assert mat_mul(unitriangular_inverse(m), m) == identity(3)
 
 
 # ---------------------------------------------------------------------------

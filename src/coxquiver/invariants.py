@@ -7,27 +7,23 @@ attainable Coxeter polynomials for given size and corank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .linalg import (
     IntMatrix,
     IntPoly,
+    char_poly,
     identity,
-    mat_mul,
+    is_nilpotent,
+    mat_pow,
     mat_sub,
     poly_degree,
     poly_divmod,
     poly_normalize,
     poly_pow,
     v_power_minus_one,
-    zero_matrix,
 )
-from .partitions import (
-    FactoredCoxPoly,
-    Partition,
-    admissible_lengths,
-    partitions_by_length,
-)
+from .partitions import FactoredCoxPoly, Partition, part1c
 from .quiver import cycle_type_of_quiver
 from .realize import realize_quiver
 from .unitform import UnitForm, coxeter_matrix
@@ -72,18 +68,11 @@ def cycle_type_and_corank(f: UnitForm) -> tuple[Partition, int]:
     return cycle_type_of_quiver(q), f.n - q.m + 1
 
 
-def _lcm(values: tuple[int, ...]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def coxeter_numbers_of_cycle_type(ct: Partition) -> CoxeterNumbers:
     """Finite Coxeter number pi_1 exactly when the cycle type has a single
     part; the reduced Coxeter number is the lcm of the parts."""
     finite = ct.parts[0] if ct.length == 1 else None
-    return CoxeterNumbers(finite, _lcm(ct.parts))
+    return CoxeterNumbers(finite, lcm(*ct.parts))
 
 
 def coxeter_numbers(f: UnitForm) -> CoxeterNumbers:
@@ -104,11 +93,16 @@ def coxeter_polynomial_of_cycle_type(ct: Partition, c: int) -> FactoredCoxPoly:
 
 def spectral_multiplicity(f: UnitForm, d: int) -> int:
     """Multiplicity of a primitive d-th root of unity in the Coxeter
-    spectrum: for d > 1 the number of parts divisible by d, for d = 1 the
-    corank plus length minus one."""
+    spectrum of the form."""
+    return spectral_multiplicity_of_cycle_type(*cycle_type_and_corank(f), d)
+
+
+def spectral_multiplicity_of_cycle_type(ct: Partition, c: int, d: int) -> int:
+    """Multiplicity of a primitive d-th root of unity in the Coxeter
+    spectrum for cycle type ct and corank c: for d > 1 the number of parts
+    divisible by d, for d = 1 the corank plus length minus one."""
     if d < 1:
         raise ValueError("root order must be >= 1")
-    ct, c = cycle_type_and_corank(f)
     if d == 1:
         return c + ct.length - 1
     return sum(1 for p in ct.parts if p % d == 0)
@@ -127,8 +121,13 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
     if poly_degree(p) < 1:
         raise ValueError("a Coxeter polynomial has positive degree")
     if c >= 1:
-        quotient, rem = poly_divmod(p, poly_pow((-1, 1), c - 1))
-        if rem != (0,):
+        # (v-1)^{c-1} cannot divide a polynomial of smaller degree; checking
+        # that first keeps a huge c from building a huge power
+        divides = c - 1 <= poly_degree(p)
+        if divides:
+            quotient, rem = poly_divmod(p, poly_pow((-1, 1), c - 1))
+            divides = rem == (0,)
+        if not divides:
             raise ValueError(
                 f"not a type-A Coxeter polynomial for corank {c}: "
                 f"(v-1)^{c - 1} does not divide it"
@@ -167,52 +166,68 @@ def enumerate_coxeter_polynomials(n: int, c: int) -> tuple[FactoredCoxPoly, ...]
         raise ValueError("need at least one variable")
     if not 0 <= c < n:
         raise ValueError("corank must satisfy 0 <= c < n")
-    m = n - c + 1
-    out = []
-    for length in admissible_lengths(c, m):
-        for pi in partitions_by_length(m, length):
-            out.append(FactoredCoxPoly(c + pi.length - 1, pi.parts))
-    out.sort(key=lambda f: f.cycle_parts, reverse=True)
-    return tuple(out)
+    return tuple(coxeter_polynomial_of_cycle_type(pi, c)
+                 for pi in part1c(c, n - c + 1))
 
 
-def _is_nilpotent(m: IntMatrix) -> bool:
-    n = len(m)
-    if n == 0:
-        return True
-    power = m
-    k = 1
-    while k < n:
-        power = mat_mul(power, power)
-        k *= 2
-    return power == zero_matrix(n, n)
+def _power_sums(coeffs_low: IntPoly, upto: int) -> list[int]:
+    """Traces of matrix powers 1..upto from the characteristic polynomial,
+    by Newton's identities (exact)."""
+    n = len(coeffs_low) - 1
+    c = [coeffs_low[n - i] for i in range(n + 1)]  # c[i] multiplies v^{n-i}
+    sums = [0] * (upto + 1)
+    for k in range(1, upto + 1):
+        acc = k * c[k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc += c[i] * sums[k - i]
+        sums[k] = -acc
+    return sums
+
+
+def coxeter_number_violations(phi: IntMatrix, poly: IntPoly,
+                              ct: Partition) -> list[str]:
+    """The Coxeter-number laws that the Coxeter matrix ``phi``, with
+    characteristic polynomial ``poly``, breaks for cycle type ``ct``; an
+    empty list when all hold.
+
+    The minimal k with Id - Phi^k nilpotent must be lcm(ct), and Phi^k = Id
+    happens within that range exactly for cycle types with one part, first
+    at k = pi_1.  Traces of powers come from ``poly``: a trace other than n
+    rules out both Id - Phi^k nilpotent and Phi^k = Id, so exact matrix
+    powers are needed only where the trace is n.
+    """
+    n = len(phi)
+    numbers = coxeter_numbers_of_cycle_type(ct)
+    target = numbers.reduced_coxeter_number
+    sums = _power_sums(poly, target)
+    ident = identity(n)
+    problems = []
+    first_identity = None
+    for k in range(1, target):
+        if sums[k] == n:
+            power = mat_pow(phi, k)
+            if is_nilpotent(mat_sub(ident, power)):
+                problems.append(f"Id - Phi^{k} nilpotent below lcm {target}")
+            if power == ident and first_identity is None:
+                first_identity = k
+    final_power = mat_pow(phi, target)
+    if not is_nilpotent(mat_sub(ident, final_power)):
+        problems.append("Id - Phi^lcm is not nilpotent")
+    if first_identity is None and final_power == ident:
+        first_identity = target
+    if numbers.coxeter_number is not None:
+        if first_identity != numbers.coxeter_number:
+            problems.append(
+                f"Coxeter number {first_identity} != {numbers.coxeter_number}")
+    elif first_identity is not None:
+        problems.append(f"Phi^{first_identity} = Id for a multi-part cycle type")
+    return problems
 
 
 def verify_reduced_coxeter_number(f: UnitForm) -> bool:
-    """Cross-check the reduced Coxeter number against exact matrix powering.
-
-    Computes Phi^k for k = 1..lcm(cycle type), finds the minimal k with
-    Id - Phi^k nilpotent, and compares with the combinatorial answer; also
-    checks that Phi^k = Id happens within that range exactly for cycle types
-    with one part, at k = pi_1.
-    """
-    ct = cycle_type_of_form(f)
-    numbers = coxeter_numbers_of_cycle_type(ct)
-    target = numbers.reduced_coxeter_number
+    """Cross-check the (reduced) Coxeter number of the form's cycle type
+    against exact powers of its Coxeter matrix; see
+    :func:`coxeter_number_violations`."""
     phi = coxeter_matrix(f)
-    ident = identity(f.n)
-    power = ident
-    minimal_nilpotent = None
-    first_identity = None
-    for k in range(1, target + 1):
-        power = mat_mul(power, phi)
-        if minimal_nilpotent is None and _is_nilpotent(mat_sub(ident, power)):
-            minimal_nilpotent = k
-        if first_identity is None and power == ident:
-            first_identity = k
-    if minimal_nilpotent != target:
-        return False
-    if numbers.coxeter_number is None:
-        return first_identity is None
-    return first_identity == numbers.coxeter_number
+    return not coxeter_number_violations(phi, char_poly(phi), cycle_type_of_form(f))
 

@@ -17,7 +17,7 @@ Conventions
 
 from __future__ import annotations
 
-from operator import mul
+from operator import mul, neg, sub
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -40,11 +40,8 @@ def matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
+    zeros = (0,) * n
+    return tuple([zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)])
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -69,11 +66,11 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple([tuple(map(neg, row)) for row in a])
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -105,6 +102,16 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
         base = mat_mul(base, base) if k > 1 else base
         k >>= 1
     return result
+
+
+def is_nilpotent(m: IntMatrix) -> bool:
+    """Whether m^n = 0 for the n x n matrix m, by repeated squaring."""
+    power = m
+    k = 1
+    while k < len(m):
+        power = mat_mul(power, power)
+        k *= 2
+    return not any(any(row) for row in power)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +184,29 @@ def rational_rank(m: IntMatrix) -> int:
 
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of an upper triangular matrix with unit diagonal (fast path)."""
+    """Inverse of an upper triangular matrix with unit diagonal.
+
+    Back substitution by rows, from the last up: row i of the inverse is
+    e_i minus m[i][k] times row k for every k > i with m[i][k] nonzero.
+    """
     n = len(m)
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = 1
-    # back-substitution column by column
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            s = -sum(m[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = s
-    return tuple(tuple(row) for row in inv)
+    rows: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [0] * n
+        row[i] = 1
+        for k in range(i + 1, n):
+            c = m[i][k]
+            if c:
+                row_k = rows[k]
+                for j in range(k, n):
+                    row[j] -= c * row_k[j]
+        rows[i] = tuple(row)
+    return tuple(rows)
+
+
+def coxeter_from_gram(gram: IntMatrix, gram_inv: IntMatrix) -> IntMatrix:
+    """The Coxeter matrix -G^T G^{-1}, given G and its inverse."""
+    return mat_neg(mat_mul(transpose(gram), gram_inv))
 
 
 # ---------------------------------------------------------------------------

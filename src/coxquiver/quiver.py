@@ -16,13 +16,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, NotConnected
 from .linalg import (
     IntMatrix,
     PermutationMap,
     check_permutation,
+    coxeter_from_gram,
     identity,
     mat_mul,
     mat_sub,
@@ -115,11 +116,10 @@ def _incident_lists(q: Quiver) -> list[list[int]]:
     return incident
 
 
-def is_connected(q: Quiver) -> bool:
-    """Connectivity of the underlying graph (single vertices are connected)."""
-    if q.m == 1:
-        return True
-    parent = list(range(q.m + 1))
+def spanning_tree(m: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Indices of the edges on vertices 1..m, taken in order, that join two
+    components; the graph is connected exactly when there are m - 1."""
+    parent = list(range(m + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -127,13 +127,18 @@ def is_connected(q: Quiver) -> bool:
             x = parent[x]
         return x
 
-    components = q.m
-    for s, t in q.arrows:
+    tree = []
+    for i, (s, t) in enumerate(edges):
         rs, rt = find(s), find(t)
         if rs != rt:
             parent[rs] = rt
-            components -= 1
-    return components == 1
+            tree.append(i)
+    return tree
+
+
+def is_connected(q: Quiver) -> bool:
+    """Connectivity of the underlying graph (single vertices are connected)."""
+    return len(spanning_tree(q.m, q.arrows)) == q.m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +177,6 @@ def triangular_gram(q: Quiver) -> IntMatrix:
             row[j] = _column_dot(ai, arrows[j])
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def gram_matrix(q: Quiver) -> IntMatrix:
-    """Symmetric Gram matrix I(Q)^T I(Q), computed combinatorially."""
-    n = q.n
-    arrows = q.arrows
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-        ai = arrows[i]
-        for j in range(i + 1, n):
-            d = _column_dot(ai, arrows[j])
-            rows[i][j] = d
-            rows[j][i] = d
-    return tuple(tuple(row) for row in rows)
 
 
 def laplace(q: Quiver) -> IntMatrix:
@@ -238,11 +228,14 @@ def _trace(q: Quiver, incident: list[list[int]], i: int, eps: int,
     return steps, vertex
 
 
-def _check_arrow_sign(q: Quiver, i: int, eps: int) -> None:
+def _min_walk(q: Quiver, i: int, eps: int, decreasing: bool) -> Walk:
     if not 1 <= i <= q.n:
         raise ValueError(f"arrow index {i} out of range 1..{q.n}")
     if eps not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    steps, _ = _trace(q, _incident_lists(q), i, eps, decreasing)
+    start = q.source(i) if eps == 1 else q.target(i)
+    return Walk(start, tuple(steps))
 
 
 def min_decreasing_walk(q: Quiver, i: int, eps: int) -> Walk:
@@ -251,19 +244,25 @@ def min_decreasing_walk(q: Quiver, i: int, eps: int) -> Walk:
     Each later step takes the maximal incident arrow strictly smaller than
     the current one; orientation is forced by which endpoint was reached.
     """
-    _check_arrow_sign(q, i, eps)
-    steps, _ = _trace(q, _incident_lists(q), i, eps, decreasing=True)
-    start = q.source(i) if eps == 1 else q.target(i)
-    return Walk(start, tuple(steps))
+    return _min_walk(q, i, eps, decreasing=True)
 
 
 def min_increasing_walk(q: Quiver, i: int, eps: int) -> Walk:
     """Dual of :func:`min_decreasing_walk`: minimal incident arrow strictly
     larger than the current one."""
-    _check_arrow_sign(q, i, eps)
-    steps, _ = _trace(q, _incident_lists(q), i, eps, decreasing=False)
-    start = q.source(i) if eps == 1 else q.target(i)
-    return Walk(start, tuple(steps))
+    return _min_walk(q, i, eps, decreasing=False)
+
+
+def _structural_walk(q: Quiver, v: int, decreasing: bool) -> Walk:
+    if not 1 <= v <= q.m:
+        raise ValueError(f"vertex {v} out of range 1..{q.m}")
+    incident = _incident_lists(q)
+    if not incident[v]:
+        raise ValueError(f"vertex {v} has no incident arrow")
+    i0 = incident[v][-1 if decreasing else 0]
+    eps = 1 if q.source(i0) == v else -1
+    steps, _ = _trace(q, incident, i0, eps, decreasing)
+    return Walk(v, tuple(steps))
 
 
 def structural_walk(q: Quiver, v: int) -> Walk:
@@ -272,28 +271,12 @@ def structural_walk(q: Quiver, v: int) -> Walk:
     The first arrow is the maximal arrow incident to v.  Raises ValueError
     for an isolated vertex.
     """
-    if not 1 <= v <= q.m:
-        raise ValueError(f"vertex {v} out of range 1..{q.m}")
-    incident = _incident_lists(q)
-    if not incident[v]:
-        raise ValueError(f"vertex {v} has no incident arrow")
-    i0 = incident[v][-1]
-    eps = 1 if q.source(i0) == v else -1
-    steps, _ = _trace(q, incident, i0, eps, decreasing=True)
-    return Walk(v, tuple(steps))
+    return _structural_walk(q, v, decreasing=True)
 
 
 def structural_increasing_walk(q: Quiver, v: int) -> Walk:
     """Dual structural walk: starts with the minimal arrow incident to v."""
-    if not 1 <= v <= q.m:
-        raise ValueError(f"vertex {v} out of range 1..{q.m}")
-    incident = _incident_lists(q)
-    if not incident[v]:
-        raise ValueError(f"vertex {v} has no incident arrow")
-    i0 = incident[v][0]
-    eps = 1 if q.source(i0) == v else -1
-    steps, _ = _trace(q, incident, i0, eps, decreasing=False)
-    return Walk(v, tuple(steps))
+    return _structural_walk(q, v, decreasing=False)
 
 
 def walk_target(q: Quiver, w: Walk) -> int:
@@ -334,6 +317,29 @@ def incidence_vector(q: Quiver, w: Walk) -> tuple[int, ...]:
 # the vertex permutation and the inverse quiver
 # ---------------------------------------------------------------------------
 
+def _vertex_permutation(q: Quiver, allow_disconnected: bool,
+                        decreasing: bool) -> PermutationMap:
+    if not allow_disconnected and not is_connected(q):
+        raise ValueError("vertex permutation requires a connected quiver")
+    incident = _incident_lists(q)
+    arrows = q.arrows
+    first = -1 if decreasing else 0
+    images = []
+    for v in range(1, q.m + 1):
+        lst = incident[v]
+        if not lst:
+            images.append(v)
+            continue
+        i0 = lst[first]
+        eps = 1 if arrows[i0 - 1][0] == v else -1
+        _, end = _trace(q, incident, i0, eps, decreasing)
+        images.append(end)
+    try:
+        return check_permutation(tuple(images))
+    except ValueError as exc:
+        raise InvariantViolation("structural walks did not induce a bijection") from exc
+
+
 def vertex_permutation(q: Quiver, *, allow_disconnected: bool = False) -> PermutationMap:
     """The permutation sending each vertex to the end of its structural
     decreasing walk.  Isolated vertices are fixed points.
@@ -341,47 +347,13 @@ def vertex_permutation(q: Quiver, *, allow_disconnected: bool = False) -> Permut
     Requires a connected quiver unless ``allow_disconnected`` is set (the
     construction works per component).
     """
-    if not allow_disconnected and not is_connected(q):
-        raise ValueError("vertex permutation requires a connected quiver")
-    incident = _incident_lists(q)
-    arrows = q.arrows
-    images = []
-    for v in range(1, q.m + 1):
-        lst = incident[v]
-        if not lst:
-            images.append(v)
-            continue
-        i0 = lst[-1]
-        eps = 1 if arrows[i0 - 1][0] == v else -1
-        _, end = _trace(q, incident, i0, eps, decreasing=True)
-        images.append(end)
-    try:
-        return check_permutation(tuple(images))
-    except ValueError as exc:
-        raise InvariantViolation("structural walks did not induce a bijection") from exc
+    return _vertex_permutation(q, allow_disconnected, decreasing=True)
 
 
 def vertex_permutation_increasing(q: Quiver, *, allow_disconnected: bool = False) -> PermutationMap:
     """Dual permutation from structural increasing walks; inverse of
     :func:`vertex_permutation`."""
-    if not allow_disconnected and not is_connected(q):
-        raise ValueError("vertex permutation requires a connected quiver")
-    incident = _incident_lists(q)
-    arrows = q.arrows
-    images = []
-    for v in range(1, q.m + 1):
-        lst = incident[v]
-        if not lst:
-            images.append(v)
-            continue
-        i0 = lst[0]
-        eps = 1 if arrows[i0 - 1][0] == v else -1
-        _, end = _trace(q, incident, i0, eps, decreasing=False)
-        images.append(end)
-    try:
-        return check_permutation(tuple(images))
-    except ValueError as exc:
-        raise InvariantViolation("structural walks did not induce a bijection") from exc
+    return _vertex_permutation(q, allow_disconnected, decreasing=False)
 
 
 def inverse_quiver(q: Quiver) -> Quiver:
@@ -425,11 +397,7 @@ def coxeter_matrix_of_quiver(q: Quiver) -> IntMatrix:
         raise ValueError("Coxeter matrix requires a connected quiver")
     gram = triangular_gram(q)
     gram_inv = unitriangular_inverse(gram)
-    by_gram = tuple(
-        tuple(-sum(gram[k][i] * gram_inv[k][j] for k in range(q.n))
-              for j in range(q.n))
-        for i in range(q.n)
-    )
+    by_gram = coxeter_from_gram(gram, gram_inv)
     if q.n:
         inc = incidence_matrix(q)
         inc_inverse = mat_mul(inc, gram_inv)
@@ -485,24 +453,6 @@ def ordered_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, t) for s in range(1, m + 1) for t in range(1, m + 1) if s != t)
 
 
-def _multiset_connected(m: int, arrows: Sequence[tuple[int, int]]) -> bool:
-    parent = list(range(m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = m
-    for s, t in arrows:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
-            components -= 1
-    return components == 1
-
-
 def iter_connected_quivers(m: int, n: int,
                            first_pair: tuple[int, int] | None = None) -> Iterator[Quiver]:
     """All connected loop-less quivers with m vertices and n arrows whose
@@ -522,7 +472,7 @@ def iter_connected_quivers(m: int, n: int,
     pairs = ordered_pairs(m)
     if first_pair is None:
         for combo in combinations_with_replacement(pairs, n):
-            if _multiset_connected(m, combo):
+            if len(spanning_tree(m, combo)) == m - 1:
                 yield Quiver(m, combo)
     else:
         rest = tuple(p for p in pairs if p >= first_pair)
@@ -530,5 +480,5 @@ def iter_connected_quivers(m: int, n: int,
             return
         for combo in combinations_with_replacement(rest, n - 1):
             arrows = (first_pair,) + combo
-            if _multiset_connected(m, arrows):
+            if len(spanning_tree(m, arrows)) == m - 1:
                 yield Quiver(m, arrows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
 from .linalg import IntMatrix, is_psd
 from .partitions import Partition
-from .quiver import Quiver
+from .quiver import Quiver, spanning_tree
 from .unitform import UnitForm, symmetric_gram
 
 STRATEGY = "breadth_first"
@@ -277,26 +277,16 @@ def basis_change_to_canonical(q: Quiver) -> IntMatrix:
     cycle adds one new arrow with coefficient 1.
     """
     m, n, arrows = q.m, q.n, q.arrows
-    parent = list(range(m + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree: list[list[int]] = [[] for _ in range(m + 1)]
-    cycles = []
-    for i, (s, t) in enumerate(arrows):
-        rs, rt = find(s), find(t)
-        if rs == rt:
-            cycles.append(i)
-        else:
-            parent[rs] = rt
-            tree[s].append(i)
-            tree[t].append(i)
-    if len(cycles) != n - m + 1:
+    tree_arrows = spanning_tree(m, arrows)
+    if len(tree_arrows) != m - 1:
         raise NotConnected("a basis change needs a connected quiver")
+    tree: list[list[int]] = [[] for _ in range(m + 1)]
+    for i in tree_arrows:
+        s, t = arrows[i]
+        tree[s].append(i)
+        tree[t].append(i)
+    in_tree = set(tree_arrows)
+    cycles = [i for i in range(n) if i not in in_tree]
     # path[v]: arrow coefficients of the tree path with sum e_v - e_1
     path: list = [None] * (m + 1)
     path[1] = {}

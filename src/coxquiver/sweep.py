@@ -7,9 +7,14 @@ the walk-based constructions; it collects the distinct unit forms seen.
 Phase 2 runs the form-level checks (polynomial identities, Coxeter numbers,
 realization round trips, spectral multiplicities) once per distinct form.
 
-Both phases can fan out over worker processes; aggregation is deterministic
-because work units are fixed and merged in submission order.  The sweep is
-the engine behind the ``verify`` CLI verb and the acceptance tests.
+Every check goes through the library's own functions (Coxeter matrices,
+Coxeter-number laws, spectral multiplicities, the realizer), so a clean
+sweep vouches for the code that users call.
+
+Both phases can fan out over worker processes; each work unit fills its own
+report, and the reports are merged in submission order, so aggregation is
+deterministic.  The sweep is the engine behind the ``verify`` CLI verb and
+the acceptance tests.
 """
 
 from __future__ import annotations
@@ -17,24 +22,29 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from .errors import InvariantViolation
-from .invariants import cycle_type_from_cox_poly
+from .invariants import (
+    coxeter_number_violations,
+    coxeter_polynomial_of_cycle_type,
+    cycle_type_from_cox_poly,
+    spectral_multiplicity_of_cycle_type,
+)
 from .linalg import (
     char_poly,
+    coxeter_from_gram,
     identity,
     mat_mul,
-    mat_neg,
-    mat_pow,
     mat_sub,
+    permutation_matrix,
     poly_divmod,
     rational_rank,
     transpose,
     unitriangular_inverse,
     v_power_minus_one,
 )
-from .partitions import FactoredCoxPoly, cycle_type_of_permutation, part1c
+from .partitions import Partition, cycle_type_of_permutation, part1c
 from .quiver import (
     Quiver,
     incidence_matrix,
@@ -48,7 +58,7 @@ from .quiver import (
     vertex_permutation,
 )
 from .realize import realize
-from .unitform import UnitForm
+from .unitform import UnitForm, coxeter_matrix, symmetric_gram
 
 _SAMPLE_CAP = 20
 _SPLIT_THRESHOLD = 20000
@@ -82,6 +92,18 @@ class SweepReport:
         if len(samples) < _SAMPLE_CAP:
             samples.append(message)
 
+    def merge(self, other: SweepReport) -> None:
+        """Add the counts of ``other``, the report of a later part of the
+        sweep; samples are kept in order up to the cap per check."""
+        self.quiver_count += other.quiver_count
+        self.form_count += other.form_count
+        for name, value in other.strategy_counts.items():
+            self.strategy_counts[name] = self.strategy_counts.get(name, 0) + value
+        for check in CHECKS:
+            self.failure_counts[check] += other.failure_counts[check]
+            kept = self.failure_samples[check]
+            kept.extend(other.failure_samples[check][:_SAMPLE_CAP - len(kept)])
+
     @property
     def total_failures(self) -> int:
         return sum(self.failure_counts.values())
@@ -99,19 +121,6 @@ class SweepReport:
             "failure_counts": self.failure_counts,
             "failure_samples": self.failure_samples,
         }
-
-
-class _Recorder:
-    """Failure accumulator shared by both phases (per work unit)."""
-
-    def __init__(self) -> None:
-        self.counts = {c: 0 for c in CHECKS}
-        self.samples: dict[str, list[str]] = {c: [] for c in CHECKS}
-
-    def __call__(self, check: str, message: str) -> None:
-        self.counts[check] += 1
-        if len(self.samples[check]) < _SAMPLE_CAP:
-            self.samples[check].append(message)
 
 
 def _encode_gram(gram_tri) -> bytes:
@@ -133,19 +142,15 @@ def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple | None:
     """All matrix identities for one connected quiver.  Returns the pair
     (triangular Gram, cycle type parts), or None when the walk machinery
     itself failed."""
-    m, n, arrows = q.m, q.n, q.arrows
-    label = f"m={m} arrows={arrows}"
+    m, n = q.m, q.n
+    label = f"m={m} arrows={q.arrows}"
 
     inc = incidence_matrix(q)
     inc_t = transpose(inc)
     gram_tri = triangular_gram(q)
 
     # I^T I = G + G^T (matrix product against the combinatorial Gram matrix)
-    gsym = mat_mul(inc_t, inc)
-    if any(
-        gsym[i][j] != gram_tri[i][j] + gram_tri[j][i]
-        for i in range(n) for j in range(n)
-    ):
+    if mat_mul(inc_t, inc) != symmetric_gram(UnitForm(n, gram_tri)):
         rec("matrix_identities", f"{label}: I^T I != G + G^T")
 
     # L = I I^T = degree matrix - adjacency; corank 1 with all-ones kernel
@@ -157,19 +162,9 @@ def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple | None:
     if rational_rank(lap) != m - 1:
         rec("laplace_kernel", f"{label}: Laplace rank != m - 1")
 
-    # I(Q^-1) by walks against I(Q) G^-1 (sparse column accumulation)
+    # I(Q^-1) by walks against I(Q) G^-1
     gram_inv = unitriangular_inverse(gram_tri)
-    cols = []
-    for j in range(n):
-        col = [0] * m
-        for k in range(j + 1):
-            coef = gram_inv[k][j]
-            if coef:
-                s, t = arrows[k]
-                col[s - 1] += coef
-                col[t - 1] -= coef
-        cols.append(col)
-    inc_inverse = tuple(tuple(col[v] for col in cols) for v in range(m))
+    inc_inverse = mat_mul(inc, gram_inv)
     try:
         qinv = inverse_quiver(q)
     except InvariantViolation as exc:
@@ -178,44 +173,19 @@ def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple | None:
     if incidence_matrix(qinv) != inc_inverse:
         rec("matrix_identities", f"{label}: I(Q^-1) != I(Q) G^-1")
 
-    # Coxeter-Laplace matrix equals the walk permutation matrix
+    # Coxeter-Laplace matrix Id - I(Q^-1) I^T equals the walk permutation matrix
     try:
         xi = vertex_permutation(q, allow_disconnected=True)
     except InvariantViolation as exc:
         rec("matrix_identities", f"{label}: {exc}")
         return None
-    prod = [[0] * m for _ in range(m)]
-    for i, (s, t) in enumerate(arrows):
-        si, ti = s - 1, t - 1
-        for v in range(m):
-            x = inc_inverse[v][i]
-            if x:
-                prod[v][si] += x
-                prod[v][ti] -= x
-    lam_ok = True
-    for v in range(m):
-        image = xi[v] - 1
-        for w in range(m):
-            expected = (1 if w == image else 0)
-            if (1 if w == v else 0) - prod[w][v] != expected:
-                lam_ok = False
-                break
-        if not lam_ok:
-            break
-    if not lam_ok:
+    if mat_sub(identity(m), mat_mul(inc_inverse, inc_t)) != permutation_matrix(xi):
         rec("matrix_identities",
             f"{label}: Coxeter-Laplace matrix != walk permutation matrix")
 
     # Coxeter matrix both ways: Id - I^T I(Q^-1) vs -G^T G^-1
-    phi_rows = []
-    for i, (s, t) in enumerate(arrows):
-        top = inc_inverse[s - 1]
-        bot = inc_inverse[t - 1]
-        phi_rows.append(tuple(
-            (1 if i == j else 0) - (top[j] - bot[j]) for j in range(n)
-        ))
-    phi = tuple(phi_rows)
-    if phi != mat_neg(mat_mul(transpose(gram_tri), gram_inv)):
+    if (mat_sub(identity(n), mat_mul(inc_t, inc_inverse))
+            != coxeter_from_gram(gram_tri, gram_inv)):
         rec("matrix_identities", f"{label}: the two Coxeter matrix formulas disagree")
 
     # cycle type membership for corank n - m + 1
@@ -247,16 +217,16 @@ def _check_congruence(rec, q: Quiver, rng: random.Random) -> None:
         rec("congruence_invariance", f"{label}: opposite quiver changed the cycle type")
 
 
-def _phase1_worker(args: tuple) -> tuple:
+def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     m, n, pair_index, seed, sample_rate = args
-    rec = _Recorder()
+    report = SweepReport(m, n)
+    rec = report.record
     admissible = frozenset(part1c(n - m + 1, m))
     first_pair = None if pair_index < 0 else ordered_pairs(m)[pair_index]
     rng = random.Random(f"{seed}:{m}:{n}:{pair_index}") if seed is not None else None
     forms: dict[bytes, tuple[int, ...]] = {}
-    count = 0
     for q in iter_connected_quivers(m, n, first_pair):
-        count += 1
+        report.quiver_count += 1
         outcome = _check_quiver(q, rec, admissible)
         if outcome is None:
             continue
@@ -268,96 +238,43 @@ def _phase1_worker(args: tuple) -> tuple:
         elif known != ct_parts:
             rec("cycle_type_membership",
                 f"m={m} arrows={q.arrows}: equal forms with different cycle types")
-        if rng is not None and count % sample_rate == 0:
+        if rng is not None and report.quiver_count % sample_rate == 0:
             _check_congruence(rec, q, rng)
-    return count, rec.counts, rec.samples, forms
+    return report, forms
 
 
 # ---------------------------------------------------------------------------
 # phase 2: per-form checks
 # ---------------------------------------------------------------------------
 
-def _power_sums(coeffs_low: tuple[int, ...], upto: int) -> list[int]:
-    """Traces of matrix powers 1..upto from the characteristic polynomial,
-    by Newton's identities (exact)."""
-    n = len(coeffs_low) - 1
-    c = [coeffs_low[n - i] for i in range(n + 1)]  # c[i] multiplies v^{n-i}
-    sums = [0] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = k * c[k] if k <= n else 0
-        for i in range(1, min(k, n + 1)):
-            acc += c[i] * sums[k - i]
-        sums[k] = -acc
-    return sums
-
-
-def _is_nilpotent(matrix) -> bool:
-    n = len(matrix)
-    power = matrix
-    k = 1
-    while k < n:
-        power = mat_mul(power, power)
-        k *= 2
-    return all(all(x == 0 for x in row) for row in power)
-
-
-def _check_form(rec, strategies: dict[str, int], gram_tri,
-                ct_parts: tuple[int, ...], roundtrip_memo: dict,
-                multiplicity_memo: dict) -> None:
+def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
+                roundtrip_memo: dict, multiplicity_memo: dict) -> None:
+    rec = report.record
     n = len(gram_tri)
-    m = sum(ct_parts)
-    c = n - m + 1
+    ct = Partition(ct_parts)
+    c = n - ct.m + 1
     label = f"n={n} c={c} gram={gram_tri}"
-    gram_inv = unitriangular_inverse(gram_tri)
-    phi = mat_neg(mat_mul(transpose(gram_tri), gram_inv))
+    form = UnitForm(n, gram_tri)
+    phi = coxeter_matrix(form)
     direct = char_poly(phi)
 
     # factored polynomial from the cycle type against the characteristic
     # polynomial of the Coxeter matrix
-    factored = FactoredCoxPoly(c + len(ct_parts) - 1, ct_parts)
-    dense = factored.expand()
+    dense = coxeter_polynomial_of_cycle_type(ct, c).expand()
     if dense != direct:
         rec("polynomial_factorization",
             f"{label}: factored expansion != Coxeter characteristic polynomial")
 
-    # minimal k with Id - Phi^k nilpotent must be lcm(ct); Phi^k = Id within
-    # that range exactly for single-part cycle types.  Traces of powers give
-    # a sound rejection certificate (trace != n), with exact matrix checks
-    # whenever the certificate is inconclusive.
-    target = 1
-    for p in ct_parts:
-        target = target * p // gcd(target, p)
-    sums = _power_sums(direct, target)
-    ident = identity(n)
-    first_identity = None
-    for k in range(1, target):
-        if sums[k] == n:
-            power = mat_pow(phi, k)
-            if _is_nilpotent(mat_sub(ident, power)):
-                rec("coxeter_numbers",
-                    f"{label}: Id - Phi^{k} nilpotent below lcm {target}")
-            if power == ident and first_identity is None:
-                first_identity = k
-    final_power = mat_pow(phi, target)
-    if not _is_nilpotent(mat_sub(ident, final_power)):
-        rec("coxeter_numbers", f"{label}: Id - Phi^lcm is not nilpotent")
-    if first_identity is None and final_power == ident:
-        first_identity = target
-    if len(ct_parts) == 1:
-        if first_identity != ct_parts[0]:
-            rec("coxeter_numbers",
-                f"{label}: Coxeter number {first_identity} != {ct_parts[0]}")
-    elif first_identity is not None:
-        rec("coxeter_numbers",
-            f"{label}: Phi^{first_identity} = Id for a multi-part cycle type")
+    for problem in coxeter_number_violations(phi, direct, ct):
+        rec("coxeter_numbers", f"{label}: {problem}")
 
     # realization round trip, basis change to the canonical quiver included
-    form = UnitForm(n, gram_tri)
     try:
         result = realize(form)
     except (ValueError, InvariantViolation) as exc:
         rec("realization_roundtrip", f"{label}: realization failed: {exc}")
     else:
+        strategies = report.strategy_counts
         strategies[result.strategy] = strategies.get(result.strategy, 0) + 1
         if triangular_gram(result.quiver) != gram_tri:
             rec("realization_roundtrip",
@@ -383,25 +300,17 @@ def _check_form(rec, strategies: dict[str, int], gram_tri,
     if roundtrip_memo[key] is not None:
         rec("polynomial_roundtrip", f"{label}: {roundtrip_memo[key]}")
 
-    # spectral multiplicities via exact division (memoized per cycle type)
-    if key not in multiplicity_memo:
+    # spectral multiplicities of the Coxeter matrix by exact division
+    # (memoized per cycle type and characteristic polynomial)
+    spectrum = (ct_parts, direct)
+    if spectrum not in multiplicity_memo:
         problems: list[str] = []
-        if len(dense) - 1 != n:
-            problems.append(f"degree {len(dense) - 1} != {n}")
-        orders = {1}
-        for part in ct_parts:
-            for d in range(2, part + 1):
-                if part % d == 0:
-                    orders.add(d)
-
-        def prim_mult(e: int) -> int:
-            if e == 1:
-                return c + len(ct_parts) - 1
-            return sum(1 for p in ct_parts if p % e == 0)
-
+        if len(direct) - 1 != n:
+            problems.append(f"degree {len(direct) - 1} != {n}")
+        orders = {d for part in ct_parts for d in range(1, part + 1) if part % d == 0}
         for d in sorted(orders):
             count = 0
-            current = dense
+            current = direct
             divisor = v_power_minus_one(d)
             while True:
                 quotient, rem = poly_divmod(current, divisor)
@@ -409,24 +318,25 @@ def _check_form(rec, strategies: dict[str, int], gram_tri,
                     break
                 count += 1
                 current = quotient
-            expected = min(prim_mult(e) for e in range(1, d + 1) if d % e == 0)
+            expected = min(spectral_multiplicity_of_cycle_type(ct, c, e)
+                           for e in range(1, d + 1) if d % e == 0)
             if count != expected:
                 problems.append(
                     f"(v^{d}-1) divides {count} times, expected {expected}")
-        multiplicity_memo[key] = problems
-    for problem in multiplicity_memo[key]:
+        multiplicity_memo[spectrum] = problems
+    for problem in multiplicity_memo[spectrum]:
         rec("spectral_multiplicities", f"{label}: {problem}")
 
 
-def _phase2_worker(items: list[tuple[bytes, tuple[int, ...]]]) -> tuple:
-    rec = _Recorder()
-    strategies: dict[str, int] = {}
+def _phase2_worker(args: tuple) -> SweepReport:
+    max_vertices, max_arrows, items = args
+    report = SweepReport(max_vertices, max_arrows, form_count=len(items))
     roundtrip_memo: dict = {}
     multiplicity_memo: dict = {}
     for blob, ct_parts in items:
-        _check_form(rec, strategies, _decode_gram(blob), ct_parts,
+        _check_form(report, _decode_gram(blob), ct_parts,
                     roundtrip_memo, multiplicity_memo)
-    return rec.counts, rec.samples, strategies
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +368,6 @@ def _fan_out(worker, units: list, jobs: int):
         yield from pool.map(worker, units)
 
 
-def _merge_failures(report: SweepReport, counts: dict, samples: dict) -> None:
-    for check in CHECKS:
-        report.failure_counts[check] += counts[check]
-        space = _SAMPLE_CAP - len(report.failure_samples[check])
-        if space > 0:
-            report.failure_samples[check].extend(samples[check][:space])
-
-
 def run_sweep(max_vertices: int, max_arrows: int, *,
               seed: int | None = None,
               jobs: int = 1,
@@ -485,9 +387,8 @@ def run_sweep(max_vertices: int, max_arrows: int, *,
     report = SweepReport(max_vertices, max_arrows)
     units = _phase1_units(max_vertices, max_arrows, seed, congruence_sample_rate)
     forms: dict[bytes, tuple[int, ...]] = {}
-    for count, counts, samples, unit_forms in _fan_out(_phase1_worker, units, jobs):
-        report.quiver_count += count
-        _merge_failures(report, counts, samples)
+    for part, unit_forms in _fan_out(_phase1_worker, units, jobs):
+        report.merge(part)
         for key, ct_parts in unit_forms.items():
             known = forms.get(key)
             if known is None:
@@ -496,13 +397,11 @@ def run_sweep(max_vertices: int, max_arrows: int, *,
                 report.record("cycle_type_membership",
                               "equal forms with different cycle types across units")
 
-    report.form_count = len(forms)
     items = sorted(forms.items())
     pieces = 1 if jobs == 1 else 4 * jobs
     step = max(1, -(-len(items) // pieces))
-    chunks = [items[i:i + step] for i in range(0, len(items), step)]
-    for counts, samples, strategies in _fan_out(_phase2_worker, chunks, jobs):
-        _merge_failures(report, counts, samples)
-        for name, value in strategies.items():
-            report.strategy_counts[name] = report.strategy_counts.get(name, 0) + value
+    chunks = [(max_vertices, max_arrows, items[i:i + step])
+              for i in range(0, len(items), step)]
+    for part in _fan_out(_phase2_worker, chunks, jobs):
+        report.merge(part)
     return report

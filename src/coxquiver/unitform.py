@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .errors import NotConnected
@@ -10,6 +11,7 @@ from .linalg import (
     IntMatrix,
     IntPoly,
     char_poly,
+    coxeter_from_gram,
     determinant,
     is_psd,
     mat_mul,
@@ -17,7 +19,7 @@ from .linalg import (
     transpose,
     unitriangular_inverse,
 )
-from .quiver import Quiver, triangular_gram
+from .quiver import Quiver, spanning_tree, triangular_gram
 
 
 @dataclass(frozen=True)
@@ -33,12 +35,11 @@ class UnitForm:
         g = self.gram_upper
         if len(g) != self.n or any(len(row) != self.n for row in g):
             raise ValueError("Gram matrix size does not match the variable count")
-        for i in range(self.n):
-            if g[i][i] != 1:
+        for i, row in enumerate(g):
+            if row[i] != 1:
                 raise ValueError("unit forms have unit diagonal")
-            for j in range(i):
-                if g[i][j] != 0:
-                    raise ValueError("Gram matrix must be upper triangular")
+            if any(row[:i]):
+                raise ValueError("Gram matrix must be upper triangular")
 
     def to_json(self) -> dict:
         entries = [
@@ -118,10 +119,7 @@ def evaluate(f: UnitForm, x: Sequence[int]) -> int:
 def symmetric_gram(f: UnitForm) -> IntMatrix:
     """G + G^T: symmetric with diagonal 2."""
     g = f.gram_upper
-    n = f.n
-    return tuple(
-        tuple(g[i][j] + g[j][i] for j in range(n)) for i in range(n)
-    )
+    return tuple([tuple(map(add, row, col)) for row, col in zip(g, zip(*g))])
 
 
 def corank(f: UnitForm) -> int:
@@ -137,23 +135,8 @@ def is_connected(f: UnitForm) -> bool:
     entries."""
     n = f.n
     g = f.gram_upper
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    components -= 1
-    return components == 1
+    edges = ((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j])
+    return len(spanning_tree(n, edges)) == n - 1
 
 
 def form_of_quiver(q: Quiver) -> UnitForm:
@@ -168,13 +151,7 @@ def form_of_quiver(q: Quiver) -> UnitForm:
 
 def coxeter_matrix(f: UnitForm) -> IntMatrix:
     """-G^T G^{-1}, using the exact unitriangular inverse."""
-    g = f.gram_upper
-    g_inv = unitriangular_inverse(g)
-    n = f.n
-    return tuple(
-        tuple(-sum(g[k][i] * g_inv[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    return coxeter_from_gram(f.gram_upper, unitriangular_inverse(f.gram_upper))
 
 
 def coxeter_polynomial_direct(f: UnitForm) -> IntPoly:

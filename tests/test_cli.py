@@ -152,6 +152,12 @@ def test_from_poly_bad_polynomial_is_domain_error(capsys):
     assert "not a type-A Coxeter polynomial" in err
 
 
+def test_from_poly_huge_corank_is_domain_error(capsys):
+    code, _, err = run_cli(capsys, "from-poly", "--poly=-1,1", "--c", "1000000000")
+    assert code == 1
+    assert "(v-1)^999999999 does not divide it" in err
+
+
 # ---------------------------------------------------------------------------
 # realize / inverse / representative
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from coxquiver.errors import NotDynkinTypeA
 from coxquiver.invariants import (
     CoxeterNumbers,
+    coxeter_number_violations,
     coxeter_numbers,
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
@@ -17,12 +18,13 @@ from coxquiver.invariants import (
     spectral_multiplicity,
     verify_reduced_coxeter_number,
 )
-from coxquiver.linalg import poly_mul, poly_pow, v_power_minus_one
+from coxquiver.linalg import char_poly, poly_mul, poly_pow, v_power_minus_one
 from coxquiver.partitions import Partition, part1c
 from coxquiver.quiver import Quiver
 from coxquiver.realize import representative_quiver_A
 from coxquiver.unitform import (
     corank,
+    coxeter_matrix,
     coxeter_polynomial_direct,
     form_from_upper,
     form_of_quiver,
@@ -151,6 +153,24 @@ def test_verify_reduced_coxeter_number():
 # spectral multiplicities
 # ---------------------------------------------------------------------------
 
+def test_coxeter_number_violations_name_each_broken_law():
+    def violations(f, parts):
+        phi = coxeter_matrix(f)
+        return coxeter_number_violations(phi, char_poly(phi), Partition(parts))
+
+    line = tree_form(4)  # cycle type (4)
+    assert violations(line, (4,)) == []
+    assert violations(line, (2, 2)) == ["Id - Phi^lcm is not nilpotent"]
+    assert violations(line, (4, 2)) == ["Phi^4 = Id for a multi-part cycle type"]
+    assert violations(KRONECKER_FORM, (1, 1)) == []
+    assert violations(KRONECKER_FORM, (1,)) == ["Coxeter number None != 1"]
+    assert violations(KRONECKER_FORM, (2,)) == [
+        "Id - Phi^1 nilpotent below lcm 2", "Coxeter number None != 2"]
+    f = representative_form((3, 2, 2), 1)
+    assert violations(f, (3, 2, 2)) == []
+    assert violations(f, (3, 3, 1)) != []
+
+
 def test_spectral_multiplicity_even_parts():
     f = representative_form((2, 2, 1), 1)  # ct (2,2,1), c 4
     assert spectral_multiplicity(f, 2) == 2
@@ -198,6 +218,13 @@ def test_from_poly_rejects_bad_shape():
         cycle_type_from_cox_poly((1, 1), 1)  # v + 1 has no (v^t - 1) factor
     with pytest.raises(ValueError):
         cycle_type_from_cox_poly((-1, 1), 2)  # bare (v-1): no cycle factors left
+
+
+def test_from_poly_huge_corank_fails_before_building_the_power():
+    # (v-1)^{c-1} has degree c - 1 > 1, so it cannot divide v - 1; the
+    # power itself would take far too long to build
+    with pytest.raises(ValueError, match=r"\(v-1\)\^999999999 does not divide it"):
+        cycle_type_from_cox_poly((-1, 1), 10**9)
 
 
 def test_from_poly_roundtrip_representatives():

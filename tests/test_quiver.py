@@ -6,6 +6,7 @@ identities over every small quiver, including arbitrary arrow orderings.
 """
 
 import json
+import random
 from itertools import product
 
 import pytest
@@ -42,6 +43,7 @@ from coxquiver.quiver import (
     relabel_vertices,
     remove_last_arrow,
     reverse_walk,
+    spanning_tree,
     structural_increasing_walk,
     structural_walk,
     transposition,
@@ -50,6 +52,7 @@ from coxquiver.quiver import (
     vertex_permutation_increasing,
     walk_target,
 )
+from coxquiver.unitform import form_from_upper, is_connected as form_connected
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -88,6 +91,52 @@ def test_quiver_json_roundtrip_is_bit_exact():
 def test_quiver_json_rejects_unknown_keys():
     with pytest.raises(ValueError):
         Quiver.from_json({"vertices": 2, "arrows": [], "extra": 1})
+
+
+# ---------------------------------------------------------------------------
+# spanning trees and connectivity
+# ---------------------------------------------------------------------------
+
+def reachable(m, edges, start):
+    """Vertices reachable from start, by breadth-first search."""
+    neighbours = {v: [] for v in range(1, m + 1)}
+    for s, t in edges:
+        neighbours[s].append(t)
+        neighbours[t].append(s)
+    seen = [start]
+    for v in seen:  # the list grows while it is walked
+        seen.extend(w for w in neighbours[v] if w not in seen)
+    return set(seen)
+
+
+def test_spanning_tree_takes_the_first_joining_edge():
+    assert spanning_tree(3, [(1, 2), (2, 1), (2, 3), (1, 3)]) == [0, 2]
+    assert spanning_tree(4, [(3, 4), (1, 2), (4, 3)]) == [0, 1]
+    assert spanning_tree(1, []) == []
+
+
+def test_spanning_tree_and_connectivity_match_a_bfs_oracle():
+    rng = random.Random(20261018)
+    connected_seen = disconnected_seen = 0
+    for _ in range(400):
+        m = rng.randint(1, 7)
+        edges = [tuple(rng.sample(range(1, m + 1), 2))
+                 for _ in range(rng.randint(0, 9) if m > 1 else 0)]
+        if edges and rng.random() < 0.5:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        tree = spanning_tree(m, edges)
+        # an edge is in the tree exactly when the earlier edges leave its
+        # endpoints in different components
+        assert tree == [i for i, (s, t) in enumerate(edges)
+                        if t not in reachable(m, edges[:i], s)]
+        connected = reachable(m, edges, 1) == set(range(1, m + 1))
+        connected_seen += connected
+        disconnected_seen += not connected
+        assert (len(tree) == m - 1) == connected
+        assert is_connected(Quiver(m, tuple(edges))) == connected
+        entries = {(min(e), max(e), -1) for e in edges}
+        assert form_connected(form_from_upper(m, sorted(entries))) == connected
+    assert connected_seen > 50 and disconnected_seen > 50
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Everything here is arbitrary-precision integer arithmetic, with rational
 questions (rank, definiteness) answered by fraction-free elimination; no
-floating point is used anywhere in the package.
+floating point is used anywhere in the package.  The characteristic
+polynomial does not use fraction-free elimination: it comes from reduction
+to Hessenberg form modulo a prime large enough to recover every integer
+coefficient.
 
 Conventions
 -----------
@@ -17,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import mul, neg, sub
 from typing import Sequence
 
@@ -213,32 +217,107 @@ def coxeter_from_gram(gram: IntMatrix, gram_inv: IntMatrix) -> IntMatrix:
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
+# Exponents e of the Mersenne primes 2^e - 1 that char_poly may reduce by.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
+                       44497)
+
+
+def _char_poly_modulus(m: IntMatrix) -> int:
+    """The smallest tabled Mersenne prime above twice the coefficient bound
+    2^n * prod_i (isqrt(sum_j m_ij^2) + 1) of :func:`char_poly`."""
+    bound = 1 << len(m)
+    for row in m:
+        bound *= isqrt(sum(x * x for x in row)) + 1
+    for e in _MERSENNE_EXPONENTS:
+        if (1 << e) - 1 > 2 * bound:
+            return (1 << e) - 1
+    raise ValueError(
+        f"characteristic polynomial coefficient bound of {bound.bit_length()} "
+        f"bits exceeds the largest modulus 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
 def char_poly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(v*Id - m), exact over the integers.
 
-    Uses the Faddeev-LeVerrier recurrence; every division is exact.
-    Coefficients are returned lowest degree first.
+    Coefficients are returned lowest degree first.  The work is O(n^3)
+    operations on residues modulo one prime p:
+
+    * Bound.  The coefficient of v^(n-k) is (-1)^k times the sum of the
+      C(n, k) principal k x k minors of m.  By Hadamard's inequality a minor
+      is at most the product of its k row norms.  Each is at most the norm
+      of the whole row i of m, which is below isqrt(sum_j m_ij^2) + 1, and
+      the rows left out contribute factors >= 1, so every minor is below
+      P = prod_i (isqrt(sum_j m_ij^2) + 1).  With C(n, k) <= 2^n, every
+      coefficient is at most B = 2^n * P in absolute value.
+    * Reduction.  p is the smallest tabled Mersenne prime with p > 2B.  Over
+      the field Z/p, m is brought to upper Hessenberg form H by similarity:
+      for each column k, a row swap (with the matching column swap) puts a
+      nonzero entry at (k+1, k) when one exists below it, and each row
+      i > k+1 loses a multiple of row k+1 while column k+1 gains the same
+      multiple of column i.  Similar matrices share their characteristic
+      polynomial, so det(v*Id - H) = char_poly(m) mod p; it is expanded
+      along the last column by the Hessenberg recurrence.
+    * Lifting.  Each true coefficient lies in [-B, B], an interval shorter
+      than p, so it is the unique symmetric residue of its value mod p
+      in (-p/2, p/2].
+
+    As a guard, the v^(n-1) coefficient is compared with -trace(m) over the
+    integers; a mismatch raises InvariantViolation.  A bound beyond the
+    largest tabled prime raises ValueError.
     """
     if not is_square(m):
         raise ValueError("characteristic polynomial requires a square matrix")
     n = len(m)
-    if n == 0:
-        return (1,)
-    coeffs_high = [1]  # leading coefficient of v^n
-    work = identity(n)
-    for k in range(1, n + 1):
-        work = mat_mul(m, work)
-        trace = sum(work[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
-        if r:
-            raise InvariantViolation("Faddeev-LeVerrier division was not exact")
-        coeffs_high.append(q)
-        if k < n:
-            work = tuple(
-                tuple(x + q if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(work)
-            )
-    return tuple(reversed(coeffs_high))
+    p = _char_poly_modulus(m)
+    a = [[x % p for x in row] for row in m]
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:
+            a[k + 1], a[pivot] = a[pivot], a[k + 1]
+            for row in a:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        top = a[k + 1]
+        inv = pow(top[k], -1, p)
+        factors = []
+        for i in range(k + 2, n):
+            if a[i][k]:
+                f = a[i][k] * inv % p
+                factors.append((i, f))
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+        for i, f in factors:
+            for row in a:
+                if row[i]:
+                    row[k + 1] = (row[k + 1] + f * row[i]) % p
+    # polys[k] = det(v*Id - H_k) for the leading k x k block H_k of H;
+    # along the last column, det(v*Id - H_{k+1}) is (v - h_kk) polys[k]
+    # minus h_ik * h_{i+1,i} * ... * h_{k,k-1} * polys[i] for each i < k
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        diag = a[k][k]
+        nxt = [x - diag * y for x, y in zip([0] + prev, prev)] + [1]
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * a[i + 1][i] % p
+            if not chain:
+                break
+            c = chain * a[i][k] % p
+            if c:
+                nxt[:i + 1] = [x - c * y for x, y in zip(nxt, polys[i])]
+        polys.append([x % p for x in nxt])
+    half = p // 2
+    # from a list: tuple() of a generator resizes its result, and the
+    # resized tuples pile up on CPython's tuple free list
+    coeffs = tuple([c - p if c > half else c for c in polys[n]])
+    if n and coeffs[n - 1] != -sum(m[i][i] for i in range(n)):
+        raise InvariantViolation(
+            "characteristic polynomial disagrees with the trace"
+        )
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

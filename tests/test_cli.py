@@ -338,9 +338,12 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coxquiver", "enumerate", "--n", "5", "--c", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["partition"] == [4]

@@ -3,6 +3,8 @@ polynomials, Coxeter numbers, spectral multiplicities, the polynomial ->
 cycle type inverse, and the enumeration of attainable polynomials."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxquiver.errors import NotDynkinTypeA
 from coxquiver.invariants import (
@@ -304,3 +306,37 @@ def test_surjectivity_through_forms():
                 f = form_of_quiver(representative_quiver_A(pi, d))
                 assert corank(f) == c
                 assert cycle_type_of_form(f) == pi
+
+
+# ---------------------------------------------------------------------------
+# differential test beyond the sweep
+# ---------------------------------------------------------------------------
+
+@st.composite
+def connected_quivers(draw, max_vertices=40):
+    """A random spanning tree with random orientations plus up to m + 1
+    extra arrows (so n <= 2m), in random arrow order."""
+    m = draw(st.integers(min_value=2, max_value=max_vertices))
+    extra = draw(st.integers(min_value=0, max_value=m + 1))
+    labels = draw(st.permutations(list(range(1, m + 1))))
+    arrows = []
+    for k in range(1, m):
+        u = labels[k]
+        v = labels[draw(st.integers(min_value=0, max_value=k - 1))]
+        arrows.append((u, v) if draw(st.booleans()) else (v, u))
+    vertices = st.integers(min_value=1, max_value=m)
+    for _ in range(extra):
+        s = draw(vertices)
+        arrows.append((s, draw(vertices.filter(lambda x: x != s))))
+    order = draw(st.permutations(list(range(len(arrows)))))
+    return Quiver(m, tuple(arrows[i] for i in order))
+
+
+@given(connected_quivers())
+@settings(max_examples=100, deadline=None)
+def test_cycle_type_from_characteristic_polynomial_matches_realization(q):
+    # the Coxeter matrix's characteristic polynomial knows nothing of the
+    # realizer, yet determines the same cycle type
+    f = form_of_quiver(q)
+    poly = char_poly(coxeter_matrix(f))
+    assert cycle_type_from_cox_poly(poly, corank(f)) == cycle_type_of_form(f)

@@ -2,6 +2,8 @@
 
 Reference computations (rank, PSD, characteristic polynomials) are done
 with independent brute-force or Fraction-based oracles inside this module.
+The Faddeev-LeVerrier recurrence, exact over the integers, is the oracle
+for the modular Hessenberg reduction of char_poly at large entries.
 """
 
 from fractions import Fraction
@@ -11,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxquiver import linalg
+from coxquiver.errors import InvariantViolation
 from coxquiver.linalg import (
+    _char_poly_modulus,
     char_poly,
     cycle_decomposition,
     identity,
@@ -32,8 +37,8 @@ from coxquiver.linalg import (
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
-def square_matrices(max_n=4, entries=small_entries):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
+def square_matrices(max_n=4, entries=small_entries, min_n=1):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.lists(
             st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(lambda rows: tuple(tuple(r) for r in rows))
@@ -121,6 +126,28 @@ def naive_char_poly(m):
     return det(list(range(n)), list(range(n)))
 
 
+def faddeev_leverrier_char_poly(m):
+    """det(v*Id - m) by the Faddeev-LeVerrier recurrence: n exact integer
+    products, each trace divided exactly by its step number."""
+    n = len(m)
+    if n == 0:
+        return (1,)
+    coeffs_high = [1]  # leading coefficient of v^n
+    work = identity(n)
+    for k in range(1, n + 1):
+        work = mat_mul(m, work)
+        trace = sum(work[i][i] for i in range(n))
+        q, r = divmod(-trace, k)
+        assert r == 0, "Faddeev-LeVerrier division was not exact"
+        coeffs_high.append(q)
+        if k < n:
+            work = tuple(
+                tuple(x + q if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(work)
+            )
+    return tuple(reversed(coeffs_high))
+
+
 # ---------------------------------------------------------------------------
 # matrix product / inverse
 # ---------------------------------------------------------------------------
@@ -176,6 +203,7 @@ def test_rank_of_gram_square(m):
 
 def test_char_poly_one_by_one():
     assert char_poly(((-1,),)) == (1, 1)  # v + 1
+    assert char_poly(((-2 ** 200,),)) == (2 ** 200, 1)
 
 
 def test_char_poly_cycle_permutation():
@@ -201,6 +229,87 @@ def test_char_poly_of_permutation_matrix_is_cycle_product(images):
     for cycle in cycle_decomposition(p):
         expected = poly_mul(expected, v_power_minus_one(len(cycle)))
     assert char_poly(permutation_matrix(p)) == expected
+
+
+# Entry ranges whose bounds at n <= 10 fall on different prime tiers:
+# 2^61 - 1 for small entries, 2^89 - 1 .. 2^1279 - 1 for 70-bit entries and
+# 2^521 - 1 .. 2^3217 - 1 for 300-bit entries.
+ENTRY_RANGES = {
+    "small": st.integers(min_value=-3, max_value=3),
+    "2^70": st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    "2^300": st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+}
+
+
+@pytest.mark.parametrize("entries", ENTRY_RANGES.values(), ids=ENTRY_RANGES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_char_poly_against_faddeev_leverrier_oracle(entries, data):
+    m = data.draw(square_matrices(10, entries, min_n=0))
+    assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+
+def test_entry_ranges_reach_three_prime_tiers():
+    tiers = {
+        _char_poly_modulus(((x,) * n,) * n)
+        for x in (3, 2 ** 70, 2 ** 300) for n in (1, 10)
+    }
+    assert {2 ** 61 - 1, 2 ** 1279 - 1, 2 ** 3217 - 1} <= tiers
+
+
+def test_char_poly_coefficient_above_2_126():
+    # (v - 2^70)^2 has constant term 2^140, which the prime 2^127 - 1 one
+    # tier below the chosen 2^521 - 1 would wrap
+    m = ((2 ** 70, 0), (0, 2 ** 70))
+    assert char_poly(m) == (2 ** 140, -2 ** 71, 1)
+    assert _char_poly_modulus(m) == 2 ** 521 - 1
+
+
+def test_char_poly_of_empty_matrix():
+    assert char_poly(()) == (1,)
+
+
+def test_char_poly_needs_a_row_swap():
+    # the subdiagonal pivot (1, 0) is zero, so row and column 2 move up
+    m = ((1, 2, 3), (0, 4, 5), (6, 7, 8))
+    assert char_poly(m) == faddeev_leverrier_char_poly(m) == naive_char_poly(m)
+
+
+@pytest.mark.parametrize("m", [
+    ((1, 2, 0, 0), (3, 4, 0, 0), (0, 0, 5, 6), (0, 0, 7, 8)),
+    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+    ((2, 0, 0), (0, 0, 1), (0, -1, 0)),
+], ids=["two_blocks", "involution", "diagonal_then_rotation"])
+def test_char_poly_with_zero_subdiagonal(m):
+    assert char_poly(m) == faddeev_leverrier_char_poly(m) == naive_char_poly(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_char_poly_of_strictly_triangular_is_power_of_v(n):
+    upper = tuple(tuple(i + j + 1 if j > i else 0 for j in range(n))
+                  for i in range(n))
+    v_to_n = (0,) * n + (1,)
+    assert char_poly(upper) == v_to_n
+    assert char_poly(transpose(upper)) == v_to_n
+
+
+def test_char_poly_bound_past_the_table():
+    with pytest.raises(ValueError, match="bound"):
+        char_poly(((2 ** 50000,),))
+    with pytest.raises(ValueError, match="bound"):
+        char_poly(((2 ** 30000, 1), (1, 2 ** 30000)))
+
+
+def test_char_poly_requires_square():
+    with pytest.raises(ValueError):
+        char_poly(((1, 2),))
+
+
+def test_char_poly_trace_guard(monkeypatch):
+    # a modulus below twice the bound wraps the trace, which the guard sees
+    monkeypatch.setattr(linalg, "_char_poly_modulus", lambda m: 2 ** 61 - 1)
+    with pytest.raises(InvariantViolation):
+        char_poly(((2 ** 100, 0), (0, 2 ** 100)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from coxquiver import cli
 from coxquiver.cli import main
 from coxquiver.errors import InvariantViolation
+from coxquiver.sweep import CHECKS
 
 KRONECKER_QUIVER = {"vertices": 2, "arrows": [[1, 2], [1, 2]]}
 A3_FORM = {"n": 2, "upper": [[1, 2, -1]]}
@@ -347,3 +348,132 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["partition"] == [4]
+
+
+# ---------------------------------------------------------------------------
+# golden output of every verb in both formats
+# ---------------------------------------------------------------------------
+
+TWO_CYCLE_QUIVER = {"vertices": 5, "arrows": [[1, 2], [2, 1], [2, 3], [4, 3], [3, 5]]}
+INPUTS = {"A3_FORM": A3_FORM, "KRONECKER": KRONECKER_QUIVER, "TWO_CYCLE": TWO_CYCLE_QUIVER}
+
+GOLDEN = [
+    (["invariants", "--form", "A3_FORM"], {
+        "json": '{"n": 2, "corank": 0, "cycle_type": [3], "coxeter_polynomial": '
+                '{"unit_exponent": -1, "cycle_parts": [3], "dense": [1, 1, 1]}, '
+                '"coxeter_number": 3, "reduced_coxeter_number": 3}\n',
+        "table": "n: 2\ncorank: 0\ncycle type: (3)\nCoxeter polynomial: nu_3(v)\n"
+                 "Coxeter number: 3\nreduced Coxeter number: 3\n",
+    }),
+    (["invariants", "--quiver", "KRONECKER"], {
+        "json": '{"n": 2, "corank": 1, "cycle_type": [1, 1], "coxeter_polynomial": '
+                '{"unit_exponent": 0, "cycle_parts": [1, 1], "dense": [1, -2, 1]}, '
+                '"coxeter_number": null, "reduced_coxeter_number": 1}\n',
+        "table": "n: 2\ncorank: 1\ncycle type: (1,1)\nCoxeter polynomial: (v-1)^2\n"
+                 "Coxeter number: ∞\nreduced Coxeter number: 1\n",
+    }),
+    (["invariants", "--quiver", "TWO_CYCLE"], {
+        "json": '{"n": 5, "corank": 1, "cycle_type": [4, 1], "coxeter_polynomial": '
+                '{"unit_exponent": 0, "cycle_parts": [4, 1], "dense": [1, -1, 0, 0, -1, 1]}, '
+                '"coxeter_number": null, "reduced_coxeter_number": 4}\n',
+        "table": "n: 5\ncorank: 1\ncycle type: (4,1)\nCoxeter polynomial: (v^4-1)(v-1)\n"
+                 "Coxeter number: ∞\nreduced Coxeter number: 4\n",
+    }),
+    (["realize", "--form", "A3_FORM"], {
+        "json": '{"quiver": {"vertices": 3, "arrows": [[1, 2], [2, 3]]}, '
+                '"basis_change": [[1, 0], [0, 1]], "strategy": "breadth_first"}\n',
+        "table": "strategy: breadth_first\nvertices: 3\narrow 1: 1 -> 2\narrow 2: 2 -> 3\n",
+    }),
+    (["realize", "--quiver", "KRONECKER"], {
+        "json": '{"quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]}, '
+                '"basis_change": [[1, -2], [0, 1]], "strategy": "breadth_first"}\n',
+        "table": "strategy: breadth_first\nvertices: 2\narrow 1: 1 -> 2\narrow 2: 1 -> 2\n",
+    }),
+    (["realize", "--quiver", "TWO_CYCLE"], {
+        "json": '{"quiver": {"vertices": 5, "arrows": [[1, 2], [2, 1], [2, 3], [4, 3], [3, 5]]}, '
+                '"basis_change": [[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, -1], '
+                '[0, 0, -1, 1, 0], [0, 0, 0, 1, -1]], "strategy": "breadth_first"}\n',
+        "table": "strategy: breadth_first\nvertices: 5\narrow 1: 1 -> 2\narrow 2: 2 -> 1\n"
+                 "arrow 3: 2 -> 3\narrow 4: 4 -> 3\narrow 5: 3 -> 5\n",
+    }),
+    (["cycle-type", "--form", "A3_FORM"], {"json": "[3]\n", "table": "(3)\n"}),
+    (["cycle-type", "--quiver", "KRONECKER"], {"json": "[1, 1]\n", "table": "(1,1)\n"}),
+    (["cycle-type", "--quiver", "TWO_CYCLE"], {"json": "[4, 1]\n", "table": "(4,1)\n"}),
+    (["cox-poly", "--form", "A3_FORM"], {
+        "json": '{"unit_exponent": -1, "cycle_parts": [3], "dense": [1, 1, 1]}\n',
+        "table": "nu_3(v)\n",
+    }),
+    (["cox-poly", "--quiver", "KRONECKER"], {
+        "json": '{"unit_exponent": 0, "cycle_parts": [1, 1], "dense": [1, -2, 1]}\n',
+        "table": "(v-1)^2\n",
+    }),
+    (["cox-poly", "--quiver", "TWO_CYCLE"], {
+        "json": '{"unit_exponent": 0, "cycle_parts": [4, 1], "dense": [1, -1, 0, 0, -1, 1]}\n',
+        "table": "(v^4-1)(v-1)\n",
+    }),
+    (["inverse", "--quiver", "KRONECKER"], {
+        "json": '{"vertices": 2, "arrows": [[1, 2], [2, 1]]}\n',
+        "table": "vertices: 2\narrow 1: 1 -> 2\narrow 2: 2 -> 1\n",
+    }),
+    (["inverse", "--quiver", "TWO_CYCLE"], {
+        "json": '{"vertices": 5, "arrows": [[1, 2], [1, 2], [2, 3], [4, 2], [4, 5]]}\n',
+        "table": "vertices: 5\narrow 1: 1 -> 2\narrow 2: 1 -> 2\narrow 3: 2 -> 3\n"
+                 "arrow 4: 4 -> 2\narrow 5: 4 -> 5\n",
+    }),
+    (["from-poly", "--poly", "1,1,1,1", "--c", "0"], {"json": "[4]\n", "table": "(4)\n"}),
+    (["enumerate", "--n", "7", "--c", "0"], {
+        "json": '[{"partition": [8], "coxeter_polynomial": {"unit_exponent": -1, '
+                '"cycle_parts": [8], "dense": [1, 1, 1, 1, 1, 1, 1, 1]}, '
+                '"coxeter_number": 8, "reduced_coxeter_number": 8}]\n',
+        "table": "Partition  Coxeter polynomial  Coxeter number  Reduced Coxeter number\n"
+                 "(8)        nu_8(v)             8               8\n",
+    }),
+    (["representative", "--pi", "3,2,2", "--d", "1"], {
+        "json": '{"a_quiver": {"vertices": 7, "arrows": [[1, 2], [2, 3], [3, 4], [4, 5], '
+                '[5, 6], [6, 7], [7, 4], [4, 2], [2, 4], [4, 2]]}, "star_quiver": '
+                '{"vertices": 7, "arrows": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], '
+                '[1, 7], [1, 5], [1, 3], [1, 3], [1, 3]]}}\n',
+        "table": "A-family quiver (7 vertices, 10 arrows):\n"
+                 + "".join(f"  arrow {i}: {s} -> {t}\n" for i, (s, t) in enumerate(
+                     [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4), (4, 2),
+                      (2, 4), (4, 2)], start=1))
+                 + "star-family quiver (7 vertices, 10 arrows):\n"
+                 + "".join(f"  arrow {i}: {s} -> {t}\n" for i, (s, t) in enumerate(
+                     [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 5), (1, 3),
+                      (1, 3), (1, 3)], start=1)),
+    }),
+    (["verify", "--max-vertices", "3", "--max-arrows", "4", "--seed", "3"], {
+        "json": '{"max_vertices": 3, "max_arrows": 4, "quiver_count": 181, "form_count": 76, '
+                '"strategy_counts": {"breadth_first": 76}, "failure_counts": {'
+                + ", ".join(f'"{check}": 0' for check in CHECKS)
+                + '}, "failure_samples": {'
+                + ", ".join(f'"{check}": []' for check in CHECKS) + "}}\n",
+        "table": "swept 181 connected quivers (76 distinct forms) with m <= 3, n <= 4\n"
+                 + "".join(f"  {check}: ok\n" for check in CHECKS)
+                 + "all identities hold\n",
+    }),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv, outputs", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, tmp_path, argv, outputs, fmt):
+    argv = [write_named(tmp_path, a) if a in INPUTS else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (0, outputs[fmt], "")
+
+
+def write_named(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INPUTS[name]), encoding="utf-8")
+    return str(path)
+
+
+def test_format_does_not_carry_over_between_calls(capsys, kronecker_path):
+    assert run_cli(capsys, "cycle-type", "--quiver", kronecker_path,
+                   "--format", "table")[1] == "(1,1)\n"
+    assert run_cli(capsys, "cycle-type", "--quiver", kronecker_path)[1] == "[1, 1]\n"
+    assert run_cli(capsys, "verify", "--max-vertices", "2", "--max-arrows", "1",
+                   "--format", "json")[1].startswith("{")
+    assert run_cli(capsys, "verify", "--max-vertices", "2",
+                   "--max-arrows", "1")[1].startswith("swept ")

@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Every verb is a thin wrapper over one library entry point; no computation
-lives here.  Exit codes: 0 success, 1 domain errors (for instance a form
-that is not of Dynkin type A), 2 usage errors and malformed input, 3
-internal invariant violations.
+lives here.  The parser is built once, at import, from the table ``_VERBS``;
+a verb returns a JSON value and the lines of its table rendering, and
+``main`` prints the one ``--format`` names.  Exit codes: 0 success, 1 domain
+errors (for instance a form that is not of Dynkin type A), 2 usage errors
+and malformed input, 3 internal invariant violations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
+from .errors import InvariantViolation, NotConnected
 from .invariants import (
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
@@ -41,80 +43,51 @@ class InputError(Exception):
     """Malformed input (bad JSON, bad schema, bad inline parameter)."""
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _load(path: str, cls: type, what: str):
+    """The connected ``cls`` in the JSON document at ``path`` ('-' for stdin);
+    ``NotConnected`` passes through, other faults become ``InputError``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path: str) -> object:
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
-
-
-def _load_quiver(path: str) -> Quiver:
     try:
-        return Quiver.from_json(_load_json(path), connected=True)
+        return cls.from_json(data, connected=True)
     except NotConnected:
         raise
     except ValueError as exc:
-        raise InputError(f"bad quiver in {path}: {exc}") from exc
-
-
-def _load_form(path: str) -> UnitForm:
-    try:
-        return UnitForm.from_json(_load_json(path), connected=True)
-    except NotConnected:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad unit form in {path}: {exc}") from exc
+        raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _form_from_args(args: argparse.Namespace) -> UnitForm:
-    if getattr(args, "form", None):
-        return _load_form(args.form)
-    if getattr(args, "quiver", None):
-        return form_of_quiver(_load_quiver(args.quiver))
-    raise InputError("provide --form PATH or --quiver PATH")
+    if args.form is not None:
+        return _load(args.form, UnitForm, "unit form")
+    return form_of_quiver(_load(args.quiver, Quiver, "quiver"))
+
+
+def _parse_ints(text: str, what: str, expected: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad {what} {text!r}: expected {expected}") from exc
 
 
 def _parse_pi(text: str) -> Partition:
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad partition {text!r}: expected comma-separated integers") from exc
+    parts = _parse_ints(text, "partition", "comma-separated integers")
     try:
         return Partition(tuple(sorted(parts, reverse=True)))
     except ValueError as exc:
         raise InputError(f"bad partition {text!r}: {exc}") from exc
-
-
-def _parse_poly(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(
-            f"bad polynomial {text!r}: expected comma-separated coefficients "
-            "(lowest degree first)"
-        ) from exc
-
-
-def _print_json(data: object) -> None:
-    print(json.dumps(data, sort_keys=False))
-
-
-def format_partition(p: Partition) -> str:
-    return str(p)
 
 
 def format_factored_poly(f: FactoredCoxPoly) -> str:
@@ -155,180 +128,169 @@ def _format_coxeter_number(value: int | None) -> str:
     return INFINITY if value is None else str(value)
 
 
-def _print_table(rows: list[list[str]], header: list[str]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(header))
-    print(line.rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+def _quiver_lines(q: Quiver, indent: str) -> list[str]:
+    return [f"{indent}arrow {i}: {s} -> {t}" for i, (s, t) in enumerate(q.arrows, start=1)]
+
+
+def _table_lines(rows: list[list[str]], header: list[str]) -> list[str]:
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+            for row in [header, *rows]]
 
 
 # ---------------------------------------------------------------------------
-# verb implementations
+# verb implementations: each returns (JSON value, table lines), and verify
+# also its exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> tuple:
     form = _form_from_args(args)
     ct, c = cycle_type_and_corank(form)
     poly = coxeter_polynomial_of_cycle_type(ct, c)
     numbers = coxeter_numbers_of_cycle_type(ct)
-    if args.format == "json":
-        _print_json({
-            "n": form.n,
-            "corank": c,
-            "cycle_type": ct.to_json(),
-            "coxeter_polynomial": poly.to_json(),
-            "coxeter_number": numbers.coxeter_number,
-            "reduced_coxeter_number": numbers.reduced_coxeter_number,
-        })
+    data = {
+        "n": form.n,
+        "corank": c,
+        "cycle_type": ct.to_json(),
+        "coxeter_polynomial": poly.to_json(),
+        **numbers.to_json(),
+    }
+    return data, [
+        f"n: {form.n}",
+        f"corank: {c}",
+        f"cycle type: {ct}",
+        f"Coxeter polynomial: {format_factored_poly(poly)}",
+        f"Coxeter number: {_format_coxeter_number(numbers.coxeter_number)}",
+        f"reduced Coxeter number: {numbers.reduced_coxeter_number}",
+    ]
+
+
+def _cmd_realize(args: argparse.Namespace) -> tuple:
+    result = realize(_form_from_args(args))
+    return result.to_json(), [
+        f"strategy: {result.strategy}",
+        f"vertices: {result.quiver.m}",
+        *_quiver_lines(result.quiver, ""),
+    ]
+
+
+def _cmd_inverse(args: argparse.Namespace) -> tuple:
+    inv = inverse_quiver(_load(args.quiver, Quiver, "quiver"))
+    return inv.to_json(), [f"vertices: {inv.m}", *_quiver_lines(inv, "")]
+
+
+def _cmd_cycle_type(args: argparse.Namespace) -> tuple:
+    if args.quiver is not None:
+        ct = cycle_type_of_quiver(_load(args.quiver, Quiver, "quiver"))
     else:
-        rows = [
-            ["n", str(form.n)],
-            ["corank", str(c)],
-            ["cycle type", format_partition(ct)],
-            ["Coxeter polynomial", format_factored_poly(poly)],
-            ["Coxeter number", _format_coxeter_number(numbers.coxeter_number)],
-            ["reduced Coxeter number", str(numbers.reduced_coxeter_number)],
-        ]
-        for name, value in rows:
-            print(f"{name}: {value}")
-    return 0
+        ct = cycle_type_of_form(_load(args.form, UnitForm, "unit form"))
+    return ct.to_json(), [str(ct)]
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
-    form = _form_from_args(args)
-    result = realize(form)
-    if args.format == "json":
-        _print_json(result.to_json())
-    else:
-        print(f"strategy: {result.strategy}")
-        print(f"vertices: {result.quiver.m}")
-        for i, (s, t) in enumerate(result.quiver.arrows, start=1):
-            print(f"arrow {i}: {s} -> {t}")
-    return 0
+def _cmd_cox_poly(args: argparse.Namespace) -> tuple:
+    poly = coxeter_polynomial(_form_from_args(args))
+    return poly.to_json(), [format_factored_poly(poly)]
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
-    q = _load_quiver(args.quiver)
-    inv = inverse_quiver(q)
-    if args.format == "json":
-        _print_json(inv.to_json())
-    else:
-        print(f"vertices: {inv.m}")
-        for i, (s, t) in enumerate(inv.arrows, start=1):
-            print(f"arrow {i}: {s} -> {t}")
-    return 0
-
-
-def _cmd_cycle_type(args: argparse.Namespace) -> int:
-    if args.quiver:
-        ct = cycle_type_of_quiver(_load_quiver(args.quiver))
-    else:
-        ct = cycle_type_of_form(_form_from_args(args))
-    if args.format == "json":
-        _print_json(ct.to_json())
-    else:
-        print(format_partition(ct))
-    return 0
-
-
-def _cmd_cox_poly(args: argparse.Namespace) -> int:
-    form = _form_from_args(args)
-    poly = coxeter_polynomial(form)
-    if args.format == "json":
-        _print_json(poly.to_json())
-    else:
-        print(format_factored_poly(poly))
-    return 0
-
-
-def _cmd_from_poly(args: argparse.Namespace) -> int:
-    coeffs = _parse_poly(args.poly)
+def _cmd_from_poly(args: argparse.Namespace) -> tuple:
+    coeffs = _parse_ints(args.poly, "polynomial",
+                         "comma-separated coefficients (lowest degree first)")
     ct = cycle_type_from_cox_poly(coeffs, args.c)
-    if args.format == "json":
-        _print_json(ct.to_json())
-    else:
-        print(format_partition(ct))
-    return 0
+    return ct.to_json(), [str(ct)]
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    polys = enumerate_coxeter_polynomials(args.n, args.c)
-    if args.format == "json":
-        _print_json([
-            {
-                "partition": list(p.cycle_parts),
-                "coxeter_polynomial": p.to_json(),
-                "coxeter_number": coxeter_numbers_of_cycle_type(p.partition()).coxeter_number,
-                "reduced_coxeter_number":
-                    coxeter_numbers_of_cycle_type(p.partition()).reduced_coxeter_number,
-            }
-            for p in polys
+def _cmd_enumerate(args: argparse.Namespace) -> tuple:
+    data, rows = [], []
+    for p in enumerate_coxeter_polynomials(args.n, args.c):
+        numbers = coxeter_numbers_of_cycle_type(p.partition())
+        data.append({
+            "partition": list(p.cycle_parts),
+            "coxeter_polynomial": p.to_json(),
+            **numbers.to_json(),
+        })
+        rows.append([
+            str(p.partition()),
+            format_factored_poly(p),
+            _format_coxeter_number(numbers.coxeter_number),
+            str(numbers.reduced_coxeter_number),
         ])
-    else:
-        header = ["Partition", "Coxeter polynomial", "Coxeter number",
-                  "Reduced Coxeter number"]
-        rows = []
-        for p in polys:
-            numbers = coxeter_numbers_of_cycle_type(p.partition())
-            rows.append([
-                format_partition(p.partition()),
-                format_factored_poly(p),
-                _format_coxeter_number(numbers.coxeter_number),
-                str(numbers.reduced_coxeter_number),
-            ])
-        _print_table(rows, header)
-    return 0
+    header = ["Partition", "Coxeter polynomial", "Coxeter number",
+              "Reduced Coxeter number"]
+    return data, _table_lines(rows, header)
 
 
-def _cmd_representative(args: argparse.Namespace) -> int:
+def _cmd_representative(args: argparse.Namespace) -> tuple:
     pi = _parse_pi(args.pi)
-    d = args.d
-    a = representative_quiver_A(pi, d)
-    star = representative_quiver_star(pi, d)
-    if args.format == "json":
-        _print_json({"a_quiver": a.to_json(), "star_quiver": star.to_json()})
-    else:
-        print(f"A-family quiver ({a.m} vertices, {a.n} arrows):")
-        for i, (s, t) in enumerate(a.arrows, start=1):
-            print(f"  arrow {i}: {s} -> {t}")
-        print(f"star-family quiver ({star.m} vertices, {star.n} arrows):")
-        for i, (s, t) in enumerate(star.arrows, start=1):
-            print(f"  arrow {i}: {s} -> {t}")
-    return 0
+    a = representative_quiver_A(pi, args.d)
+    star = representative_quiver_star(pi, args.d)
+    lines = []
+    for family, q in (("A-family", a), ("star-family", star)):
+        lines += [f"{family} quiver ({q.m} vertices, {q.n} arrows):", *_quiver_lines(q, "  ")]
+    return {"a_quiver": a.to_json(), "star_quiver": star.to_json()}, lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputError(f"--jobs must be between 1 and {cpus}, the CPU count")
     report = run_sweep(args.max_vertices, args.max_arrows, seed=args.seed,
                        jobs=args.jobs)
-    if args.format == "json":
-        _print_json(report.to_json())
-    else:
-        print(f"swept {report.quiver_count} connected quivers "
-              f"({report.form_count} distinct forms) with m <= {args.max_vertices}, "
-              f"n <= {args.max_arrows}")
-        for check in CHECKS:
-            count = report.failure_counts[check]
-            status = "ok" if count == 0 else f"{count} FAILURES"
-            print(f"  {check}: {status}")
-            for sample in report.failure_samples[check]:
-                print(f"    {sample}")
-        if report.ok():
-            print("all identities hold")
-    return 0 if report.ok() else 3
+    lines = [f"swept {report.quiver_count} connected quivers "
+             f"({report.form_count} distinct forms) with m <= {args.max_vertices}, "
+             f"n <= {args.max_arrows}"]
+    for check in CHECKS:
+        count = report.failure_counts[check]
+        status = "ok" if count == 0 else f"{count} FAILURES"
+        lines.append(f"  {check}: {status}")
+        lines += [f"    {sample}" for sample in report.failure_samples[check]]
+    if report.ok():
+        lines.append("all identities hold")
+    return report.to_json(), lines, 0 if report.ok() else 3
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the verb table and the parser built from it
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# verb: (function, help, options), an option being (flag, add_argument
+# keywords).  A verb whose options are None reads a unit form through the
+# required choice of --form or --quiver.  Every verb also takes --format.
+_VERBS = {
+    "invariants": (_cmd_invariants, "all invariants of a form or quiver", None),
+    "realize": (_cmd_realize, "realize a unit form as a quiver", None),
+    "inverse": (_cmd_inverse, "inverse quiver", [
+        ("--quiver", {"required": True, "help": "quiver JSON path"}),
+    ]),
+    "cycle-type": (_cmd_cycle_type, "cycle type of a form or quiver", None),
+    "cox-poly": (_cmd_cox_poly, "factored Coxeter polynomial", None),
+    "from-poly": (_cmd_from_poly, "cycle type from a Coxeter polynomial", [
+        ("--poly", {"required": True,
+                    "help": "comma-separated coefficients, lowest degree first"}),
+        ("--c", {"type": int, "required": True, "help": "corank"}),
+    ]),
+    "enumerate": (_cmd_enumerate,
+                  "all Coxeter polynomials for n variables, corank c", [
+        ("--n", {"type": int, "required": True}),
+        ("--c", {"type": int, "required": True}),
+    ]),
+    "representative": (_cmd_representative,
+                       "representative quivers realizing a cycle type", [
+        ("--pi", {"required": True, "help": "partition, e.g. 3,2,2"}),
+        ("--d", {"type": int, "default": 0,
+                 "help": "extra parallel-pair count (corank = length - 1 + 2d)"}),
+    ]),
+    "verify": (_cmd_verify, "exhaustive verification sweep", [
+        ("--max-vertices", {"type": int, "default": 4}),
+        ("--max-arrows", {"type": int, "default": 5}),
+        ("--seed", {"type": int, "default": None,
+                    "help": "seed for randomized congruence checks"}),
+        ("--jobs", {"type": int, "default": 1,
+                    "help": "worker processes for the sweep"}),
+    ]),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxquiver",
         description="Cycle types, Coxeter polynomials and Coxeter numbers of "
@@ -336,97 +298,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "quiver realizations.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = sub.add_parser("invariants", help="all invariants of a form or quiver")
-    p.add_argument("--form", help="unit form JSON path ('-' for stdin)")
-    p.add_argument("--quiver", help="quiver JSON path ('-' for stdin)")
-    add_format(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("realize", help="realize a unit form as a quiver")
-    p.add_argument("--form", help="unit form JSON path ('-' for stdin)")
-    p.add_argument("--quiver", help="quiver JSON path (realizes its form)")
-    add_format(p)
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("inverse", help="inverse quiver")
-    p.add_argument("--quiver", required=True, help="quiver JSON path")
-    add_format(p)
-    p.set_defaults(func=_cmd_inverse)
-
-    p = sub.add_parser("cycle-type", help="cycle type of a form or quiver")
-    p.add_argument("--form", help="unit form JSON path")
-    p.add_argument("--quiver", help="quiver JSON path")
-    add_format(p)
-    p.set_defaults(func=_cmd_cycle_type)
-
-    p = sub.add_parser("cox-poly", help="factored Coxeter polynomial")
-    p.add_argument("--form", help="unit form JSON path")
-    p.add_argument("--quiver", help="quiver JSON path")
-    add_format(p)
-    p.set_defaults(func=_cmd_cox_poly)
-
-    p = sub.add_parser("from-poly", help="cycle type from a Coxeter polynomial")
-    p.add_argument("--poly", required=True,
-                   help="comma-separated coefficients, lowest degree first")
-    p.add_argument("--c", type=int, required=True, help="corank")
-    add_format(p)
-    p.set_defaults(func=_cmd_from_poly)
-
-    p = sub.add_parser("enumerate",
-                       help="all Coxeter polynomials for n variables, corank c")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("representative",
-                       help="representative quivers realizing a cycle type")
-    p.add_argument("--pi", required=True, help="partition, e.g. 3,2,2")
-    p.add_argument("--d", type=int, default=0,
-                   help="extra parallel-pair count (corank = length - 1 + 2d)")
-    add_format(p)
-    p.set_defaults(func=_cmd_representative)
-
-    p = sub.add_parser("verify", help="exhaustive verification sweep")
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--max-arrows", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized congruence checks")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.set_defaults(func=_cmd_verify)
-
+    for verb, (func, help_text, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        if options is None:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--form", help="unit form JSON path ('-' for stdin)")
+            group.add_argument("--quiver", help="quiver JSON path ('-' for stdin)")
+        for flag, keywords in options or ():
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("json", "table"),
+                       default="table" if verb == "verify" else "json")
+        p.set_defaults(func=func)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return 2
+        return 0 if exc.code in (None, 0) else 2
     try:
-        return args.func(args)
+        data, lines, *status = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except NotDynkinTypeA as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(json.dumps(data))
+    else:
+        print("\n".join(lines))
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

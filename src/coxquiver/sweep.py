@@ -20,7 +20,6 @@ the acceptance tests.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, isqrt
 
@@ -364,6 +363,10 @@ def _fan_out(worker, units: list, jobs: int):
     if jobs == 1:
         yield from map(worker, units)
         return
+    # imported here: the pool pulls in multiprocessing, socket and logging,
+    # which every other caller of the package would pay for at import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(worker, units)
 

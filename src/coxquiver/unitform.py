@@ -100,7 +100,9 @@ def form_from_upper(n: int, entries: Sequence[tuple[int, int, int]]) -> UnitForm
         if not (1 <= i < j <= n):
             raise ValueError(f"entry ({i}, {j}) is not strictly upper triangular")
         rows[i - 1][j - 1] = value
-    return UnitForm(n, tuple(tuple(row) for row in rows))
+    # from a list: tuple() of a generator resizes its result, and the
+    # resized tuples pile up on CPython's tuple free list
+    return UnitForm(n, tuple([tuple(row) for row in rows]))
 
 
 def evaluate(f: UnitForm, x: Sequence[int]) -> int:
@@ -119,7 +121,9 @@ def evaluate(f: UnitForm, x: Sequence[int]) -> int:
 def symmetric_gram(f: UnitForm) -> IntMatrix:
     """G + G^T: symmetric with diagonal 2."""
     g = f.gram_upper
-    return tuple([tuple(map(add, row, col)) for row, col in zip(g, zip(*g))])
+    # rows from lists: tuple() of a map resizes its result, and the resized
+    # tuples pile up on CPython's tuple free list
+    return tuple([tuple([*map(add, row, col)]) for row, col in zip(g, zip(*g))])
 
 
 def corank(f: UnitForm) -> int:

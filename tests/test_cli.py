@@ -246,6 +246,15 @@ def test_missing_input_exit_2(capsys):
     assert "--form" in err or "--quiver" in err
 
 
+def test_form_and_quiver_together_exit_2(capsys, a3_form_path, kronecker_path):
+    for verb in ("invariants", "realize", "cycle-type", "cox-poly"):
+        code, out, err = run_cli(capsys, verb, "--form", a3_form_path,
+                                 "--quiver", kronecker_path)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["enumerate", "--n"]) == 2
     assert main(["no-such-verb"]) == 2
@@ -336,6 +345,19 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cycle-type", "--quiver", "-")
     assert code == 0
     assert json.loads(out) == [1, 1]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only verify --jobs > 1 needs the pool; -I ignores PYTHONPATH and the
+    # user site, so the child is pointed at this package's source directly
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import coxquiver, coxquiver.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point_runs():

@@ -27,20 +27,15 @@ from .partitions import (
 )
 from .quiver import (
     Quiver,
-    Walk,
     coxeter_laplace,
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
     incidence_matrix,
-    incidence_vector,
     inverse_quiver,
     laplace,
-    min_decreasing_walk,
-    min_increasing_walk,
     opposite,
     relabel_vertices,
     remove_last_arrow,
-    structural_walk,
     triangular_gram,
     vertex_permutation,
 )

@@ -75,6 +75,20 @@ def _form_from_args(args: argparse.Namespace) -> UnitForm:
     return form_of_quiver(_load(args.quiver, Quiver, "quiver"))
 
 
+def _at_least(low: int):
+    """The argparse ``type=`` converter for an integer option that must be
+    at least ``low``; a value out of range is a usage error, exit 2."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
 def _parse_ints(text: str, what: str, expected: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -266,22 +280,22 @@ _VERBS = {
     "from-poly": (_cmd_from_poly, "cycle type from a Coxeter polynomial", [
         ("--poly", {"required": True,
                     "help": "comma-separated coefficients, lowest degree first"}),
-        ("--c", {"type": int, "required": True, "help": "corank"}),
+        ("--c", {"type": _at_least(0), "required": True, "help": "corank"}),
     ]),
     "enumerate": (_cmd_enumerate,
                   "all Coxeter polynomials for n variables, corank c", [
         ("--n", {"type": int, "required": True}),
-        ("--c", {"type": int, "required": True}),
+        ("--c", {"type": _at_least(0), "required": True}),
     ]),
     "representative": (_cmd_representative,
                        "representative quivers realizing a cycle type", [
         ("--pi", {"required": True, "help": "partition, e.g. 3,2,2"}),
-        ("--d", {"type": int, "default": 0,
+        ("--d", {"type": _at_least(0), "default": 0,
                  "help": "extra parallel-pair count (corank = length - 1 + 2d)"}),
     ]),
     "verify": (_cmd_verify, "exhaustive verification sweep", [
-        ("--max-vertices", {"type": int, "default": 4}),
-        ("--max-arrows", {"type": int, "default": 5}),
+        ("--max-vertices", {"type": _at_least(1), "default": 4}),
+        ("--max-arrows", {"type": _at_least(0), "default": 5}),
         ("--seed", {"type": int, "default": None,
                     "help": "seed for randomized congruence checks"}),
         ("--jobs", {"type": int, "default": 1,

@@ -77,10 +77,6 @@ def mat_neg(a: IntMatrix) -> IntMatrix:
     return tuple([tuple(map(neg, row)) for row in a])
 
 
-def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
 def is_square(m: IntMatrix) -> bool:
     return not m or len(m) == len(m[0])
 
@@ -379,18 +375,6 @@ def permutation_matrix(p: PermutationMap) -> IntMatrix:
     for v in range(m):
         rows[p[v] - 1][v] = 1
     return tuple(tuple(row) for row in rows)
-
-
-def permutation_from_matrix(m: IntMatrix) -> PermutationMap:
-    """Inverse of :func:`permutation_matrix`; raises if not a permutation matrix."""
-    n = len(m)
-    images = [0] * n
-    for v in range(n):
-        ones = [i for i in range(n) if m[i][v] == 1]
-        if len(ones) != 1 or any(m[i][v] != 0 for i in range(n) if i != ones[0]):
-            raise ValueError("not a permutation matrix")
-        images[v] = ones[0] + 1
-    return check_permutation(tuple(images))
 
 
 def cycle_decomposition(p: PermutationMap) -> tuple[tuple[int, ...], ...]:

@@ -5,15 +5,16 @@ their numeric order, arrows are an ordered tuple of (source, target) pairs,
 and arrow i is the pair at position i (1-based).  The arrow order is part of
 the data: reordering arrows gives a different quiver.
 
-The central construction is the vertex permutation obtained by following
-minimally decreasing walks, together with the matrix identities that tie it
-to the incidence matrix, the triangular Gram matrix, the Laplace matrix and
-the Coxeter matrix.
+The central construction is the vertex permutation.  It is defined by
+minimally decreasing walks and computed as the product of the
+transpositions that swap the endpoints of each arrow, in arrow order; the
+inverse quiver comes from the prefixes of the same product.  The matrix
+identities tie both to the incidence matrix, the triangular Gram matrix,
+the Laplace matrix and the Coxeter matrix.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
@@ -54,12 +55,6 @@ class Quiver:
     def n(self) -> int:
         return len(self.arrows)
 
-    def source(self, i: int) -> int:
-        return self.arrows[i - 1][0]
-
-    def target(self, i: int) -> int:
-        return self.arrows[i - 1][1]
-
     def to_json(self) -> dict:
         return {"vertices": self.m, "arrows": [list(a) for a in self.arrows]}
 
@@ -91,29 +86,6 @@ class Quiver:
             raise NotConnected(f"{len(arrows)} arrows cannot connect {m} "
                                "vertices: the quiver is not connected")
         return cls(m, tuple((a[0], a[1]) for a in arrows))
-
-
-@dataclass(frozen=True)
-class Walk:
-    """An alternating vertex/arrow path, stored as a start vertex plus
-    (arrow, sign) steps; sign +1 traverses source -> target."""
-
-    start: int
-    steps: tuple[tuple[int, int], ...]
-
-
-def add_arrow(q: Quiver, v: int, w: int) -> Quiver:
-    """New quiver with an extra arrow v -> w placed last in the order."""
-    return Quiver(q.m, q.arrows + ((v, w),))
-
-
-def _incident_lists(q: Quiver) -> list[list[int]]:
-    """incident[v] = ascending arrow indices touching vertex v (index 0 unused)."""
-    incident: list[list[int]] = [[] for _ in range(q.m + 1)]
-    for i, (s, t) in enumerate(q.arrows, start=1):
-        incident[s].append(i)
-        incident[t].append(i)
-    return incident
 
 
 def spanning_tree(m: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -191,169 +163,49 @@ def laplace(q: Quiver) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# minimally monotonous walks
-# ---------------------------------------------------------------------------
-
-def _trace(q: Quiver, incident: list[list[int]], i: int, eps: int,
-           decreasing: bool) -> tuple[list[tuple[int, int]], int]:
-    """Follow the minimally decreasing (or increasing) walk with first step
-    (i, eps); returns the steps and the final vertex."""
-    arrows = q.arrows
-    s, t = arrows[i - 1]
-    vertex = t if eps == 1 else s
-    steps = [(i, eps)]
-    cur = i
-    bound = 2 * q.n + 1
-    while True:
-        lst = incident[vertex]
-        if decreasing:
-            k = bisect_left(lst, cur) - 1
-            if k < 0:
-                break
-        else:
-            k = bisect_right(lst, cur)
-            if k >= len(lst):
-                break
-        nxt = lst[k]
-        ns, nt = arrows[nxt - 1]
-        if ns == vertex:
-            steps.append((nxt, 1))
-            vertex = nt
-        else:
-            steps.append((nxt, -1))
-            vertex = ns
-        cur = nxt
-        if len(steps) > bound:
-            raise InvariantViolation("walk exceeded its termination bound")
-    return steps, vertex
-
-
-def _min_walk(q: Quiver, i: int, eps: int, decreasing: bool) -> Walk:
-    if not 1 <= i <= q.n:
-        raise ValueError(f"arrow index {i} out of range 1..{q.n}")
-    if eps not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    steps, _ = _trace(q, _incident_lists(q), i, eps, decreasing)
-    start = q.source(i) if eps == 1 else q.target(i)
-    return Walk(start, tuple(steps))
-
-
-def min_decreasing_walk(q: Quiver, i: int, eps: int) -> Walk:
-    """Right complete minimally decreasing walk starting with step (i, eps).
-
-    Each later step takes the maximal incident arrow strictly smaller than
-    the current one; orientation is forced by which endpoint was reached.
-    """
-    return _min_walk(q, i, eps, decreasing=True)
-
-
-def min_increasing_walk(q: Quiver, i: int, eps: int) -> Walk:
-    """Dual of :func:`min_decreasing_walk`: minimal incident arrow strictly
-    larger than the current one."""
-    return _min_walk(q, i, eps, decreasing=False)
-
-
-def _structural_walk(q: Quiver, v: int, decreasing: bool) -> Walk:
-    if not 1 <= v <= q.m:
-        raise ValueError(f"vertex {v} out of range 1..{q.m}")
-    incident = _incident_lists(q)
-    if not incident[v]:
-        raise ValueError(f"vertex {v} has no incident arrow")
-    i0 = incident[v][-1 if decreasing else 0]
-    eps = 1 if q.source(i0) == v else -1
-    steps, _ = _trace(q, incident, i0, eps, decreasing)
-    return Walk(v, tuple(steps))
-
-
-def structural_walk(q: Quiver, v: int) -> Walk:
-    """Left and right complete minimally decreasing walk starting at v.
-
-    The first arrow is the maximal arrow incident to v.  Raises ValueError
-    for an isolated vertex.
-    """
-    return _structural_walk(q, v, decreasing=True)
-
-
-def structural_increasing_walk(q: Quiver, v: int) -> Walk:
-    """Dual structural walk: starts with the minimal arrow incident to v."""
-    return _structural_walk(q, v, decreasing=False)
-
-
-def walk_target(q: Quiver, w: Walk) -> int:
-    """Final vertex of a walk, validating consecutive endpoints."""
-    vertex = w.start
-    for i, eps in w.steps:
-        if not 1 <= i <= q.n:
-            raise ValueError(f"walk uses arrow {i} outside 1..{q.n}")
-        s, t = q.arrows[i - 1]
-        if eps == 1:
-            if s != vertex:
-                raise ValueError("walk step does not start at the current vertex")
-            vertex = t
-        elif eps == -1:
-            if t != vertex:
-                raise ValueError("walk step does not start at the current vertex")
-            vertex = s
-        else:
-            raise ValueError("walk step sign must be +1 or -1")
-    return vertex
-
-
-def reverse_walk(q: Quiver, w: Walk) -> Walk:
-    end = walk_target(q, w)
-    return Walk(end, tuple((i, -eps) for i, eps in reversed(w.steps)))
-
-
-def incidence_vector(q: Quiver, w: Walk) -> tuple[int, ...]:
-    """Signed arrow-count vector of a walk (length n)."""
-    walk_target(q, w)  # validates the walk
-    out = [0] * q.n
-    for i, eps in w.steps:
-        out[i - 1] += eps
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # the vertex permutation and the inverse quiver
 # ---------------------------------------------------------------------------
 
-def _vertex_permutation(q: Quiver, allow_disconnected: bool,
-                        decreasing: bool) -> PermutationMap:
-    if not allow_disconnected and not is_connected(q):
-        raise ValueError("vertex permutation requires a connected quiver")
-    incident = _incident_lists(q)
-    arrows = q.arrows
-    first = -1 if decreasing else 0
-    images = []
-    for v in range(1, q.m + 1):
-        lst = incident[v]
-        if not lst:
-            images.append(v)
-            continue
-        i0 = lst[first]
-        eps = 1 if arrows[i0 - 1][0] == v else -1
-        _, end = _trace(q, incident, i0, eps, decreasing)
-        images.append(end)
-    try:
-        return check_permutation(tuple(images))
-    except ValueError as exc:
-        raise InvariantViolation("structural walks did not induce a bijection") from exc
+def _prefix_products(q: Quiver) -> tuple[list[int], list[tuple[int, int]]]:
+    """The image list of P_n (index 0 unused) and the arrows
+    (P_{i-1}(s_i), P_{i-1}(t_i)), where P_i = tau_1 o ... o tau_i and
+    tau_i swaps the endpoints s_i, t_i of arrow i.
+
+    Proof that these are the walk constructions.  A minimally decreasing
+    walk that reached x along arrow i goes on along the largest arrow
+    j < i at x, to its other endpoint, and stops if there is none.  Push x
+    through tau_{i-1}, ..., tau_1 in turn: the transpositions of arrows
+    not at the current point fix it, so the first to move x is tau_j, to
+    the other end of arrow j, and the argument repeats below j.  So that
+    walk ends at P_{i-1}(x).  A structural walk starts as if v had been
+    reached along an arrow n + 1, so it ends at P_n(v).  Arrow i of the
+    inverse quiver joins the ends of the walks that cross arrow i
+    backwards (reaching s_i) and forwards (reaching t_i).
+
+    Swapping entries s and t of the image list of P gives P o tau, so the
+    list holds P_i after arrow i.  Every P_i is a bijection, so P_n is a
+    permutation and no inverse arrow is a loop.
+    """
+    p = list(range(q.m + 1))
+    arrows = []
+    for s, t in q.arrows:
+        arrows.append((p[s], p[t]))
+        p[s], p[t] = p[t], p[s]
+    return p, arrows
 
 
 def vertex_permutation(q: Quiver, *, allow_disconnected: bool = False) -> PermutationMap:
     """The permutation sending each vertex to the end of its structural
-    decreasing walk.  Isolated vertices are fixed points.
+    decreasing walk, computed as the product tau_1 o ... o tau_n of the
+    arrow transpositions.  Isolated vertices are fixed points.
 
     Requires a connected quiver unless ``allow_disconnected`` is set (the
     construction works per component).
     """
-    return _vertex_permutation(q, allow_disconnected, decreasing=True)
-
-
-def vertex_permutation_increasing(q: Quiver, *, allow_disconnected: bool = False) -> PermutationMap:
-    """Dual permutation from structural increasing walks; inverse of
-    :func:`vertex_permutation`."""
-    return _vertex_permutation(q, allow_disconnected, decreasing=False)
+    if not allow_disconnected and not is_connected(q):
+        raise ValueError("vertex permutation requires a connected quiver")
+    p, _ = _prefix_products(q)
+    return tuple(p[1:])
 
 
 def inverse_quiver(q: Quiver) -> Quiver:
@@ -362,14 +214,7 @@ def inverse_quiver(q: Quiver) -> Quiver:
     entering it forwards; satisfies I(Q^{-1}) = I(Q) G^{-1}."""
     if not is_connected(q):
         raise ValueError("inverse quiver requires a connected quiver")
-    incident = _incident_lists(q)
-    arrows = []
-    for i in range(1, q.n + 1):
-        _, src = _trace(q, incident, i, -1, decreasing=True)
-        _, tgt = _trace(q, incident, i, +1, decreasing=True)
-        if src == tgt:
-            raise InvariantViolation(f"inverse quiver produced a loop at arrow {i}")
-        arrows.append((src, tgt))
+    _, arrows = _prefix_products(q)
     return Quiver(q.m, tuple(arrows))
 
 
@@ -433,15 +278,6 @@ def relabel_vertices(q: Quiver, rho: PermutationMap) -> Quiver:
 def opposite(q: Quiver) -> Quiver:
     """Reverse every arrow, keeping the order."""
     return Quiver(q.m, tuple((t, s) for s, t in q.arrows))
-
-
-def transposition(m: int, v: int, w: int) -> PermutationMap:
-    """The permutation of {1..m} swapping v and w."""
-    if v == w:
-        raise ValueError("transposition needs two distinct vertices")
-    images = list(range(1, m + 1))
-    images[v - 1], images[w - 1] = w, v
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Phase 1 walks every connected loop-less quiver in range and checks the
 matrix identities tying the incidence matrix, triangular Gram matrix,
-Laplace matrix, Coxeter matrix and Coxeter-Laplace matrix together, plus
-the walk-based constructions; it collects the distinct unit forms seen.
+Laplace matrix, Coxeter matrix and Coxeter-Laplace matrix together with
+the vertex permutation and the inverse quiver; it collects the distinct
+unit forms seen.
 Phase 2 runs the form-level checks (polynomial identities, Coxeter numbers,
 realization round trips, spectral multiplicities) once per distinct form.
 
@@ -137,10 +138,9 @@ def _decode_gram(blob: bytes):
 # phase 1: per-quiver identities
 # ---------------------------------------------------------------------------
 
-def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple | None:
+def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple:
     """All matrix identities for one connected quiver.  Returns the pair
-    (triangular Gram, cycle type parts), or None when the walk machinery
-    itself failed."""
+    (triangular Gram, cycle type parts)."""
     m, n = q.m, q.n
     label = f"m={m} arrows={q.arrows}"
 
@@ -161,23 +161,15 @@ def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple | None:
     if rational_rank(lap) != m - 1:
         rec("laplace_kernel", f"{label}: Laplace rank != m - 1")
 
-    # I(Q^-1) by walks against I(Q) G^-1
+    # I(Q^-1) by prefix products of arrow transpositions against I(Q) G^-1
     gram_inv = unitriangular_inverse(gram_tri)
     inc_inverse = mat_mul(inc, gram_inv)
-    try:
-        qinv = inverse_quiver(q)
-    except InvariantViolation as exc:
-        rec("matrix_identities", f"{label}: {exc}")
-        return None
-    if incidence_matrix(qinv) != inc_inverse:
+    if incidence_matrix(inverse_quiver(q)) != inc_inverse:
         rec("matrix_identities", f"{label}: I(Q^-1) != I(Q) G^-1")
 
-    # Coxeter-Laplace matrix Id - I(Q^-1) I^T equals the walk permutation matrix
-    try:
-        xi = vertex_permutation(q, allow_disconnected=True)
-    except InvariantViolation as exc:
-        rec("matrix_identities", f"{label}: {exc}")
-        return None
+    # Coxeter-Laplace matrix Id - I(Q^-1) I^T equals the permutation matrix
+    # of the vertex permutation
+    xi = vertex_permutation(q, allow_disconnected=True)
     if mat_sub(identity(m), mat_mul(inc_inverse, inc_t)) != permutation_matrix(xi):
         rec("matrix_identities",
             f"{label}: Coxeter-Laplace matrix != walk permutation matrix")
@@ -226,10 +218,7 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     forms: dict[bytes, tuple[int, ...]] = {}
     for q in iter_connected_quivers(m, n, first_pair):
         report.quiver_count += 1
-        outcome = _check_quiver(q, rec, admissible)
-        if outcome is None:
-            continue
-        gram_tri, ct_parts = outcome
+        gram_tri, ct_parts = _check_quiver(q, rec, admissible)
         key = _encode_gram(gram_tri)
         known = forms.get(key)
         if known is None:

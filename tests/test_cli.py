@@ -258,6 +258,18 @@ def test_form_and_quiver_together_exit_2(capsys, a3_form_path, kronecker_path):
 def test_usage_error_exit_2(capsys):
     assert main(["enumerate", "--n"]) == 2
     assert main(["no-such-verb"]) == 2
+    # out-of-range inline parameters are usage errors, not domain errors
+    for argv, option in (
+        (["verify", "--max-vertices", "0"], "--max-vertices"),
+        (["verify", "--max-arrows", "-1"], "--max-arrows"),
+        (["representative", "--pi", "3,2", "--d", "-1"], "--d"),
+        (["enumerate", "--n", "4", "--c", "-1"], "--c"),
+        (["from-poly", "--poly", "1,1", "--c", "-1"], "--c"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}: must be at least" in err
 
 
 def test_disconnected_form_exit_1(capsys, tmp_path):

@@ -3,10 +3,14 @@
 Small expected values (walks, permutations, matrices) were computed by
 simulating the definitions by hand; the exhaustive section re-derives all
 identities over every small quiver, including arbitrary arrow orderings.
+The package computes the vertex permutation and the inverse quiver as
+products of arrow transpositions; the minimally monotonous walks of their
+definition live here, as the oracle those products are checked against.
 """
 
 import json
 import random
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
@@ -26,31 +30,21 @@ from coxquiver.linalg import (
 from coxquiver.partitions import Partition, cycle_type_of_permutation, part1c
 from coxquiver.quiver import (
     Quiver,
-    Walk,
-    add_arrow,
+    _prefix_products,
     coxeter_laplace,
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
     incidence_matrix,
-    incidence_vector,
     inverse_quiver,
     is_connected,
     iter_connected_quivers,
     laplace,
-    min_decreasing_walk,
-    min_increasing_walk,
     opposite,
     relabel_vertices,
     remove_last_arrow,
-    reverse_walk,
     spanning_tree,
-    structural_increasing_walk,
-    structural_walk,
-    transposition,
     triangular_gram,
     vertex_permutation,
-    vertex_permutation_increasing,
-    walk_target,
 )
 from coxquiver.unitform import form_from_upper, is_connected as form_connected
 
@@ -176,30 +170,129 @@ def test_laplace_rank_connected():
 
 
 # ---------------------------------------------------------------------------
-# walks
+# the walk oracle
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Walk:
+    """An alternating vertex/arrow path, stored as a start vertex plus
+    (arrow, sign) steps; sign +1 traverses source -> target."""
+
+    start: int
+    steps: tuple[tuple[int, int], ...]
+
+
+def incident_arrows(q):
+    """incident[v] = ascending indices of the arrows touching vertex v."""
+    incident = {v: [] for v in range(1, q.m + 1)}
+    for j, (s, t) in enumerate(q.arrows, start=1):
+        incident[s].append(j)
+        incident[t].append(j)
+    return incident
+
+
+def min_walk(q, i, eps, decreasing=True):
+    """Right complete minimally decreasing walk starting with step (i, eps):
+    each later step takes the maximal incident arrow strictly smaller than
+    the current one, oriented away from the vertex reached, and the walk
+    stops when there is none.  With ``decreasing`` unset, the dual walk
+    takes the minimal incident arrow strictly larger than the current one."""
+    incident = incident_arrows(q)
+    s, t = q.arrows[i - 1]
+    start, vertex = (s, t) if eps == 1 else (t, s)
+    steps = [(i, eps)]
+    while True:
+        current = steps[-1][0]
+        candidates = [j for j in incident[vertex]
+                      if (j < current if decreasing else j > current)]
+        if not candidates:
+            return Walk(start, tuple(steps))
+        j = max(candidates) if decreasing else min(candidates)
+        a, b = q.arrows[j - 1]
+        steps.append((j, 1 if a == vertex else -1))
+        vertex = b if a == vertex else a
+
+
+def structural_walk(q, v, decreasing=True):
+    """Left and right complete minimally decreasing walk starting at v: the
+    first arrow is the maximal arrow incident to v (the minimal one for the
+    dual walk).  Raises ValueError for an isolated vertex."""
+    incident = incident_arrows(q)[v]
+    if not incident:
+        raise ValueError(f"vertex {v} has no incident arrow")
+    first = incident[-1 if decreasing else 0]
+    return min_walk(q, first, 1 if q.arrows[first - 1][0] == v else -1, decreasing)
+
+
+def walk_target(q, w):
+    """Final vertex of a walk, validating consecutive endpoints."""
+    vertex = w.start
+    for i, eps in w.steps:
+        if not 1 <= i <= q.n:
+            raise ValueError(f"walk uses arrow {i} outside 1..{q.n}")
+        s, t = q.arrows[i - 1]
+        if eps == 1:
+            if s != vertex:
+                raise ValueError("walk step does not start at the current vertex")
+            vertex = t
+        elif eps == -1:
+            if t != vertex:
+                raise ValueError("walk step does not start at the current vertex")
+            vertex = s
+        else:
+            raise ValueError("walk step sign must be +1 or -1")
+    return vertex
+
+
+def reverse_walk(q, w):
+    return Walk(walk_target(q, w), tuple((i, -eps) for i, eps in reversed(w.steps)))
+
+
+def incidence_vector(q, w):
+    """Signed arrow-count vector of a walk (length n)."""
+    walk_target(q, w)  # validates the walk
+    out = [0] * q.n
+    for i, eps in w.steps:
+        out[i - 1] += eps
+    return tuple(out)
+
+
+def walk_permutation(q, decreasing=True):
+    """Each vertex sent to the end of its structural walk; isolated vertices
+    are fixed."""
+    incident = incident_arrows(q)
+    return tuple(walk_target(q, structural_walk(q, v, decreasing)) if incident[v] else v
+                 for v in range(1, q.m + 1))
+
+
+def walk_inverse_arrows(q):
+    """Arrow i of the inverse quiver: from the end of the decreasing walk
+    crossing arrow i backwards to the end of the one crossing it forwards."""
+    return tuple((walk_target(q, min_walk(q, i, -1)), walk_target(q, min_walk(q, i, 1)))
+                 for i in range(1, q.n + 1))
+
+
 def test_min_decreasing_walk_minimal_arrow_halts():
-    w = min_decreasing_walk(A3, 1, 1)
+    w = min_walk(A3, 1, 1)
     assert w == Walk(1, ((1, 1),))
     assert walk_target(A3, w) == 2
 
 
 def test_min_decreasing_walk_a3_second_arrow():
-    w = min_decreasing_walk(A3, 2, 1)
+    w = min_walk(A3, 2, 1)
     assert w == Walk(2, ((2, 1),))
     assert walk_target(A3, w) == 3
 
 
 def test_min_decreasing_walk_kronecker():
-    w = min_decreasing_walk(KRONECKER, 2, 1)
+    w = min_walk(KRONECKER, 2, 1)
     assert w == Walk(1, ((2, 1), (1, -1)))
     assert walk_target(KRONECKER, w) == 1
 
 
 def test_min_increasing_walk_examples():
-    assert min_increasing_walk(Quiver(2, ((1, 2),)), 1, 1) == Walk(1, ((1, 1),))
-    w = min_increasing_walk(A3, 1, 1)
+    assert min_walk(Quiver(2, ((1, 2),)), 1, 1, decreasing=False) == Walk(1, ((1, 1),))
+    w = min_walk(A3, 1, 1, decreasing=False)
     assert w == Walk(1, ((1, 1), (2, 1)))
     assert walk_target(A3, w) == 3
 
@@ -227,7 +320,7 @@ def test_increasing_structural_walk_reverses_decreasing():
         for v in range(1, q.m + 1):
             down = structural_walk(q, v)
             w = walk_target(q, down)
-            up = structural_increasing_walk(q, w)
+            up = structural_walk(q, w, decreasing=False)
             assert up == reverse_walk(q, down)
 
 
@@ -268,7 +361,7 @@ def test_trees_give_single_cycle():
 def test_increasing_permutation_inverts_decreasing():
     for q in (A3, KRONECKER, linear_quiver(6), Quiver(3, ((2, 1), (3, 2), (1, 3)))):
         xi_minus = vertex_permutation(q)
-        xi_plus = vertex_permutation_increasing(q)
+        xi_plus = walk_permutation(q, decreasing=False)
         assert all(xi_plus[xi_minus[v] - 1] == v + 1 for v in range(q.m))
 
 
@@ -299,6 +392,57 @@ def test_inverse_gram_is_inverse():
     for q in (A3, KRONECKER, linear_quiver(5)):
         assert triangular_gram(inverse_quiver(q)) == \
             unitriangular_inverse(triangular_gram(q))
+
+
+# ---------------------------------------------------------------------------
+# transposition products against the walk oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def quivers_in_any_order(draw):
+    """(quiver, connected): up to 40 vertices and 3m arrows in random order.
+    A connected quiver contains a random spanning tree; a disconnected one
+    keeps its arrows inside the two parts of a random vertex split."""
+    m = draw(st.integers(min_value=2, max_value=40))
+    connected = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    vertices = list(range(1, m + 1))
+    rng.shuffle(vertices)
+    if connected:
+        n = draw(st.integers(min_value=m - 1, max_value=3 * m))
+        arrows = [(vertices[k], vertices[rng.randrange(k)]) for k in range(1, m)]
+        arrows += [tuple(rng.sample(vertices, 2)) for _ in range(n - m + 1)]
+        arrows = [a if rng.random() < 0.5 else a[::-1] for a in arrows]
+    else:
+        cut = rng.randint(1, m - 1)
+        parts = [side for side in (vertices[:cut], vertices[cut:]) if len(side) > 1]
+        n = draw(st.integers(min_value=0, max_value=3 * m)) if parts else 0
+        arrows = [tuple(rng.sample(rng.choice(parts), 2)) for _ in range(n)]
+    rng.shuffle(arrows)
+    return Quiver(m, tuple(arrows)), connected
+
+
+@given(quivers_in_any_order())
+@settings(max_examples=150, deadline=None)
+def test_transposition_products_match_the_walk_oracle(case):
+    q, connected = case
+    assert is_connected(q) == connected
+    xi = vertex_permutation(q, allow_disconnected=True)
+    assert xi == walk_permutation(q)
+    # the increasing structural walks invert xi
+    xi_plus = walk_permutation(q, decreasing=False)
+    assert all(xi_plus[xi[v] - 1] == v + 1 for v in range(q.m))
+    expected = walk_inverse_arrows(q)
+    if connected:
+        assert inverse_quiver(q).arrows == expected
+    else:
+        with pytest.raises(ValueError, match="connected"):
+            inverse_quiver(q)
+        assert tuple(_prefix_products(q)[1]) == expected
+    # the inverse quiver's permutation tau_n o ... o tau_1 is xi^-1
+    xi_of_inverse = vertex_permutation(Quiver(q.m, expected),
+                                       allow_disconnected=not connected)
+    assert all(xi_of_inverse[xi[v] - 1] == v + 1 for v in range(q.m))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +495,8 @@ def test_remove_last_arrow_transposition_identity():
     for q in quivers:
         smaller = remove_last_arrow(q)
         s, t = q.arrows[-1]
-        tau = transposition(q.m, s, t)
+        tau = list(range(1, q.m + 1))
+        tau[s - 1], tau[t - 1] = t, s
         xi_small = vertex_permutation(smaller, allow_disconnected=True)
         composed = tuple(xi_small[tau[v] - 1] for v in range(q.m))
         assert vertex_permutation(q) == composed
@@ -392,7 +537,7 @@ def test_adding_parallel_pair_preserves_permutation():
             for w in range(1, q.m + 1):
                 if v == w:
                     continue
-                bigger = add_arrow(add_arrow(q, v, w), v, w)
+                bigger = Quiver(q.m, q.arrows + ((v, w), (v, w)))
                 assert vertex_permutation(bigger) == vertex_permutation(q)
 
 
@@ -447,7 +592,7 @@ def test_inverse_incidence_columns_are_increasing_walk_vectors():
               Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))):
         inc_inv = incidence_matrix(inverse_quiver(q))
         for v in range(1, q.m + 1):
-            vec = incidence_vector(q, structural_increasing_walk(q, v))
+            vec = incidence_vector(q, structural_walk(q, v, decreasing=False))
             assert inc_inv[v - 1] == vec
 
 

@@ -5,7 +5,8 @@ lives here.  The parser is built once, at import, from the table ``_VERBS``;
 a verb returns a JSON value and the lines of its table rendering, and
 ``main`` prints the one ``--format`` names.  Exit codes: 0 success, 1 domain
 errors (for instance a form that is not of Dynkin type A), 2 usage errors
-and malformed input, 3 internal invariant violations.
+and malformed input, 3 internal invariant violations, 141 a closed output
+pipe.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ _VERBS = {
     ]),
     "enumerate": (_cmd_enumerate,
                   "all Coxeter polynomials for n variables, corank c", [
-        ("--n", {"type": int, "required": True}),
+        ("--n", {"type": _at_least(1), "required": True}),
         ("--c", {"type": _at_least(0), "required": True}),
     ]),
     "representative": (_cmd_representative,
@@ -345,10 +346,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(data))
-    else:
-        print("\n".join(lines))
+    try:
+        print(json.dumps(data) if args.format == "json" else "\n".join(lines))
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): send the unflushed rest
+        # to the null device so the flush at exit cannot raise again, and
+        # exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return status[0] if status else 0
 
 

@@ -35,14 +35,6 @@ PermutationMap = tuple[int, ...]
 # basic matrix operations
 # ---------------------------------------------------------------------------
 
-def matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Freeze a nested sequence into an IntMatrix, checking rectangularity."""
-    frozen = tuple(tuple(int(x) for x in row) for row in rows)
-    if frozen and any(len(row) != len(frozen[0]) for row in frozen):
-        raise ValueError("ragged rows in matrix")
-    return frozen
-
-
 def identity(n: int) -> IntMatrix:
     zeros = (0,) * n
     return tuple([zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)])

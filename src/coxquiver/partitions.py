@@ -57,11 +57,6 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partition(*parts: int) -> Partition:
-    """Convenience constructor: sorts the parts non-increasingly."""
-    return Partition(tuple(sorted(parts, reverse=True)))
-
-
 @dataclass(frozen=True)
 class FactoredCoxPoly:
     """A Coxeter polynomial kept in factored form.
@@ -213,15 +208,3 @@ def cycle_type_of_permutation(p: PermutationMap) -> Partition:
     """Orbit sizes of a permutation, sorted non-increasingly."""
     sizes = sorted((len(c) for c in cycle_decomposition(p)), reverse=True)
     return Partition(tuple(sizes))
-
-
-def permutation_of_partition(p: Partition) -> PermutationMap:
-    """The permutation of {1..m} written as consecutive cycles of the part
-    lengths: (1..pi_1)(pi_1+1..pi_1+pi_2)..."""
-    images = []
-    start = 1
-    for part in p.parts:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return tuple(images)

@@ -8,9 +8,11 @@ the data: reordering arrows gives a different quiver.
 The central construction is the vertex permutation.  It is defined by
 minimally decreasing walks and computed as the product of the
 transpositions that swap the endpoints of each arrow, in arrow order; the
-inverse quiver comes from the prefixes of the same product.  The matrix
-identities tie both to the incidence matrix, the triangular Gram matrix,
-the Laplace matrix and the Coxeter matrix.
+inverse quiver comes from the prefixes of the same product.  The Coxeter
+matrix is built entrywise from the arrows of the quiver and its inverse,
+and the Coxeter-Laplace matrix as a sum over arrows; their docstrings prove
+the identities that tie them to the triangular Gram matrix and to the
+vertex permutation.
 """
 
 from __future__ import annotations
@@ -19,19 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .errors import InvariantViolation, NotConnected
-from .linalg import (
-    IntMatrix,
-    PermutationMap,
-    check_permutation,
-    coxeter_from_gram,
-    identity,
-    mat_mul,
-    mat_sub,
-    permutation_matrix,
-    transpose,
-    unitriangular_inverse,
-)
+from .errors import NotConnected
+from .linalg import IntMatrix, PermutationMap, check_permutation
 from .partitions import Partition, cycle_type_of_permutation
 
 
@@ -219,37 +210,44 @@ def inverse_quiver(q: Quiver) -> Quiver:
 
 
 def coxeter_laplace(q: Quiver) -> IntMatrix:
-    """Id_m - I(Q^{-1}) I(Q)^T, verified to be the permutation matrix of the
-    vertex permutation (two independent routes meet here)."""
+    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T, built as Id_m
+    minus the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
+    where (s'_i, t'_i) is arrow i of Q^{-1}; it is the permutation matrix of
+    the vertex permutation.
+
+    Proof.  tau_i = Id - (e_{s_i} - e_{t_i})(e_{s_i} - e_{t_i})^T and
+    P_{i-1}(e_{s_i} - e_{t_i}) = e_{s'_i} - e_{t'_i}, so term i is
+    P_{i-1}(Id - tau_i) = P_{i-1} - P_i; the sum telescopes to Id - P(xi).
+    """
     if not is_connected(q):
         raise ValueError("Coxeter-Laplace matrix requires a connected quiver")
-    if q.n == 0:
-        return identity(q.m)
-    inc = incidence_matrix(q)
-    gram_inv = unitriangular_inverse(triangular_gram(q))
-    inc_inverse = mat_mul(inc, gram_inv)
-    lam = mat_sub(identity(q.m), mat_mul(inc_inverse, transpose(inc)))
-    expected = permutation_matrix(vertex_permutation(q))
-    if lam != expected:
-        raise InvariantViolation("Coxeter-Laplace matrix is not the walk permutation")
-    return lam
+    _, inverse_arrows = _prefix_products(q)
+    rows = [[int(u == v) for u in range(q.m)] for v in range(q.m)]
+    for (s, t), (s2, t2) in zip(q.arrows, inverse_arrows):
+        rows[s2 - 1][s - 1] -= 1
+        rows[s2 - 1][t - 1] += 1
+        rows[t2 - 1][s - 1] += 1
+        rows[t2 - 1][t - 1] -= 1
+    return tuple([tuple(row) for row in rows])
 
 
 def coxeter_matrix_of_quiver(q: Quiver) -> IntMatrix:
-    """The n x n Coxeter matrix, computed as Id_n - I(Q)^T I(Q^{-1}) and as
-    -G^T G^{-1}; the two must agree exactly."""
+    """The n x n Coxeter matrix -G^T G^{-1}, built entrywise as
+    Id_n - I(Q)^T I(Q^{-1}): entry (i, j) is delta_ij minus the inner product
+    of the incidence columns of arrow i of Q and arrow j of Q^{-1}.
+
+    Proof.  I(Q^{-1}) = I(Q) G^{-1} and I(Q)^T I(Q) = G + G^T give
+    Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.
+    """
     if not is_connected(q):
         raise ValueError("Coxeter matrix requires a connected quiver")
-    gram = triangular_gram(q)
-    gram_inv = unitriangular_inverse(gram)
-    by_gram = coxeter_from_gram(gram, gram_inv)
-    if q.n:
-        inc = incidence_matrix(q)
-        inc_inverse = mat_mul(inc, gram_inv)
-        by_incidence = mat_sub(identity(q.n), mat_mul(transpose(inc), inc_inverse))
-        if by_incidence != by_gram:
-            raise InvariantViolation("the two Coxeter matrix formulas disagree")
-    return by_gram
+    _, inverse_arrows = _prefix_products(q)
+    rows = []
+    for i, a in enumerate(q.arrows):
+        row = [-_column_dot(a, b) for b in inverse_arrows]
+        row[i] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def cycle_type_of_quiver(q: Quiver) -> Partition:

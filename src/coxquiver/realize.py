@@ -58,20 +58,6 @@ def _chord_indices(pi: Partition) -> list[int]:
     return out
 
 
-def linear_quiver(m: int) -> Quiver:
-    """Arrows j: v_j -> v_{j+1} for j = 1..m-1."""
-    if m < 2:
-        raise ValueError("linear quiver needs at least two vertices")
-    return Quiver(m, tuple((j, j + 1) for j in range(1, m)))
-
-
-def star_quiver(m: int) -> Quiver:
-    """Arrows j: v_1 -> v_{j+1} for j = 1..m-1."""
-    if m < 2:
-        raise ValueError("star quiver needs at least two vertices")
-    return Quiver(m, tuple((1, j + 1) for j in range(1, m)))
-
-
 def representative_quiver_A(pi: Partition, d: int) -> Quiver:
     """Connected quiver with cycle type pi and corank length(pi) - 1 + 2d.
 

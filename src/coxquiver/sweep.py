@@ -34,9 +34,7 @@ from .invariants import (
 from .linalg import (
     char_poly,
     coxeter_from_gram,
-    identity,
     mat_mul,
-    mat_sub,
     permutation_matrix,
     poly_divmod,
     rational_rank,
@@ -47,6 +45,8 @@ from .linalg import (
 from .partitions import Partition, cycle_type_of_permutation, part1c
 from .quiver import (
     Quiver,
+    coxeter_laplace,
+    coxeter_matrix_of_quiver,
     incidence_matrix,
     inverse_quiver,
     iter_connected_quivers,
@@ -62,6 +62,9 @@ from .unitform import UnitForm, coxeter_matrix, symmetric_gram
 
 _SAMPLE_CAP = 20
 _SPLIT_THRESHOLD = 20000
+# with a seed, every this-many-th quiver of a work unit gets the congruence
+# spot checks
+_CONGRUENCE_SAMPLE_RATE = 997
 
 CHECKS = (
     "matrix_identities",
@@ -163,20 +166,18 @@ def _check_quiver(q: Quiver, rec, admissible: frozenset) -> tuple:
 
     # I(Q^-1) by prefix products of arrow transpositions against I(Q) G^-1
     gram_inv = unitriangular_inverse(gram_tri)
-    inc_inverse = mat_mul(inc, gram_inv)
-    if incidence_matrix(inverse_quiver(q)) != inc_inverse:
+    if incidence_matrix(inverse_quiver(q)) != mat_mul(inc, gram_inv):
         rec("matrix_identities", f"{label}: I(Q^-1) != I(Q) G^-1")
 
     # Coxeter-Laplace matrix Id - I(Q^-1) I^T equals the permutation matrix
     # of the vertex permutation
     xi = vertex_permutation(q, allow_disconnected=True)
-    if mat_sub(identity(m), mat_mul(inc_inverse, inc_t)) != permutation_matrix(xi):
+    if coxeter_laplace(q) != permutation_matrix(xi):
         rec("matrix_identities",
             f"{label}: Coxeter-Laplace matrix != walk permutation matrix")
 
     # Coxeter matrix both ways: Id - I^T I(Q^-1) vs -G^T G^-1
-    if (mat_sub(identity(n), mat_mul(inc_t, inc_inverse))
-            != coxeter_from_gram(gram_tri, gram_inv)):
+    if coxeter_matrix_of_quiver(q) != coxeter_from_gram(gram_tri, gram_inv):
         rec("matrix_identities", f"{label}: the two Coxeter matrix formulas disagree")
 
     # cycle type membership for corank n - m + 1
@@ -209,7 +210,7 @@ def _check_congruence(rec, q: Quiver, rng: random.Random) -> None:
 
 
 def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
-    m, n, pair_index, seed, sample_rate = args
+    m, n, pair_index, seed = args
     report = SweepReport(m, n)
     rec = report.record
     admissible = frozenset(part1c(n - m + 1, m))
@@ -226,7 +227,7 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
         elif known != ct_parts:
             rec("cycle_type_membership",
                 f"m={m} arrows={q.arrows}: equal forms with different cycle types")
-        if rng is not None and report.quiver_count % sample_rate == 0:
+        if rng is not None and report.quiver_count % _CONGRUENCE_SAMPLE_RATE == 0:
             _check_congruence(rec, q, rng)
     return report, forms
 
@@ -331,17 +332,17 @@ def _phase2_worker(args: tuple) -> SweepReport:
 # orchestration
 # ---------------------------------------------------------------------------
 
-def _phase1_units(max_vertices: int, max_arrows: int, seed: int | None,
-                  sample_rate: int) -> list[tuple]:
+def _phase1_units(max_vertices: int, max_arrows: int,
+                  seed: int | None) -> list[tuple]:
     units = []
     for m in range(2, max_vertices + 1):
         for n in range(max(m - 1, 1), max_arrows + 1):
             pairs = m * (m - 1)
             if comb(pairs + n - 1, n) > _SPLIT_THRESHOLD:
                 for index in range(pairs):
-                    units.append((m, n, index, seed, sample_rate))
+                    units.append((m, n, index, seed))
             else:
-                units.append((m, n, -1, seed, sample_rate))
+                units.append((m, n, -1, seed))
     return units
 
 
@@ -362,8 +363,7 @@ def _fan_out(worker, units: list, jobs: int):
 
 def run_sweep(max_vertices: int, max_arrows: int, *,
               seed: int | None = None,
-              jobs: int = 1,
-              congruence_sample_rate: int = 997) -> SweepReport:
+              jobs: int = 1) -> SweepReport:
     """Check every identity over all connected loop-less quivers with at
     most ``max_vertices`` vertices and ``max_arrows`` arrows (arrow multisets
     in lexicographic order, all vertex labelings kept).
@@ -377,7 +377,7 @@ def run_sweep(max_vertices: int, max_arrows: int, *,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     report = SweepReport(max_vertices, max_arrows)
-    units = _phase1_units(max_vertices, max_arrows, seed, congruence_sample_rate)
+    units = _phase1_units(max_vertices, max_arrows, seed)
     forms: dict[bytes, tuple[int, ...]] = {}
     for part, unit_forms in _fan_out(_phase1_worker, units, jobs):
         report.merge(part)

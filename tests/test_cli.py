@@ -264,6 +264,7 @@ def test_usage_error_exit_2(capsys):
         (["verify", "--max-arrows", "-1"], "--max-arrows"),
         (["representative", "--pi", "3,2", "--d", "-1"], "--d"),
         (["enumerate", "--n", "4", "--c", "-1"], "--c"),
+        (["enumerate", "--n", "0", "--c", "0"], "--n"),
         (["from-poly", "--poly", "1,1", "--c", "-1"], "--c"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -382,6 +383,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["partition"] == [4]
+
+
+def test_closed_output_pipe_exits_141_without_traceback():
+    # as in ``coxquiver enumerate ... | head -1``; the read end is closed
+    # before the child has finished starting, so its one write must fail
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxquiver", "enumerate", "--n", "14", "--c", "1",
+         "--format", "table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == ""  # no BrokenPipeError traceback
+    assert proc.returncode == 141
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from coxquiver.partitions import (
     char_poly_of_partition,
     cycle_type_of_permutation,
     part1c,
-    partition,
     partitions_by_length,
-    permutation_of_partition,
 )
 
 
@@ -33,6 +31,18 @@ def brute_force_partitions(m):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
     return [Partition(p) for p in rec(m, m)]
+
+
+def permutation_of_partition(p):
+    """The permutation of {1..m} written as consecutive cycles of the part
+    lengths: (1..pi_1)(pi_1+1..pi_1+pi_2)..."""
+    images = []
+    start = 1
+    for part in p.parts:
+        block = list(range(start, start + part))
+        images.extend(block[1:] + block[:1])
+        start += part
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +220,3 @@ def test_cycle_type_of_partition_permutation():
     for m in range(1, 11):
         for pi in brute_force_partitions(m):
             assert cycle_type_of_permutation(permutation_of_partition(pi)) == pi
-
-
-def test_partition_helper_sorts():
-    assert partition(1, 3, 2).parts == (3, 2, 1)

@@ -435,6 +435,13 @@ def test_transposition_products_match_the_walk_oracle(case):
     expected = walk_inverse_arrows(q)
     if connected:
         assert inverse_quiver(q).arrows == expected
+        # the arrow constructions against the dense products
+        inc = incidence_matrix(q)
+        inc_inverse = incidence_matrix(Quiver(q.m, expected))
+        assert coxeter_matrix_of_quiver(q) == mat_sub(
+            identity(q.n), mat_mul(transpose(inc), inc_inverse))
+        assert coxeter_laplace(q) == mat_sub(
+            identity(q.m), mat_mul(inc_inverse, transpose(inc)))
     else:
         with pytest.raises(ValueError, match="connected"):
             inverse_quiver(q)
@@ -630,9 +637,11 @@ def test_all_identities_small_exhaustive_any_order():
                 lam = mat_sub(identity(m),
                               mat_mul(incidence_matrix(qinv), inc_t))
                 assert lam == permutation_matrix(xi)
+                assert coxeter_laplace(q) == lam
                 phi = mat_sub(identity(n),
                               mat_mul(inc_t, incidence_matrix(qinv)))
                 assert phi == mat_neg(mat_mul(transpose(gram), gram_inv))
+                assert coxeter_matrix_of_quiver(q) == phi
                 assert cycle_type_of_permutation(xi) in admissible
     # 30 connected arrow sequences on 2 vertices, 1464 on 3 (counted by hand)
     assert checked == 1494
@@ -667,7 +676,7 @@ def test_identities_random_larger_quivers(q):
     assert incidence_matrix(qinv) == mat_mul(inc, gram_inv)
     lam = coxeter_laplace(q)
     assert lam == permutation_matrix(vertex_permutation(q))
-    coxeter_matrix_of_quiver(q)  # asserts its own two-formula agreement
+    assert coxeter_matrix_of_quiver(q) == mat_neg(mat_mul(transpose(gram), gram_inv))
     order = 1
     ct = cycle_type_of_quiver(q)
     for p in ct.parts:

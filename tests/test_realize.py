@@ -26,12 +26,10 @@ from coxquiver.realize import (
     STRATEGY,
     basis_change_to_canonical,
     canonical_extension_quiver,
-    linear_quiver,
     realize,
     realize_quiver,
     representative_quiver_A,
     representative_quiver_star,
-    star_quiver,
     weak_congruence_to_canonical,
 )
 from coxquiver.unitform import (
@@ -49,6 +47,16 @@ from coxquiver.unitform import (
 # ---------------------------------------------------------------------------
 # representative families
 # ---------------------------------------------------------------------------
+
+def linear_quiver(m):
+    """Arrows j: v_j -> v_{j+1} for j = 1..m-1."""
+    return Quiver(m, tuple((j, j + 1) for j in range(1, m)))
+
+
+def star_quiver(m):
+    """Arrows j: v_1 -> v_{j+1} for j = 1..m-1."""
+    return Quiver(m, tuple((1, j + 1) for j in range(1, m)))
+
 
 def test_representative_single_part_is_linear():
     for m in range(2, 7):

@@ -1,9 +1,19 @@
 """Sweep orchestration tests: worker fan-out, deterministic merging, and
 checks that record a failure when they are fed a wrong answer."""
 
+import pytest
+
+from coxquiver import sweep
 from coxquiver.quiver import Quiver, triangular_gram
 from coxquiver.realize import STRATEGY
-from coxquiver.sweep import SweepReport, _encode_gram, _phase2_worker, run_sweep
+from coxquiver.sweep import (
+    SweepReport,
+    _encode_gram,
+    _phase1_units,
+    _phase1_worker,
+    _phase2_worker,
+    run_sweep,
+)
 
 
 def test_two_workers_match_one():
@@ -50,3 +60,74 @@ def test_merge_keeps_the_first_samples_in_submission_order():
     assert (total.quiver_count, total.form_count) == (30, 6)
     assert total.strategy_counts == {STRATEGY: 6}
     assert total.total_failures == 36
+
+
+PHASE1_CHECKS = ("matrix_identities", "laplace_kernel", "cycle_type_membership")
+
+
+def _bump_corner(matrix):
+    """``matrix`` with 1 added to its top-right entry, if that entry is off
+    the diagonal (a triangular Gram matrix keeps its unit diagonal)."""
+    if len(matrix[0]) < 2:
+        return matrix
+    rows = [list(row) for row in matrix]
+    rows[0][-1] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+def _reverse_last_arrow(q):
+    return Quiver(q.m, q.arrows[:-1] + (q.arrows[-1][::-1],))
+
+
+def _swap_first_images(xi):
+    return (xi[1], xi[0]) + tuple(xi[2:])
+
+
+# route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
+# that must record a failure)
+PHASE1_CORRUPTIONS = {
+    "triangular Gram": (
+        "triangular_gram", lambda route: lambda q: _bump_corner(route(q)),
+        {"matrix_identities"}),
+    "inverse arrows": (
+        "inverse_quiver", lambda route: lambda q: _reverse_last_arrow(route(q)),
+        {"matrix_identities"}),
+    "Phi builder": (
+        "coxeter_matrix_of_quiver", lambda route: lambda q: _bump_corner(route(q)),
+        {"matrix_identities"}),
+    "Laplace": (
+        "laplace", lambda route: lambda q: _bump_corner(route(q)),
+        {"matrix_identities", "laplace_kernel"}),
+    "Coxeter-Laplace": (
+        "coxeter_laplace", lambda route: lambda q: _bump_corner(route(q)),
+        {"matrix_identities"}),
+    "xi": (
+        "vertex_permutation",
+        lambda route: lambda q, **kw: _swap_first_images(route(q, **kw)),
+        {"matrix_identities"}),
+}
+
+
+def _phase1_report(max_vertices, max_arrows):
+    total = SweepReport(max_vertices, max_arrows)
+    for unit in _phase1_units(max_vertices, max_arrows, None):
+        part, _ = _phase1_worker(unit)
+        total.merge(part)
+    return total
+
+
+def test_phase1_is_clean_on_the_library_routes():
+    report = _phase1_report(3, 4)
+    assert report.ok()
+    assert report.quiver_count > 0
+
+
+@pytest.mark.parametrize("route", sorted(PHASE1_CORRUPTIONS))
+def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
+    name, corrupt, expected = PHASE1_CORRUPTIONS[route]
+    monkeypatch.setattr(sweep, name, corrupt(getattr(sweep, name)))
+    report = _phase1_report(3, 4)
+    fired = {check for check in PHASE1_CHECKS if report.failure_counts[check]}
+    assert expected <= fired, (route, report.failure_counts)
+    for check in fired:
+        assert all(s.startswith("m=") for s in report.failure_samples[check])

@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 from math import isqrt
-from operator import mul, neg, sub
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -65,10 +65,6 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
-def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple([tuple(map(neg, row)) for row in a])
-
-
 def is_square(m: IntMatrix) -> bool:
     return not m or len(m) == len(m[0])
 
@@ -81,19 +77,24 @@ def is_symmetric(m: IntMatrix) -> bool:
 
 
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
-    """Exact k-th power of a square matrix, k >= 0, by repeated squaring."""
+    """Exact k-th power of a square matrix, k >= 0, by repeated squaring;
+    the product starts from the lowest set bit of k, not from the
+    identity."""
     if not is_square(m):
         raise ValueError("matrix power requires a square matrix")
     if k < 0:
         raise ValueError("negative matrix power not supported")
-    result = identity(len(m))
+    if k == 0:
+        return identity(len(m))
+    result = None
     base = m
-    while k:
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = mat_mul(base, base)
 
 
 def is_nilpotent(m: IntMatrix) -> bool:
@@ -197,8 +198,25 @@ def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def coxeter_from_gram(gram: IntMatrix, gram_inv: IntMatrix) -> IntMatrix:
-    """The Coxeter matrix -G^T G^{-1}, given G and its inverse."""
-    return mat_neg(mat_mul(transpose(gram), gram_inv))
+    """The Coxeter matrix -G^T G^{-1}, given an upper triangular G and its
+    inverse.
+
+    -G^T G^{-1} = -sum_k (row k of G)^T (row k of G^{-1}), so row i of the
+    product is minus the rows k of G^{-1} weighted by g_ki.  G is upper
+    triangular, so only k <= i with g_ki nonzero contribute.
+    """
+    n = len(gram)
+    rows = []
+    for i, g_col in enumerate(zip(*gram)):
+        row = [0] * n
+        for k in range(i + 1):
+            c = g_col[k]
+            if c == 1:
+                row = list(map(sub, row, gram_inv[k]))
+            elif c:
+                row = [x - c * y for x, y in zip(row, gram_inv[k])]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

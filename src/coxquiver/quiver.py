@@ -18,7 +18,6 @@ vertex permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .errors import NotConnected
@@ -210,20 +209,26 @@ def inverse_quiver(q: Quiver) -> Quiver:
 
 
 def coxeter_laplace(q: Quiver) -> IntMatrix:
-    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T, built as Id_m
-    minus the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
-    where (s'_i, t'_i) is arrow i of Q^{-1}; it is the permutation matrix of
-    the vertex permutation.
-
-    Proof.  tau_i = Id - (e_{s_i} - e_{t_i})(e_{s_i} - e_{t_i})^T and
-    P_{i-1}(e_{s_i} - e_{t_i}) = e_{s'_i} - e_{t'_i}, so term i is
-    P_{i-1}(Id - tau_i) = P_{i-1} - P_i; the sum telescopes to Id - P(xi).
-    """
+    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T; it is the
+    permutation matrix of the vertex permutation (see
+    :func:`_coxeter_laplace`)."""
     if not is_connected(q):
         raise ValueError("Coxeter-Laplace matrix requires a connected quiver")
     _, inverse_arrows = _prefix_products(q)
-    rows = [[int(u == v) for u in range(q.m)] for v in range(q.m)]
-    for (s, t), (s2, t2) in zip(q.arrows, inverse_arrows):
+    return _coxeter_laplace(q.m, q.arrows, inverse_arrows)
+
+
+def _coxeter_laplace(m: int, arrows, inverse_arrows) -> IntMatrix:
+    """Id_m minus the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
+    where (s_i, t_i) is arrow i of Q and (s'_i, t'_i) arrow i of Q^{-1}.
+
+    Proof that this is the permutation matrix of the vertex permutation.
+    tau_i = Id - (e_{s_i} - e_{t_i})(e_{s_i} - e_{t_i})^T and
+    P_{i-1}(e_{s_i} - e_{t_i}) = e_{s'_i} - e_{t'_i}, so term i is
+    P_{i-1}(Id - tau_i) = P_{i-1} - P_i; the sum telescopes to Id - P(xi).
+    """
+    rows = [[int(u == v) for u in range(m)] for v in range(m)]
+    for (s, t), (s2, t2) in zip(arrows, inverse_arrows):
         rows[s2 - 1][s - 1] -= 1
         rows[s2 - 1][t - 1] += 1
         rows[t2 - 1][s - 1] += 1
@@ -233,18 +238,26 @@ def coxeter_laplace(q: Quiver) -> IntMatrix:
 
 def coxeter_matrix_of_quiver(q: Quiver) -> IntMatrix:
     """The n x n Coxeter matrix -G^T G^{-1}, built entrywise as
-    Id_n - I(Q)^T I(Q^{-1}): entry (i, j) is delta_ij minus the inner product
-    of the incidence columns of arrow i of Q and arrow j of Q^{-1}.
-
-    Proof.  I(Q^{-1}) = I(Q) G^{-1} and I(Q)^T I(Q) = G + G^T give
-    Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.
-    """
+    Id_n - I(Q)^T I(Q^{-1}) (see :func:`_coxeter_matrix`)."""
     if not is_connected(q):
         raise ValueError("Coxeter matrix requires a connected quiver")
     _, inverse_arrows = _prefix_products(q)
+    return _coxeter_matrix(q.arrows, inverse_arrows)
+
+
+def _coxeter_matrix(arrows, inverse_arrows) -> IntMatrix:
+    """Id_n - I(Q)^T I(Q^{-1}): entry (i, j) is delta_ij minus the inner
+    product of the incidence columns of arrow i of Q and arrow j of Q^{-1}.
+
+    Proof that this is -G^T G^{-1}.  I(Q^{-1}) = I(Q) G^{-1} and
+    I(Q)^T I(Q) = G + G^T give
+    Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.
+    """
     rows = []
-    for i, a in enumerate(q.arrows):
-        row = [-_column_dot(a, b) for b in inverse_arrows]
+    for i, (s, t) in enumerate(arrows):
+        # minus _column_dot((s, t), (s2, t2)), inlined: this runs n^2 times
+        row = [(s == t2) + (t == s2) - (s == s2) - (t == t2)
+               for s2, t2 in inverse_arrows]
         row[i] += 1
         rows.append(tuple(row))
     return tuple(rows)
@@ -288,31 +301,70 @@ def ordered_pairs(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def iter_connected_quivers(m: int, n: int,
-                           first_pair: tuple[int, int] | None = None) -> Iterator[Quiver]:
+                           first_pair: tuple[int, int] | None = None
+                           ) -> Iterator[tuple[int, Quiver]]:
     """All connected loop-less quivers with m vertices and n arrows whose
-    arrow tuple is a lexicographically sorted multiset of ordered pairs.
+    arrow tuple is a lexicographically sorted multiset of ordered pairs,
+    each with the number of leading arrows it shares with the quiver
+    yielded before it (0 for the first).
 
-    Every multiset of arrows appears exactly once, in its sorted order;
-    vertex labelings are not collapsed.  ``first_pair`` restricts the
-    enumeration to multisets whose smallest arrow is that pair (used to
-    partition the index space for parallel sweeps).
+    Every multiset of arrows appears exactly once, in its sorted order and
+    in the order of ``combinations_with_replacement``; vertex labelings are
+    not collapsed.  ``first_pair`` restricts the enumeration to multisets
+    whose smallest arrow is that pair (used to partition the index space
+    for parallel sweeps).
+
+    The multisets are walked depth first: a prefix is extended only by
+    pairs no smaller than its last arrow, and its components are kept as a
+    label per vertex.  A prefix whose components, less one, outnumber the
+    arrows still to come cannot be completed to a connected quiver and is
+    dropped with everything below it.  Consumers that keep state per prefix
+    rebuild it only from the first arrow that changed.
     """
     if m == 1:
         if n == 0 and first_pair is None:
-            yield Quiver(1, ())
+            yield 0, Quiver(1, ())
         return
     if n < m - 1:
         return
     pairs = ordered_pairs(m)
     if first_pair is None:
-        for combo in combinations_with_replacement(pairs, n):
-            if len(spanning_tree(m, combo)) == m - 1:
-                yield Quiver(m, combo)
+        choice, first_end = 0, len(pairs)
+    elif first_pair in pairs:
+        choice = pairs.index(first_pair)
+        first_end = choice + 1
     else:
-        rest = tuple(p for p in pairs if p >= first_pair)
-        if not rest or rest[0] != first_pair:
-            return
-        for combo in combinations_with_replacement(rest, n - 1):
-            arrows = (first_pair,) + combo
-            if len(spanning_tree(m, arrows)) == m - 1:
-                yield Quiver(m, arrows)
+        return
+    # before arrow d: labels[d][v] names the component of vertex v and
+    # counts[d] is the number of components
+    labels = [tuple(range(m + 1))] + [()] * (n - 1)
+    counts = [m] + [0] * (n - 1)
+    choices = [choice] + [0] * (n - 1)
+    arrows = [(0, 0)] * n
+    shared = depth = 0
+    while True:
+        choice = choices[depth]
+        if choice == (first_end if depth == 0 else len(pairs)):
+            if depth == 0:
+                return
+            depth -= 1
+            choices[depth] += 1
+            continue
+        pair = arrows[depth] = pairs[choice]
+        shared = min(shared, depth)
+        label, count = labels[depth], counts[depth]
+        a, b = label[pair[0]], label[pair[1]]
+        if a != b:
+            label = tuple([a if x == b else x for x in label])
+            count -= 1
+        if count + depth > n:
+            # count - 1 merges needed, n - depth - 1 arrows left
+            choices[depth] += 1
+        elif depth == n - 1:
+            yield shared, Quiver(m, tuple(arrows))
+            shared = n
+            choices[depth] += 1
+        else:
+            depth += 1
+            labels[depth], counts[depth] = label, count
+            choices[depth] = choice

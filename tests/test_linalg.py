@@ -18,10 +18,12 @@ from coxquiver.errors import InvariantViolation
 from coxquiver.linalg import (
     _char_poly_modulus,
     char_poly,
+    coxeter_from_gram,
     cycle_decomposition,
     identity,
     is_psd,
     mat_mul,
+    mat_pow,
     permutation_matrix,
     poly_divmod,
     poly_mul,
@@ -397,3 +399,33 @@ def test_poly_divmod_remainder():
     q, r = poly_divmod((1, 1, 1), (-1, 1))  # v^2 + v + 1 by v - 1
     assert poly_normalize(r) == (3,)
     assert q == (2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(4, st.integers(min_value=-2, max_value=2), min_n=0))
+def test_mat_pow_matches_repeated_multiplication(m):
+    expected = identity(len(m))
+    for k in range(13):
+        assert mat_pow(m, k) == expected, k
+        expected = mat_mul(expected, m)
+
+
+def test_mat_pow_rejects_non_square_and_negative_powers():
+    with pytest.raises(ValueError, match="square"):
+        mat_pow(((1, 2, 3), (4, 5, 6)), 2)
+    with pytest.raises(ValueError, match="negative"):
+        mat_pow(identity(2), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=n * n, max_size=n * n).map(
+        lambda xs: tuple(tuple(1 if i == j else xs[i * n + j] if j > i else 0
+                               for j in range(n)) for i in range(n)))))
+def test_coxeter_from_gram_matches_the_dense_product(gram):
+    # -G^T G^{-1} as a dense product, for upper unitriangular G
+    gram_inv = unitriangular_inverse(gram)
+    dense = tuple(tuple(-x for x in row)
+                  for row in mat_mul(transpose(gram), gram_inv))
+    assert coxeter_from_gram(gram, gram_inv) == dense

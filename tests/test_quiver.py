@@ -10,6 +10,7 @@ definition live here, as the oracle those products are checked against.
 
 import json
 import random
+from itertools import combinations_with_replacement
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from coxquiver.linalg import (
     identity,
     mat_mul,
-    mat_neg,
     mat_sub,
     permutation_matrix,
     rational_rank,
@@ -40,12 +40,14 @@ from coxquiver.quiver import (
     iter_connected_quivers,
     laplace,
     opposite,
+    ordered_pairs,
     relabel_vertices,
     remove_last_arrow,
     spanning_tree,
     triangular_gram,
     vertex_permutation,
 )
+from coxquiver.sweep import _phase1_units
 from coxquiver.unitform import form_from_upper, is_connected as form_connected
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -54,6 +56,10 @@ KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 
 def linear_quiver(m):
     return Quiver(m, tuple((j, j + 1) for j in range(1, m)))
+
+
+def mat_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 def all_quivers(m, n):
@@ -691,14 +697,37 @@ def test_identities_random_larger_quivers(q):
 
 def test_enumeration_counts_and_exactness():
     # spot-check the multiset enumeration: connected quivers on 2 vertices
-    assert sorted(q.arrows for q in iter_connected_quivers(2, 2)) == [
+    assert sorted(q.arrows for _, q in iter_connected_quivers(2, 2)) == [
         ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 1))
     ]
     # all yielded quivers are connected, sorted multisets, and unique
     seen = set()
-    for q in iter_connected_quivers(4, 4):
+    for _, q in iter_connected_quivers(4, 4):
         assert is_connected(q)
         assert tuple(sorted(q.arrows)) == q.arrows
         assert q not in seen
         seen.add(q)
     assert len(seen) == 816
+
+
+def test_walk_enumerates_the_filtered_combinations_of_every_sweep_unit():
+    # oracle: every sorted multiset of ordered pairs, in the order of
+    # combinations_with_replacement, kept when it spans all m vertices
+    for m, n, pair_index, _ in _phase1_units(4, 6, None):
+        pairs = ordered_pairs(m)
+        first = [None] + list(pairs) if pair_index < 0 else [pairs[pair_index]]
+        for first_pair in first:
+            expected = [
+                combo for combo in combinations_with_replacement(pairs, n)
+                if len(spanning_tree(m, combo)) == m - 1
+                and first_pair in (None, combo[0])
+            ]
+            walked = list(iter_connected_quivers(m, n, first_pair))
+            assert [q.arrows for _, q in walked] == expected, (m, n, first_pair)
+            previous = ()
+            for shared, q in walked:
+                common = 0
+                while common < len(previous) and previous[common] == q.arrows[common]:
+                    common += 1
+                assert shared == common, (m, n, first_pair, q.arrows)
+                previous = q.arrows

@@ -395,7 +395,7 @@ def test_both_strategies_agree_exhaustively_small():
         for n in range(m - 1, 6):
             if n < 1:
                 continue
-            for q in iter_connected_quivers(m, n):
+            for _, q in iter_connected_quivers(m, n):
                 gram = triangular_gram(q)
                 if gram in seen:
                     continue

@@ -1,9 +1,12 @@
 """Sweep orchestration tests: worker fan-out, deterministic merging, and
 checks that record a failure when they are fed a wrong answer."""
 
+import json
+
 import pytest
 
 from coxquiver import sweep
+from coxquiver.cli import main
 from coxquiver.quiver import Quiver, triangular_gram
 from coxquiver.realize import STRATEGY
 from coxquiver.sweep import (
@@ -75,12 +78,14 @@ def _bump_corner(matrix):
     return tuple(tuple(row) for row in rows)
 
 
-def _reverse_last_arrow(q):
-    return Quiver(q.m, q.arrows[:-1] + (q.arrows[-1][::-1],))
+def _reverse_last_inverse_arrow(products):
+    images, inverse_arrows = products
+    return images, inverse_arrows[:-1] + [inverse_arrows[-1][::-1]]
 
 
-def _swap_first_images(xi):
-    return (xi[1], xi[0]) + tuple(xi[2:])
+def _swap_first_images(products):
+    images, inverse_arrows = products
+    return [images[0], images[2], images[1]] + images[3:], inverse_arrows
 
 
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
@@ -90,20 +95,23 @@ PHASE1_CORRUPTIONS = {
         "triangular_gram", lambda route: lambda q: _bump_corner(route(q)),
         {"matrix_identities"}),
     "inverse arrows": (
-        "inverse_quiver", lambda route: lambda q: _reverse_last_arrow(route(q)),
+        "_prefix_products",
+        lambda route: lambda q: _reverse_last_inverse_arrow(route(q)),
         {"matrix_identities"}),
     "Phi builder": (
-        "coxeter_matrix_of_quiver", lambda route: lambda q: _bump_corner(route(q)),
+        "_coxeter_matrix",
+        lambda route: lambda arrows, inverse: _bump_corner(route(arrows, inverse)),
         {"matrix_identities"}),
     "Laplace": (
         "laplace", lambda route: lambda q: _bump_corner(route(q)),
         {"matrix_identities", "laplace_kernel"}),
     "Coxeter-Laplace": (
-        "coxeter_laplace", lambda route: lambda q: _bump_corner(route(q)),
+        "_coxeter_laplace",
+        lambda route: lambda m, arrows, inverse: _bump_corner(
+            route(m, arrows, inverse)),
         {"matrix_identities"}),
     "xi": (
-        "vertex_permutation",
-        lambda route: lambda q, **kw: _swap_first_images(route(q, **kw)),
+        "_prefix_products", lambda route: lambda q: _swap_first_images(route(q)),
         {"matrix_identities"}),
 }
 
@@ -116,12 +124,6 @@ def _phase1_report(max_vertices, max_arrows):
     return total
 
 
-def test_phase1_is_clean_on_the_library_routes():
-    report = _phase1_report(3, 4)
-    assert report.ok()
-    assert report.quiver_count > 0
-
-
 @pytest.mark.parametrize("route", sorted(PHASE1_CORRUPTIONS))
 def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     name, corrupt, expected = PHASE1_CORRUPTIONS[route]
@@ -131,3 +133,44 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     assert expected <= fired, (route, report.failure_counts)
     for check in fired:
         assert all(s.startswith("m=") for s in report.failure_samples[check])
+
+
+FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))
+
+
+def _raise_on_one_quiver(route):
+    def wrapped(arrows, inverse_arrows):
+        if arrows == FAULTY_ARROWS:
+            raise RuntimeError("injected fault")
+        return route(arrows, inverse_arrows)
+    return wrapped
+
+
+def test_a_route_that_raises_on_one_quiver_is_recorded_not_fatal(monkeypatch, capsys):
+    clean = run_sweep(3, 4, seed=5)
+    monkeypatch.setattr(sweep, "_coxeter_matrix",
+                        _raise_on_one_quiver(sweep._coxeter_matrix))
+    faulty = run_sweep(3, 4, seed=5)
+    assert faulty.quiver_count == clean.quiver_count
+    assert faulty.failure_samples["matrix_identities"] == [
+        f"m=3 arrows={FAULTY_ARROWS}: raised RuntimeError('injected fault')"]
+    assert faulty.total_failures == 1
+
+    code = main(["verify", "--max-vertices", "3", "--max-arrows", "4",
+                 "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data.keys() == clean.to_json().keys()
+    assert data["failure_counts"]["matrix_identities"] == 1
+
+
+def test_a_form_check_that_raises_is_recorded_against_that_check(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(sweep, "coxeter_number_violations", boom)
+    gram = triangular_gram(Quiver(4, ((1, 2), (2, 3), (3, 4))))
+    report = _phase2_worker((4, 3, [(_encode_gram(gram), (4,))]))
+    assert report.failure_samples["coxeter_numbers"] == [
+        f"n=3 c=0 gram={gram}: raised RuntimeError('injected fault')"]
+    assert report.total_failures == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxquiver.linalg import char_poly, identity, mat_neg
+from coxquiver.linalg import char_poly, identity
 from coxquiver.quiver import (
     Quiver,
     coxeter_matrix_of_quiver,
@@ -153,7 +153,7 @@ def test_check_strong_congruence_identity():
 
 
 def test_check_strong_congruence_negated_identity():
-    minus = mat_neg(identity(2))
+    minus = ((-1, 0), (0, -1))
     assert check_strong_congruence(KRONECKER_FORM, KRONECKER_FORM, minus)
 
 

@@ -98,80 +98,93 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
 
 
 def is_nilpotent(m: IntMatrix) -> bool:
-    """Whether m^n = 0 for the n x n matrix m, by repeated squaring."""
+    """Whether m^n = 0 for the n x n matrix m, by repeated squaring that
+    stops at the first zero power m^k (m^n = 0 for every nilpotent m)."""
     power = m
     k = 1
-    while k < len(m):
+    while any(map(any, power)):
+        if k >= len(m):
+            return False
         power = mat_mul(power, power)
         k *= 2
-    return not any(any(row) for row in power)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # determinant / rank / inverse
 # ---------------------------------------------------------------------------
 
+def _eliminate(a: list, since: list, k: int, col: int, prev: int) -> int:
+    """One lazy fraction-free (Bareiss) step: clear column ``col`` below
+    row ``k``, whose entry there is nonzero, and return that pivot.
+
+    ``prev`` is the current leading minor, and row i is stored at the
+    scale of the minor ``since[i]`` it was last brought to.  Bareiss'
+    update of a row with a zero lead only scales it by pivot / prev, so
+    such rows are left alone: a row untouched since minor d_j holds its
+    stored values times d_k / d_j at minor d_k, and the quotient is exact
+    by Bareiss' theorem (the scaled values are minors of the input).  The
+    pivot row is brought to row_k * prev / since[k], and a row with a
+    nonzero lead to (pivot * row_i - lead * row_k) / since[i].
+    """
+    row_k = a[k]
+    if since[k] != prev:
+        _combine(row_k, prev, 0, row_k, since[k], col)
+        since[k] = prev
+    pivot = row_k[col]
+    for i in range(k + 1, len(a)):
+        row_i = a[i]
+        lead = row_i[col]
+        if lead:
+            _combine(row_i, pivot, lead, row_k, since[i], col + 1)
+            row_i[col] = 0
+            since[i] = pivot
+    return pivot
+
+
+def _combine(row: list, p: int, q: int, other: list, d: int, start: int) -> None:
+    """row <- (p * row - q * other) / d in place from column ``start`` on;
+    a remainder raises InvariantViolation."""
+    for j in range(start, len(row)):
+        quotient, r = divmod(p * row[j] - q * other[j], d)
+        if r:
+            raise InvariantViolation("fraction-free elimination lost exactness")
+        row[j] = quotient
+
+
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by lazy fraction-free elimination, swapping a row
+    with a nonzero entry into each zero pivot position."""
     if not is_square(m):
         raise ValueError("determinant requires a square matrix")
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    a, since, sign, prev = [list(row) for row in m], [1] * len(m), 1, 1
+    for k in range(len(m)):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, len(m)) if a[i][k]), None)
+            if i is None:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+            a[k], a[i] = a[i], a[k]
+            since[k], since[i] = since[i], since[k]
+            sign = -sign
+        prev = _eliminate(a, since, k, k, prev)
+    return sign * prev
 
 
 def rational_rank(m: IntMatrix) -> int:
-    """Rank over the rationals, via fraction-free Gaussian elimination."""
+    """Rank over the rationals, by lazy fraction-free elimination: the
+    number of columns in which a pivot is found."""
     if not m or not m[0]:
         return 0
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    a, since, rank, prev = [list(row) for row in m], [1] * len(m), 0, 1
+    for col in range(len(m[0])):
+        i = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if i is None:
             continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        pivot_row_vals = a[rank]
-        for i in range(rank + 1, rows):
-            row_i = a[i]
-            lead = row_i[col]
-            new_row = [0] * (col + 1)
-            for j in range(col + 1, cols):
-                num = pivot * row_i[j] - lead * pivot_row_vals[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise InvariantViolation("fraction-free elimination lost exactness")
-                new_row.append(q)
-            a[i] = new_row
-        prev = pivot
+        a[rank], a[i] = a[i], a[rank]
+        since[rank], since[i] = since[i], since[rank]
+        prev = _eliminate(a, since, rank, col, prev)
         rank += 1
-        if rank == rows:
+        if rank == len(a):
             break
     return rank
 
@@ -333,36 +346,23 @@ def char_poly(m: IntMatrix) -> IntPoly:
 def is_psd(m: IntMatrix) -> bool:
     """Decide x^T m x >= 0 for all rational x, exactly.
 
-    Fraction-free symmetric elimination: every pivot (a scaled Schur
-    complement diagonal, same sign as the rational one) must be nonnegative,
-    and a zero pivot is only admissible when its entire reduced row (hence
-    column) vanishes.  Raises ValueError on non-symmetric input.
+    Symmetric lazy fraction-free elimination (:func:`_eliminate`) without
+    row swaps: every pivot (a scaled Schur complement diagonal, same sign
+    as the rational one) must be nonnegative, and a zero pivot is only
+    admissible when its entire reduced row (hence column) vanishes.  A row
+    untouched since minor d_j holds its stored values times d_k / d_j at
+    minor d_k, exactly by Bareiss' theorem.  Every minor so far is a
+    positive pivot, so the stored row k has the signs of the reduced one.
+    Raises ValueError on non-symmetric input.
     """
     if not is_symmetric(m):
         raise ValueError("positive semidefiniteness requires a symmetric matrix")
-    n = len(m)
-    a = [list(row) for row in m]
-    prev = 1
-    for k in range(n):
-        row_k = a[k]
-        if row_k[k] < 0:
+    a, since, prev = [list(row) for row in m], [1] * len(m), 1
+    for k, row_k in enumerate(a):
+        if row_k[k] < 0 or (row_k[k] == 0 and any(row_k[k + 1:])):
             return False
-        if row_k[k] == 0:
-            if any(row_k[j] != 0 for j in range(k + 1, n)):
-                return False
-            continue
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - lead * row_k[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise InvariantViolation("fraction-free elimination lost exactness")
-                row_i[j] = q
-            row_i[k] = 0
-        prev = pivot
+        if row_k[k]:
+            prev = _eliminate(a, since, k, k, prev)
     return True
 
 

@@ -250,18 +250,20 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
     ``memo`` keeps the results that depend on the Laplace matrix or on the
     vertex permutation alone."""
     m, n = q.m, q.n
-    label = f"m={m} arrows={q.arrows}"
+
+    def label() -> str:  # formatted only for a failure
+        return f"m={m} arrows={q.arrows}"
     check = "matrix_identities"
     try:
         prefixes.rebuild(q.arrows, shared)
         gram_tri = triangular_gram(q)
         gram = tuple(zip(*prefixes.gram_cols))
         if gram_tri != gram:
-            rec(check, f"{label}: I^T I != G + G^T")
+            rec(check, f"{label()}: I^T I != G + G^T")
 
         lap = laplace(q)
         if lap != prefixes.laplace[-1]:
-            rec(check, f"{label}: I I^T != Laplace matrix")
+            rec(check, f"{label()}: I I^T != Laplace matrix")
         check = "laplace_kernel"
         if lap not in memo:
             problems = []
@@ -271,32 +273,32 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
                 problems.append("Laplace rank != m - 1")
             memo[lap] = problems
         for problem in memo[lap]:
-            rec(check, f"{label}: {problem}")
+            rec(check, f"{label()}: {problem}")
 
         check = "matrix_identities"
         images, inverse_arrows = _prefix_products(q)
         xi = tuple(images[1:])
         if inverse_arrows != prefixes.inverse_arrows:
-            rec(check, f"{label}: I(Q^-1) != I(Q) G^-1")
+            rec(check, f"{label()}: I(Q^-1) != I(Q) G^-1")
         if xi not in memo:
             memo[xi] = permutation_matrix(xi), cycle_type_of_permutation(xi)
         xi_matrix, ct = memo[xi]
         # Coxeter-Laplace matrix Id - I(Q^-1) I^T against the permutation
         # matrix of the vertex permutation
         if _coxeter_laplace(m, q.arrows, inverse_arrows) != xi_matrix:
-            rec(check, f"{label}: Coxeter-Laplace matrix != walk permutation matrix")
+            rec(check, f"{label()}: Coxeter-Laplace matrix != walk permutation matrix")
         # Coxeter matrix Id - I^T I(Q^-1) against -G^T G^-1
         gram_inv = tuple(zip(*prefixes.inv_cols))
         phi = _coxeter_matrix(q.arrows, inverse_arrows)
         if phi != coxeter_from_gram(gram, gram_inv):
-            rec(check, f"{label}: the two Coxeter matrix formulas disagree")
+            rec(check, f"{label()}: the two Coxeter matrix formulas disagree")
 
         check = "cycle_type_membership"
         if ct not in admissible:
-            rec(check, f"{label}: {ct} not admissible for corank {n - m + 1}")
+            rec(check, f"{label()}: {ct} not admissible for corank {n - m + 1}")
         return gram_tri, ct.parts
     except Exception as exc:  # one quiver's fault must not end the sweep
-        rec(check, f"{label}: raised {exc!r}")
+        rec(check, f"{label()}: raised {exc!r}")
         return None
 
 
@@ -361,7 +363,9 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
     n = len(gram_tri)
     ct = Partition(ct_parts)
     c = n - ct.m + 1
-    label = f"n={n} c={c} gram={gram_tri}"
+
+    def label() -> str:  # formatted only for a failure
+        return f"n={n} c={c} gram={gram_tri}"
     try:
         check = "polynomial_factorization"
         form = UnitForm(n, gram_tri)
@@ -373,29 +377,29 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
         dense = coxeter_polynomial_of_cycle_type(ct, c).expand()
         if dense != direct:
             rec("polynomial_factorization",
-                f"{label}: factored expansion != Coxeter characteristic polynomial")
+                f"{label()}: factored expansion != Coxeter characteristic polynomial")
 
         check = "coxeter_numbers"
         for problem in coxeter_number_violations(phi, direct, ct):
-            rec("coxeter_numbers", f"{label}: {problem}")
+            rec("coxeter_numbers", f"{label()}: {problem}")
 
         # realization round trip, basis change to the canonical quiver included
         check = "realization_roundtrip"
         try:
             result = realize(form)
         except (ValueError, InvariantViolation) as exc:
-            rec("realization_roundtrip", f"{label}: realization failed: {exc}")
+            rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
         else:
             strategies = report.strategy_counts
             strategies[result.strategy] = strategies.get(result.strategy, 0) + 1
             if triangular_gram(result.quiver) != gram_tri:
                 rec("realization_roundtrip",
-                    f"{label}: realization changed the Gram matrix")
+                    f"{label()}: realization changed the Gram matrix")
             elif cycle_type_of_permutation(
                 vertex_permutation(result.quiver, allow_disconnected=True)
             ).parts != ct_parts:
                 rec("realization_roundtrip",
-                    f"{label}: realization changed the cycle type")
+                    f"{label()}: realization changed the cycle type")
 
         # polynomial -> cycle type round trip (memoized per cycle type/corank)
         check = "polynomial_roundtrip"
@@ -411,7 +415,7 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
                     else f"recovered {recovered} from the Coxeter polynomial"
                 )
         if roundtrip_memo[key] is not None:
-            rec("polynomial_roundtrip", f"{label}: {roundtrip_memo[key]}")
+            rec("polynomial_roundtrip", f"{label()}: {roundtrip_memo[key]}")
 
         # spectral multiplicities of the Coxeter matrix by exact division
         # (memoized per cycle type and characteristic polynomial)
@@ -440,9 +444,9 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
                         f"(v^{d}-1) divides {count} times, expected {expected}")
             multiplicity_memo[spectrum] = problems
         for problem in multiplicity_memo[spectrum]:
-            rec("spectral_multiplicities", f"{label}: {problem}")
+            rec("spectral_multiplicities", f"{label()}: {problem}")
     except Exception as exc:  # one form's fault must not end the sweep
-        rec(check, f"{label}: raised {exc!r}")
+        rec(check, f"{label()}: raised {exc!r}")
 
 
 def _phase2_worker(args: tuple) -> SweepReport:

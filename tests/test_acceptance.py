@@ -4,7 +4,8 @@ Each test prints one line ``criterion <k>: PASS|FAIL - <summary>``; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them as they complete.
 Criteria 3, 4, 6, 7 and 8 share one exhaustive sweep over all connected
 loop-less quivers with m <= 5 vertices and n <= 7 arrows, executed once per
-session.
+session.  They carry the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs the rest of the suite without the sweep.
 """
 
 import os
@@ -23,6 +24,8 @@ SWEEP_VERTICES = 5
 SWEEP_ARROWS = 7
 EXPECTED_QUIVERS = 658429
 EXPECTED_FORMS = 281508
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(number: int, summary: str, ok: bool, detail: str = "") -> None:

@@ -1,16 +1,18 @@
 """Exact linear algebra kernel tests.
 
-Reference computations (rank, PSD, characteristic polynomials) are done
-with independent brute-force or Fraction-based oracles inside this module.
+Reference computations (rank, determinant, PSD, characteristic
+polynomials, nilpotency) are done with independent brute-force or
+Fraction-based oracles inside this module.
 The Faddeev-LeVerrier recurrence, exact over the integers, is the oracle
 for the modular Hessenberg reduction of char_poly at large entries.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxquiver import linalg
@@ -20,7 +22,9 @@ from coxquiver.linalg import (
     char_poly,
     coxeter_from_gram,
     cycle_decomposition,
+    determinant,
     identity,
+    is_nilpotent,
     is_psd,
     mat_mul,
     mat_pow,
@@ -45,14 +49,21 @@ def square_matrices(max_n=4, entries=small_entries, min_n=1):
     )
 
 
+def symmetrize(rows):
+    """The symmetric matrix with the upper triangle of ``rows``."""
+    n = len(rows)
+    return tuple(
+        tuple(rows[i][j] if i <= j else rows[j][i] for j in range(n))
+        for i in range(n)
+    )
+
+
 def symmetric_matrices(max_n=4):
-    def symmetrize(rows):
-        n = len(rows)
-        return tuple(
-            tuple(rows[i][j] if i <= j else rows[j][i] for j in range(n))
-            for i in range(n)
-        )
     return square_matrices(max_n).map(symmetrize)
+
+
+# mostly zero entries, so that diagonal entries and pivots vanish often
+sparse_entries = st.sampled_from((0, 0, 0, 0, 0, -2, -1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +88,26 @@ def fraction_rank(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def fraction_det(m):
+    """Gaussian elimination over Fraction with row swaps, the determinant
+    oracle."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
 
 
 def fraction_psd(m):
@@ -344,6 +375,153 @@ def test_is_psd_brute_force_necessary_condition(m):
 
 
 # ---------------------------------------------------------------------------
+# lazy fraction-free elimination: determinant, rank and PSD
+# ---------------------------------------------------------------------------
+
+@given(square_matrices(5, min_n=0))
+@settings(max_examples=150)
+def test_determinant_against_fraction_oracle(m):
+    assert determinant(m) == fraction_det(m)
+
+
+def test_determinant_examples():
+    assert determinant(()) == 1
+    assert determinant(((0, 1), (1, 0))) == -1
+    assert determinant(((0, 0), (1, 1))) == 0
+    assert determinant(((2, -1, 0), (-1, 2, -1), (0, -1, 2))) == 4
+
+
+@given(square_matrices(12, sparse_entries, min_n=0))
+@example(((1, 1, 0), (1, 1, 0), (0, 0, 1)))   # a zero pivot whose row vanishes
+@example(((1, 1, 1), (1, 1, 0), (1, 0, 1)))   # a zero pivot with a nonzero row
+@example(((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+@settings(max_examples=200, deadline=None)
+def test_elimination_on_sparse_matrices_against_fraction_oracles(m):
+    assert determinant(m) == fraction_det(m)
+    assert rational_rank(m) == fraction_rank(m)
+    sym = symmetrize(m)
+    assert is_psd(sym) == fraction_psd(sym)
+    assert rational_rank(sym) == fraction_rank(sym)
+    # B^T B is PSD, with a zero pivot for each column dependent on earlier ones
+    gram = mat_mul(transpose(m), m)
+    assert is_psd(gram) is True
+    assert rational_rank(gram) == fraction_rank(m)
+
+
+def _arms(lengths):
+    """Edges of the star with arms of the given lengths at centre 0."""
+    edges, nxt = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return edges
+
+
+def _tree(family, n):
+    """(edges, corank) of the Dynkin tree D_n or E_n (corank 0) or the
+    Euclidean tree D~_n or E~_n (n + 1 vertices, corank 1)."""
+    if family == "D":
+        return _arms((1, 1, n - 3)), 0
+    if family == "E":
+        return _arms((1, 2, n - 4)), 0
+    if family == "D~":
+        path = [(i, i + 1) for i in range(n - 2)]
+        return path + [(1, n - 1), (n - 3, n)], 1
+    return _arms({6: (2, 2, 2), 7: (1, 3, 3), 8: (1, 2, 5)}[n]), 1
+
+
+TREES = ([("D", n) for n in range(4, 26)] + [("E", n) for n in (6, 7, 8)]
+         + [("D~", n) for n in range(4, 26)] + [("E~", n) for n in (6, 7, 8)])
+
+
+def _tree_form(family, n):
+    """The symmetric Gram matrix of the tree's unit form in a random
+    variable order with random edge signs, with its signed edges (in the
+    new order) and its corank."""
+    edges, corank = _tree(family, n)
+    size = len(edges) + 1
+    rng = random.Random(f"{family}{n}")
+    order = list(range(size))
+    rng.shuffle(order)
+    signed = {(order[u], order[v]): rng.choice((-1, 1)) for u, v in edges}
+    return _gram_of(size, signed), signed, corank
+
+
+def _gram_of(size, signed):
+    gram = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for (u, v), sign in signed.items():
+        gram[u][v] = gram[v][u] = sign
+    return tuple(map(tuple, gram))
+
+
+@pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
+def test_tree_forms_are_psd_of_corank_at_most_one(family, n):
+    gram, _, corank = _tree_form(family, n)
+    assert is_psd(gram) is True
+    assert rational_rank(gram) == len(gram) - corank
+
+
+@pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
+def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
+    # The new edge closes the tree path from u to w into a cycle; its sign
+    # makes the cycle's form vanish on h = (+-1 along the cycle).  The tree
+    # is not a path, so a vertex x off the cycle hangs on a cycle vertex v,
+    # and y = 2h - t h_v e_x, t the sign of edge vx, has y^T G y = -2.
+    gram, signed, _ = _tree_form(family, n)
+    size = len(gram)
+    adjacent = {i: {} for i in range(size)}
+    for (u, v), sign in signed.items():
+        adjacent[u][v] = adjacent[v][u] = sign
+    rng = random.Random(f"{family}{n} edge")
+    u = rng.choice([a for a in range(size) if len(adjacent[a]) < size - 1])
+    h = {u: 1}
+    parent = {u: None}
+    frontier = [u]
+    while frontier:
+        a = frontier.pop()
+        for b, sign in adjacent[a].items():
+            if b not in h:
+                h[b], parent[b] = -sign * h[a], a
+                frontier.append(b)
+    w = rng.choice([b for b in range(size) if b != u and b not in adjacent[u]])
+    cycle = [w]
+    while cycle[-1] != u:
+        cycle.append(parent[cycle[-1]])
+    extra = -h[u] * h[w]
+    x, v = next((x, v) for v in cycle for x in adjacent[v] if x not in cycle)
+    y = [0] * size
+    for c in cycle:
+        y[c] = 2 * h[c]
+    y[x] = -adjacent[v][x] * h[v]
+    closed = _gram_of(size, {**signed, (u, w): extra})
+    assert sum(y[i] * closed[i][j] * y[j]
+               for i in range(size) for j in range(size)) == -2
+    assert is_psd(closed) is False
+    assert rational_rank(closed) == fraction_rank(closed)
+
+
+@pytest.mark.parametrize("skew", ["pivot row", "rows below"])
+@pytest.mark.parametrize("function", [determinant, rational_rank, is_psd])
+def test_exactness_guard_fires_on_an_inconsistent_recorded_scale(
+        monkeypatch, function, skew):
+    step = linalg._eliminate
+
+    def skewed(a, since, k, col, prev):
+        # record scales that are not the minors the rows were brought to
+        if skew == "pivot row":
+            since[k] = 3
+        else:
+            since[k + 1:] = [7] * (len(since) - k - 1)
+        return step(a, since, k, col, prev)
+
+    monkeypatch.setattr(linalg, "_eliminate", skewed)
+    with pytest.raises(InvariantViolation, match="lost exactness"):
+        function(((2, 1), (1, 2)))
+
+
+# ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------
 
@@ -429,3 +607,48 @@ def test_coxeter_from_gram_matches_the_dense_product(gram):
     dense = tuple(tuple(-x for x in row)
                   for row in mat_mul(transpose(gram), gram_inv))
     assert coxeter_from_gram(gram, gram_inv) == dense
+
+
+def nilpotent_by_definition(m):
+    """m^n = 0 for the n x n matrix m, by n repeated products."""
+    power = identity(len(m))
+    for _ in range(len(m)):
+        power = mat_mul(power, m)
+    return not any(any(row) for row in power)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(6, st.integers(min_value=-2, max_value=2), min_n=0))
+def test_is_nilpotent_matches_the_definition(m):
+    assert is_nilpotent(m) == nilpotent_by_definition(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=3 * n * n, max_size=3 * n * n).map(
+        lambda xs: tuple(tuple(tuple(xs[t * n * n + i * n + j] for j in range(n))
+                               for i in range(n)) for t in range(3)))))
+def test_is_nilpotent_on_conjugated_strictly_triangular_matrices(blocks):
+    # U N U^-1 with N strictly upper triangular and U = L^T R for upper
+    # unitriangular L and R, so U^-1 = R^-1 (L^-1)^T
+    strict, left, right = (
+        tuple(tuple(x if j > i else int(i == j and k > 0) for j, x in enumerate(row))
+              for i, row in enumerate(block))
+        for k, block in enumerate(blocks))
+    u = mat_mul(transpose(left), right)
+    u_inv = mat_mul(unitriangular_inverse(right),
+                    transpose(unitriangular_inverse(left)))
+    m = mat_mul(mat_mul(u, strict), u_inv)
+    assert is_nilpotent(m) is True
+    assert nilpotent_by_definition(m)
+
+
+def test_is_nilpotent_small_cases():
+    assert is_nilpotent(()) is True
+    assert is_nilpotent(((0,),)) is True
+    assert is_nilpotent(((3,),)) is False
+    # a Jordan block whose powers vanish only at the full size
+    jordan = tuple(tuple(int(j == i + 1) for j in range(5)) for i in range(5))
+    assert is_nilpotent(jordan) is True
+    assert is_nilpotent(identity(4)) is False

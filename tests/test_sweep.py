@@ -135,6 +135,58 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert all(s.startswith("m=") for s in report.failure_samples[check])
 
 
+def _bump_constant_term(poly):
+    return (poly[0] + 1,) + poly[1:]
+
+
+def _bump_first_diagonal_entry(matrix):
+    """``matrix`` with 1 added to its (1, 1) entry, which moves its trace
+    and so the v^(n-1) coefficient of its characteristic polynomial."""
+    rows = [list(row) for row in matrix]
+    rows[0][0] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+# route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
+# that must record a failure on every form)
+PHASE2_CORRUPTIONS = {
+    "char_poly": (
+        "char_poly", lambda route: lambda m: _bump_constant_term(route(m)),
+        {"polynomial_factorization"}),
+    "Coxeter matrix": (
+        "coxeter_matrix",
+        lambda route: lambda form: _bump_first_diagonal_entry(route(form)),
+        {"polynomial_factorization"}),
+}
+
+
+def _phase2_report(max_vertices, max_arrows):
+    """Phase 2 of the sweep on the forms phase 1 collects from every unit."""
+    forms = {}
+    for unit in _phase1_units(max_vertices, max_arrows, None):
+        forms.update(_phase1_worker(unit)[1])
+    return _phase2_worker((max_vertices, max_arrows, sorted(forms.items())))
+
+
+def test_phase2_checks_pass_on_the_library_routes():
+    report = _phase2_report(3, 4)
+    assert report.form_count > 0
+    assert report.total_failures == 0, report.failure_counts
+
+
+@pytest.mark.parametrize("route", sorted(PHASE2_CORRUPTIONS))
+def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
+    name, corrupt, expected = PHASE2_CORRUPTIONS[route]
+    monkeypatch.setattr(sweep, name, corrupt(getattr(sweep, name)))
+    report = _phase2_report(3, 4)
+    fired = {check for check, count in report.failure_counts.items() if count}
+    assert expected <= fired, (route, report.failure_counts)
+    for check in expected:
+        assert report.failure_counts[check] == report.form_count, check
+    for check in fired:
+        assert all(s.startswith("n=") for s in report.failure_samples[check])
+
+
 FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))
 
 

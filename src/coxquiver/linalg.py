@@ -4,8 +4,9 @@ Everything here is arbitrary-precision integer arithmetic, with rational
 questions (rank, definiteness) answered by fraction-free elimination; no
 floating point is used anywhere in the package.  The characteristic
 polynomial does not use fraction-free elimination: it comes from reduction
-to Hessenberg form modulo a prime large enough to recover every integer
-coefficient.
+to Hessenberg form modulo the smallest tabled Mersenne prime that recovers
+every integer coefficient under the bound prod_i (1 + ceil(|row i|)), with
+sparse pivot rows chosen and only their nonzero columns updated.
 
 Conventions
 -----------
@@ -56,9 +57,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             raise ValueError(f"dimension mismatch: {len(a[0])} columns vs 0 rows")
         return tuple(() for _ in a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in bt) for row in a
-    )
+    # from lists: tuple() of a generator resizes its result
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -237,17 +237,19 @@ def coxeter_from_gram(gram: IntMatrix, gram_inv: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 # Exponents e of the Mersenne primes 2^e - 1 that char_poly may reduce by.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
-                       44497)
+_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607,
+                       1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
+                       19937, 21701, 23209, 44497)
 
 
 def _char_poly_modulus(m: IntMatrix) -> int:
     """The smallest tabled Mersenne prime above twice the coefficient bound
-    2^n * prod_i (isqrt(sum_j m_ij^2) + 1) of :func:`char_poly`."""
-    bound = 1 << len(m)
+    prod_i (1 + ceil(sqrt(sum_j m_ij^2))) of :func:`char_poly`."""
+    bound = 1
     for row in m:
-        bound *= isqrt(sum(x * x for x in row)) + 1
+        squares = sum(x * x for x in row)
+        root = isqrt(squares)
+        bound *= 1 + root + (root * root < squares)
     for e in _MERSENNE_EXPONENTS:
         if (1 << e) - 1 > 2 * bound:
             return (1 << e) - 1
@@ -261,23 +263,29 @@ def char_poly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(v*Id - m), exact over the integers.
 
     Coefficients are returned lowest degree first.  The work is O(n^3)
-    operations on residues modulo one prime p:
+    operations on residues modulo one prime p, and fewer on sparse input:
 
-    * Bound.  The coefficient of v^(n-k) is (-1)^k times the sum of the
-      C(n, k) principal k x k minors of m.  By Hadamard's inequality a minor
-      is at most the product of its k row norms.  Each is at most the norm
-      of the whole row i of m, which is below isqrt(sum_j m_ij^2) + 1, and
-      the rows left out contribute factors >= 1, so every minor is below
-      P = prod_i (isqrt(sum_j m_ij^2) + 1).  With C(n, k) <= 2^n, every
-      coefficient is at most B = 2^n * P in absolute value.
+    * Bound.  The coefficient c_k of v^(n-k) is (-1)^k times the sum of the
+      principal k x k minors of m.  By Hadamard's inequality a minor on the
+      rows S is at most the product of the norms of its k shortened rows,
+      each at most the norm r_i of the whole row i of m.  So |c_k| is at
+      most the elementary symmetric sum e_k(r_1, ..., r_n), and since
+      prod_i (1 + r_i) is the sum of all e_k, every coefficient is at most
+      B = prod_i (1 + ceil(r_i)) in absolute value.
     * Reduction.  p is the smallest tabled Mersenne prime with p > 2B.  Over
-      the field Z/p, m is brought to upper Hessenberg form H by similarity:
-      for each column k, a row swap (with the matching column swap) puts a
-      nonzero entry at (k+1, k) when one exists below it, and each row
-      i > k+1 loses a multiple of row k+1 while column k+1 gains the same
-      multiple of column i.  Similar matrices share their characteristic
-      polynomial, so det(v*Id - H) = char_poly(m) mod p; it is expanded
-      along the last column by the Hessenberg recurrence.
+      the field Z/p, m is brought to upper Hessenberg form H by similarity.
+      At column k, the pivot is the row i > k with a nonzero entry in
+      column k that has the fewest nonzero entries, the lowest such i on a
+      tie; a row swap with the matching column swap moves it to row k+1.
+      Each row i > k+1 then loses a multiple of row k+1 while column k+1
+      gains the same multiple of column i.  Every row below k+1 is zero
+      left of column k by the earlier steps, and so is the pivot row, so a
+      row update only touches the columns j >= k where the pivot row is
+      nonzero: elsewhere it subtracts zero.  A pivot with few nonzero
+      entries keeps the updates short and the rows they fill in few.
+      Similar matrices share their characteristic polynomial, so
+      det(v*Id - H) = char_poly(m) mod p; it is expanded along the last
+      column by the Hessenberg recurrence.
     * Lifting.  Each true coefficient lies in [-B, B], an interval shorter
       than p, so it is the unique symmetric residue of its value mod p
       in (-p/2, p/2].
@@ -292,21 +300,26 @@ def char_poly(m: IntMatrix) -> IntPoly:
     p = _char_poly_modulus(m)
     a = [[x % p for x in row] for row in m]
     for k in range(n - 2):
-        pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-        if pivot is None:
+        rows = [i for i in range(k + 1, n) if a[i][k]]
+        if not rows:
             continue
+        # the most zeros, so the fewest nonzeros; max keeps the lowest i
+        pivot = max(rows, key=lambda i: a[i].count(0))
         if pivot != k + 1:
             a[k + 1], a[pivot] = a[pivot], a[k + 1]
             for row in a:
                 row[k + 1], row[pivot] = row[pivot], row[k + 1]
         top = a[k + 1]
         inv = pow(top[k], -1, p)
+        support = [(j, y) for j, y in enumerate(top[k:], k) if y]
         factors = []
         for i in range(k + 2, n):
-            if a[i][k]:
-                f = a[i][k] * inv % p
+            row = a[i]
+            if row[k]:
+                f = row[k] * inv % p
                 factors.append((i, f))
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
         for i, f in factors:
             for row in a:
                 if row[i]:

@@ -145,8 +145,10 @@ def _encode_gram(gram_tri) -> bytes:
 
 def _decode_gram(blob: bytes):
     n = isqrt(len(blob))
-    it = iter(blob)
-    return tuple(tuple(next(it) - 2 for _ in range(n)) for _ in range(n))
+    # one list of values sliced per row: tuple() of a generator resizes its
+    # result
+    values = [x - 2 for x in blob]
+    return tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Reference computations (rank, determinant, PSD, characteristic
 polynomials, nilpotency) are done with independent brute-force or
 Fraction-based oracles inside this module.
 The Faddeev-LeVerrier recurrence, exact over the integers, is the oracle
-for the modular Hessenberg reduction of char_poly at large entries.
+for the modular Hessenberg reduction of char_poly at large entries and on
+sparse input; on Coxeter matrices of quivers the oracle is the factored
+Coxeter polynomial of the cycle type the walks of ``test_quiver`` give.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from coxquiver import linalg
 from coxquiver.errors import InvariantViolation
+from coxquiver.invariants import coxeter_polynomial_of_cycle_type
 from coxquiver.linalg import (
     _char_poly_modulus,
     char_poly,
@@ -37,6 +41,9 @@ from coxquiver.linalg import (
     unitriangular_inverse,
     v_power_minus_one,
 )
+from coxquiver.partitions import cycle_type_of_permutation
+from coxquiver.quiver import Quiver, coxeter_matrix_of_quiver
+from test_quiver import walk_permutation
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -64,6 +71,31 @@ def symmetric_matrices(max_n=4):
 
 # mostly zero entries, so that diagonal entries and pivots vanish often
 sparse_entries = st.sampled_from((0, 0, 0, 0, 0, -2, -1, 1, 2))
+
+
+def sparse_square_matrices(max_n, min_n=0):
+    """Square matrices in which about one entry in 1 + zeros / 6 is nonzero,
+    for a drawn ``zeros`` from 0 (dense) to 30 (one entry in six)."""
+    return st.integers(min_value=0, max_value=30).flatmap(
+        lambda zeros: square_matrices(
+            max_n, st.sampled_from((0,) * zeros + (-3, -2, -1, 1, 2, 3)), min_n))
+
+
+@st.composite
+def block_diagonal_matrices(draw, max_blocks=4, max_block=4):
+    """Sparse blocks down the diagonal, so that the Hessenberg form has a
+    zero subdiagonal entry at the end of each block; half the draws are
+    also conjugated by a permutation, which scatters the blocks."""
+    blocks = draw(st.lists(sparse_square_matrices(max_block, min_n=1),
+                           min_size=1, max_size=max_blocks))
+    n = sum(map(len, blocks))
+    rows, offset = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append((0,) * offset + row + (0,) * (n - offset - len(block)))
+        offset += len(block)
+    order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
+    return tuple(tuple(rows[i][j] for j in order) for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +295,8 @@ def test_char_poly_of_permutation_matrix_is_cycle_product(images):
 
 
 # Entry ranges whose bounds at n <= 10 fall on different prime tiers:
-# 2^61 - 1 for small entries, 2^89 - 1 .. 2^1279 - 1 for 70-bit entries and
-# 2^521 - 1 .. 2^3217 - 1 for 300-bit entries.
+# 2^2 - 1 .. 2^61 - 1 for small entries, 2^89 - 1 .. 2^1279 - 1 for 70-bit
+# entries and 2^521 - 1 .. 2^3217 - 1 for 300-bit entries.
 ENTRY_RANGES = {
     "small": st.integers(min_value=-3, max_value=3),
     "2^70": st.integers(min_value=-2 ** 70, max_value=2 ** 70),
@@ -294,6 +326,112 @@ def test_char_poly_coefficient_above_2_126():
     m = ((2 ** 70, 0), (0, 2 ** 70))
     assert char_poly(m) == (2 ** 140, -2 ** 71, 1)
     assert _char_poly_modulus(m) == 2 ** 521 - 1
+
+
+def lucas_lehmer(e):
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    p, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % p
+    return s == 0
+
+
+def test_tabled_exponents_give_mersenne_primes():
+    exponents = linalg._MERSENNE_EXPONENTS
+    assert list(exponents) == sorted(set(exponents))
+    assert exponents[:9] == (2, 3, 5, 7, 13, 17, 19, 31, 61)
+    assert all(lucas_lehmer(e) for e in exponents if 2 < e <= 4423)
+
+
+def hadamard_4(c):
+    """c times the Sylvester Hadamard matrix H_4, whose square is 16 c^2 Id:
+    its characteristic polynomial (v^2 - 4c^2)^2 has constant term (2c)^4,
+    close to the bound (1 + 2c)^4 of char_poly."""
+    signs = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+    return tuple(tuple(c * x for x in row) for row in signs)
+
+
+@pytest.mark.parametrize("e", [13, 17, 31, 61, 127])
+def test_char_poly_of_scaled_hadamard_on_both_sides_of_a_prime(e):
+    # p = 2^e - 1 serves c H_4 exactly when 2 (1 + 2c)^4 < p, that is when
+    # 1 + 2c is at most the integer fourth root of (p - 1) / 2; at the
+    # largest such c the constant term (2c)^4 is above p / 8, near the
+    # lifting limit p / 2, and c + 1 moves to the next tabled prime
+    p = (1 << e) - 1
+    c = (isqrt(isqrt((p - 1) // 2)) - 1) // 2
+    assert _char_poly_modulus(hadamard_4(c)) == p
+    assert _char_poly_modulus(hadamard_4(c + 1)) > p
+    assert (2 * c) ** 4 > p // 8
+    for scale in (c, c + 1):
+        square = 4 * scale * scale
+        assert char_poly(hadamard_4(scale)) == (square * square, 0, -2 * square, 0, 1)
+        assert char_poly(hadamard_4(-scale)) == char_poly(hadamard_4(scale))
+
+
+@given(sparse_square_matrices(12))
+@example(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+@example(((0, 0, 1), (0, 5, 0), (1, 0, 0)))
+@settings(max_examples=200, deadline=None)
+def test_char_poly_on_sparse_matrices_against_faddeev_leverrier(m):
+    assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+
+@given(block_diagonal_matrices())
+@settings(max_examples=150, deadline=None)
+def test_char_poly_on_block_diagonal_matrices_against_faddeev_leverrier(m):
+    assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+
+def random_connected_quiver(rng, m, n):
+    """A connected loop-less quiver on m vertices with n >= m - 1 arrows: a
+    random spanning tree with random orientations plus random arrows, in
+    shuffled order."""
+    labels = list(range(1, m + 1))
+    rng.shuffle(labels)
+    arrows = []
+    for k in range(1, m):
+        u, v = labels[k], labels[rng.randrange(k)]
+        arrows.append((u, v) if rng.random() < 0.5 else (v, u))
+    while len(arrows) < n:
+        arrows.append(tuple(rng.sample(range(1, m + 1), 2)))
+    rng.shuffle(arrows)
+    return Quiver(m, tuple(arrows))
+
+
+def _seeded_sizes(count, max_n):
+    rng = random.Random(f"sizes {max_n}")
+    sizes = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        sizes.append((rng.randint(max(2, n // 3), n + 1), n))
+    return sizes
+
+
+@pytest.mark.parametrize("m, n", _seeded_sizes(16, 64) + [(40, 56), (65, 64)])
+def test_char_poly_of_quiver_coxeter_matrices_against_the_walk_cycle_type(m, n):
+    q = random_connected_quiver(random.Random(f"{m} {n}"), m, n)
+    cycle_type = cycle_type_of_permutation(walk_permutation(q))
+    expected = coxeter_polynomial_of_cycle_type(cycle_type, n - m + 1).expand()
+    assert char_poly(coxeter_matrix_of_quiver(q)) == expected
+
+
+def test_coxeter_matrices_of_40_vertices_and_56_arrows_need_at_most_127_bits():
+    for seed in range(8):
+        q = random_connected_quiver(random.Random(seed), 40, 56)
+        assert _char_poly_modulus(coxeter_matrix_of_quiver(q)) <= 2 ** 127 - 1
+
+
+def test_coxeter_matrices_of_at_most_7_arrows_reduce_below_2_31():
+    # Phi = Id - I(Q)^T I(Q^-1) has entries in [-1, 3] on the diagonal and
+    # [-2, 2] off it, so each factor of the bound is at most
+    # 1 + ceil(sqrt(9 + 6 * 4)) = 7 and 2 * 7^7 < 2^31 - 1
+    rng = random.Random(7)
+    quivers = [Quiver(2, ((1, 2),) * 7), Quiver(2, ((1, 2), (2, 1)) * 3 + ((1, 2),))]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        quivers.append(random_connected_quiver(rng, rng.randint(2, n + 1), n))
+    for q in quivers:
+        assert _char_poly_modulus(coxeter_matrix_of_quiver(q)) < 2 ** 31
 
 
 def test_char_poly_of_empty_matrix():

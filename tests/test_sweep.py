@@ -7,8 +7,9 @@ import pytest
 
 from coxquiver import sweep
 from coxquiver.cli import main
+from coxquiver.partitions import FactoredCoxPoly, Partition
 from coxquiver.quiver import Quiver, triangular_gram
-from coxquiver.realize import STRATEGY
+from coxquiver.realize import STRATEGY, RealizationResult
 from coxquiver.sweep import (
     SweepReport,
     _encode_gram,
@@ -147,6 +148,29 @@ def _bump_first_diagonal_entry(matrix):
     return tuple(tuple(row) for row in rows)
 
 
+def _times_v_minus_one(poly):
+    """The factored polynomial times (v - 1): one degree too many."""
+    return FactoredCoxPoly(poly.nu_exponent + 1, poly.cycle_parts)
+
+
+def _with_quiver(result, quiver):
+    return RealizationResult(quiver, result.basis_change, result.strategy)
+
+
+def _with_isolated_vertex(result):
+    """The realized quiver with one more vertex, on no arrow: the same Gram
+    matrix, and one more fixed point in the vertex permutation."""
+    q = result.quiver
+    return _with_quiver(result, Quiver(q.m + 1, q.arrows))
+
+
+def _with_repeated_arrow(result):
+    """The realized quiver with its last arrow once more: one variable more
+    in its Gram matrix."""
+    q = result.quiver
+    return _with_quiver(result, Quiver(q.m, q.arrows + q.arrows[-1:]))
+
+
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
 # that must record a failure on every form)
 PHASE2_CORRUPTIONS = {
@@ -157,19 +181,42 @@ PHASE2_CORRUPTIONS = {
         "coxeter_matrix",
         lambda route: lambda form: _bump_first_diagonal_entry(route(form)),
         {"polynomial_factorization"}),
+    "factored polynomial": (
+        "coxeter_polynomial_of_cycle_type",
+        lambda route: lambda ct, c: _times_v_minus_one(route(ct, c)),
+        {"polynomial_factorization"}),
+    "Phi of the Coxeter-number laws": (
+        "coxeter_number_violations",
+        lambda route: lambda phi, poly, ct: route(
+            _bump_first_diagonal_entry(phi), poly, ct),
+        {"coxeter_numbers"}),
+    "realized quiver, vertices": (
+        "realize", lambda route: lambda form: _with_isolated_vertex(route(form)),
+        {"realization_roundtrip"}),
+    "realized quiver, arrows": (
+        "realize", lambda route: lambda form: _with_repeated_arrow(route(form)),
+        {"realization_roundtrip"}),
+    "cycle type from the polynomial": (
+        "cycle_type_from_cox_poly",
+        lambda route: lambda poly, c: Partition(route(poly, c).parts + (1,)),
+        {"polynomial_roundtrip"}),
+    "spectral multiplicity": (
+        "spectral_multiplicity_of_cycle_type",
+        lambda route: lambda ct, c, d: route(ct, c, d) + 1,
+        {"spectral_multiplicities"}),
 }
 
 
-def _phase2_report(max_vertices, max_arrows):
-    """Phase 2 of the sweep on the forms phase 1 collects from every unit."""
+def _phase2_items(max_vertices, max_arrows):
+    """The forms phase 1 collects from every unit, as phase 2 takes them."""
     forms = {}
     for unit in _phase1_units(max_vertices, max_arrows, None):
         forms.update(_phase1_worker(unit)[1])
-    return _phase2_worker((max_vertices, max_arrows, sorted(forms.items())))
+    return sorted(forms.items())
 
 
 def test_phase2_checks_pass_on_the_library_routes():
-    report = _phase2_report(3, 4)
+    report = _phase2_worker((3, 4, _phase2_items(3, 4)))
     assert report.form_count > 0
     assert report.total_failures == 0, report.failure_counts
 
@@ -177,14 +224,15 @@ def test_phase2_checks_pass_on_the_library_routes():
 @pytest.mark.parametrize("route", sorted(PHASE2_CORRUPTIONS))
 def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
     name, corrupt, expected = PHASE2_CORRUPTIONS[route]
+    items = _phase2_items(3, 4)
     monkeypatch.setattr(sweep, name, corrupt(getattr(sweep, name)))
-    report = _phase2_report(3, 4)
-    fired = {check for check, count in report.failure_counts.items() if count}
-    assert expected <= fired, (route, report.failure_counts)
-    for check in expected:
-        assert report.failure_counts[check] == report.form_count, check
-    for check in fired:
-        assert all(s.startswith("n=") for s in report.failure_samples[check])
+    # one form per worker call, so no memo carries a failure between forms
+    for item in items:
+        report = _phase2_worker((3, 4, [item]))
+        fired = {check for check, count in report.failure_counts.items() if count}
+        assert expected <= fired, (route, item, report.failure_counts)
+        for check in fired:
+            assert all(s.startswith("n=") for s in report.failure_samples[check])
 
 
 FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))

@@ -6,9 +6,9 @@ attainable Coxeter polynomials for given size and corank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from ._record import FrozenRecord
 from .linalg import (
     IntMatrix,
     IntPoly,
@@ -29,21 +29,18 @@ from .realize import realize_quiver
 from .unitform import UnitForm, coxeter_matrix
 
 
-@dataclass(frozen=True)
-class CoxeterNumbers:
+class CoxeterNumbers(FrozenRecord):
     """Coxeter number (None marks infinity) and reduced Coxeter number."""
 
-    coxeter_number: int | None
-    reduced_coxeter_number: int
+    __slots__ = ("coxeter_number", "reduced_coxeter_number")
 
-    def __post_init__(self) -> None:
-        if self.reduced_coxeter_number < 1:
+    def __init__(self, coxeter_number: int | None, reduced_coxeter_number: int) -> None:
+        if reduced_coxeter_number < 1:
             raise ValueError("reduced Coxeter number must be positive")
-        if (
-            self.coxeter_number is not None
-            and self.coxeter_number != self.reduced_coxeter_number
-        ):
+        if coxeter_number is not None and coxeter_number != reduced_coxeter_number:
             raise ValueError("a finite Coxeter number equals the reduced one")
+        object.__setattr__(self, "coxeter_number", coxeter_number)
+        object.__setattr__(self, "reduced_coxeter_number", reduced_coxeter_number)
 
     def to_json(self) -> dict:
         return {

@@ -21,9 +21,9 @@ Conventions
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import isqrt
 from operator import mul, sub
-from typing import Sequence
 
 from .errors import InvariantViolation
 

@@ -8,9 +8,9 @@ characteristic polynomial of any permutation with that cycle type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import FrozenRecord
 from .linalg import (
     IntPoly,
     PermutationMap,
@@ -22,19 +22,19 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(FrozenRecord):
     """Non-increasing tuple of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if not parts:
             raise ValueError("a partition has at least one part")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("partition parts must be non-increasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def m(self) -> int:
@@ -57,8 +57,7 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class FactoredCoxPoly:
+class FactoredCoxPoly(FrozenRecord):
     """A Coxeter polynomial kept in factored form.
 
     The internal representation is the nu-form
@@ -74,13 +73,14 @@ class FactoredCoxPoly:
     with ``unit_exponent = nu_exponent - len(cycle_parts)``.
     """
 
-    nu_exponent: int
-    cycle_parts: tuple[int, ...]
+    __slots__ = ("nu_exponent", "cycle_parts")
 
-    def __post_init__(self) -> None:
-        if self.nu_exponent < 0:
+    def __init__(self, nu_exponent: int, cycle_parts: tuple[int, ...]) -> None:
+        if nu_exponent < 0:
             raise ValueError("nu-form exponent must be nonnegative")
-        Partition(self.cycle_parts)  # validates ordering and positivity
+        Partition(cycle_parts)  # validates ordering and positivity
+        object.__setattr__(self, "nu_exponent", nu_exponent)
+        object.__setattr__(self, "cycle_parts", cycle_parts)
 
     @classmethod
     def from_unit_exponent(cls, unit_exponent: int, parts: tuple[int, ...]) -> "FactoredCoxPoly":

@@ -17,29 +17,29 @@ vertex permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._record import FrozenRecord
 from .errors import NotConnected
 from .linalg import IntMatrix, PermutationMap, check_permutation
 from .partitions import Partition, cycle_type_of_permutation
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(FrozenRecord):
     """m vertices named 1..m and an ordered tuple of loop-less arrows."""
 
-    m: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("m", "arrows")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, arrows: tuple[tuple[int, int], ...]) -> None:
+        if m < 1:
             raise ValueError("a quiver needs at least one vertex")
-        for i, (s, t) in enumerate(self.arrows, start=1):
-            if not (1 <= s <= self.m and 1 <= t <= self.m):
+        for i, (s, t) in enumerate(arrows, start=1):
+            if not (1 <= s <= m and 1 <= t <= m):
                 raise ValueError(f"arrow {i} endpoint out of range: ({s}, {t})")
             if s == t:
                 raise ValueError(f"arrow {i} is a loop at vertex {s}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def n(self) -> int:
@@ -252,13 +252,25 @@ def _coxeter_matrix(arrows, inverse_arrows) -> IntMatrix:
     Proof that this is -G^T G^{-1}.  I(Q^{-1}) = I(Q) G^{-1} and
     I(Q)^T I(Q) = G + G^T give
     Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.
+
+    The column of arrow i of Q is e_{s_i} - e_{t_i}, so its inner product
+    with a column of Q^{-1} is that column's entry at s_i minus its entry
+    at t_i.  Row i is therefore built from the inverse arrows at s_i and
+    at t_i alone, each listed per vertex with the sign of its entry there.
     """
+    at: dict[int, list[tuple[int, int]]] = {}
+    for j, (s, t) in enumerate(inverse_arrows):
+        at.setdefault(s, []).append((j, 1))
+        at.setdefault(t, []).append((j, -1))
+    n = len(inverse_arrows)
     rows = []
     for i, (s, t) in enumerate(arrows):
-        # minus _column_dot((s, t), (s2, t2)), inlined: this runs n^2 times
-        row = [(s == t2) + (t == s2) - (s == s2) - (t == t2)
-               for s2, t2 in inverse_arrows]
-        row[i] += 1
+        row = [0] * n
+        row[i] = 1
+        for j, sign in at.get(s, ()):
+            row[j] -= sign
+        for j, sign in at.get(t, ()):
+            row[j] += sign
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -14,8 +14,7 @@ admissible cycle type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
 from .linalg import IntMatrix, is_psd
 from .partitions import Partition
@@ -25,15 +24,17 @@ from .unitform import UnitForm, symmetric_gram
 STRATEGY = "breadth_first"
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(FrozenRecord):
     """A quiver with the same unit form as the input, the basis change B
     with I(quiver) B = I(canonical extension quiver), and the strategy
     name, which is always :data:`STRATEGY`."""
 
-    quiver: Quiver
-    basis_change: IntMatrix
-    strategy: str
+    __slots__ = ("quiver", "basis_change", "strategy")
+
+    def __init__(self, quiver: Quiver, basis_change: IntMatrix, strategy: str) -> None:
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "basis_change", basis_change)
+        object.__setattr__(self, "strategy", strategy)
 
     def to_json(self) -> dict:
         return {

@@ -35,10 +35,9 @@ engine behind the ``verify`` CLI verb and the acceptance tests.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from math import comb, isqrt
 
+from ._record import Record
 from .errors import InvariantViolation
 from .invariants import (
     coxeter_number_violations,
@@ -91,15 +90,28 @@ CHECKS = (
 )
 
 
-@dataclass
-class SweepReport:
-    max_vertices: int
-    max_arrows: int
-    quiver_count: int = 0
-    form_count: int = 0
-    strategy_counts: dict[str, int] = field(default_factory=dict)
-    failure_counts: dict[str, int] = field(default_factory=lambda: {c: 0 for c in CHECKS})
-    failure_samples: dict[str, list[str]] = field(default_factory=lambda: {c: [] for c in CHECKS})
+class SweepReport(Record):
+    """Counts of one sweep or part of one: quivers and forms checked,
+    realizations per strategy, and failures per check with the first
+    samples of each."""
+
+    __slots__ = ("max_vertices", "max_arrows", "quiver_count", "form_count",
+                 "strategy_counts", "failure_counts", "failure_samples")
+
+    def __init__(self, max_vertices: int, max_arrows: int,
+                 quiver_count: int = 0, form_count: int = 0,
+                 strategy_counts: dict[str, int] | None = None,
+                 failure_counts: dict[str, int] | None = None,
+                 failure_samples: dict[str, list[str]] | None = None) -> None:
+        self.max_vertices = max_vertices
+        self.max_arrows = max_arrows
+        self.quiver_count = quiver_count
+        self.form_count = form_count
+        self.strategy_counts = {} if strategy_counts is None else strategy_counts
+        self.failure_counts = (
+            {c: 0 for c in CHECKS} if failure_counts is None else failure_counts)
+        self.failure_samples = (
+            {c: [] for c in CHECKS} if failure_samples is None else failure_samples)
 
     def record(self, check: str, message: str) -> None:
         self.failure_counts[check] += 1
@@ -304,7 +316,7 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         return None
 
 
-def _check_congruence(rec, q: Quiver, rng: random.Random) -> None:
+def _check_congruence(rec, q: Quiver, rng) -> None:
     """Cycle type invariance under vertex relabeling and orientation flip."""
     label = f"m={q.m} arrows={q.arrows}"
     ct = cycle_type_of_permutation(vertex_permutation(q))
@@ -330,7 +342,12 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     rec = report.record
     admissible = frozenset(part1c(n - m + 1, m))
     first_pair = None if pair_index < 0 else ordered_pairs(m)[pair_index]
-    rng = random.Random(f"{seed}:{m}:{n}:{pair_index}") if seed is not None else None
+    rng = None
+    if seed is not None:
+        # imported here: only seeded sweeps draw, and the package does not
+        # pay for ``random`` at import
+        from random import Random
+        rng = Random(f"{seed}:{m}:{n}:{pair_index}")
     prefixes = _Prefixes(m, n)
     memo: dict = {}
     forms: dict[bytes, tuple[int, ...]] = {}

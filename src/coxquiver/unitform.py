@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import add
-from typing import Sequence
 
+from ._record import FrozenRecord
 from .errors import NotConnected
 from .linalg import (
     IntMatrix,
@@ -22,24 +22,23 @@ from .linalg import (
 from .quiver import Quiver, spanning_tree, triangular_gram
 
 
-@dataclass(frozen=True)
-class UnitForm:
+class UnitForm(FrozenRecord):
     """A unit form q(x) = x^T G x with G upper triangular, unit diagonal."""
 
-    n: int
-    gram_upper: IntMatrix
+    __slots__ = ("n", "gram_upper")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, gram_upper: IntMatrix) -> None:
+        if n < 1:
             raise ValueError("a unit form needs at least one variable")
-        g = self.gram_upper
-        if len(g) != self.n or any(len(row) != self.n for row in g):
+        if len(gram_upper) != n or any(len(row) != n for row in gram_upper):
             raise ValueError("Gram matrix size does not match the variable count")
-        for i, row in enumerate(g):
+        for i, row in enumerate(gram_upper):
             if row[i] != 1:
                 raise ValueError("unit forms have unit diagonal")
             if any(row[:i]):
                 raise ValueError("Gram matrix must be upper triangular")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gram_upper", gram_upper)
 
     def to_json(self) -> dict:
         entries = [

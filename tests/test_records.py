@@ -53,10 +53,7 @@ FROZEN = {
         "CoxeterNumbers(coxeter_number=None, reduced_coxeter_number=6)"),
 }
 
-FROZEN_IDS = [cls.__name__ for cls in FROZEN]
-
-
-@pytest.fixture(params=list(FROZEN), ids=FROZEN_IDS)
+@pytest.fixture(params=list(FROZEN), ids=[cls.__name__ for cls in FROZEN])
 def case(request):
     cls = request.param
     values, other, text = FROZEN[cls]

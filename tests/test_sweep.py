@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import coxquiver.realize as realize_module
 from coxquiver import sweep
 from coxquiver.cli import main
 from coxquiver.partitions import FactoredCoxPoly, Partition
@@ -233,6 +234,26 @@ def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert expected <= fired, (route, item, report.failure_counts)
         for check in fired:
             assert all(s.startswith("n=") for s in report.failure_samples[check])
+
+
+def test_phase2_round_trip_fires_on_a_wrong_basis_change_column(monkeypatch):
+    """``realize`` checks each column of its basis change against an arrow
+    of the canonical extension quiver; with the last canonical arrow
+    reversed that check fails on every form, and the sweep records the
+    failed realization."""
+    items = _phase2_items(3, 4)
+    route = realize_module.canonical_extension_quiver
+
+    def last_arrow_reversed(r, c):
+        q = route(r, c)
+        return Quiver(q.m, q.arrows[:-1] + (q.arrows[-1][::-1],))
+
+    monkeypatch.setattr(realize_module, "canonical_extension_quiver",
+                        last_arrow_reversed)
+    for item in items:
+        report = _phase2_worker((3, 4, [item]))
+        samples = report.failure_samples["realization_roundtrip"]
+        assert len(samples) == 1 and "realization failed" in samples[0], item
 
 
 FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))

@@ -55,6 +55,9 @@ def _load(path: str, cls: type, what: str):
                 text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -62,6 +65,10 @@ def _load(path: str, cls: type, what: str):
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's digit limit, or arrays
+        # and objects nested past its recursion limit
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
     try:
         return cls.from_json(data, connected=True)
     except NotConnected:
@@ -183,7 +190,6 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple:
 def _cmd_realize(args: argparse.Namespace) -> tuple:
     result = realize(_form_from_args(args))
     return result.to_json(), [
-        f"strategy: {result.strategy}",
         f"vertices: {result.quiver.m}",
         *_quiver_lines(result.quiver, ""),
     ]

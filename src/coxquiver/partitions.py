@@ -18,7 +18,6 @@ from .linalg import (
     nu_poly,
     poly_mul,
     poly_pow,
-    v_power_minus_one,
 )
 
 
@@ -46,12 +45,6 @@ class Partition(FrozenRecord):
 
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data: object) -> "Partition":
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-            raise ValueError("partition JSON must be a list of integers")
-        return cls(tuple(data))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -93,10 +86,6 @@ class FactoredCoxPoly(FrozenRecord):
         """Exponent of (v-1) in the (v^k - 1)-form; -1 exactly for corank 0."""
         return self.nu_exponent - len(self.cycle_parts)
 
-    @property
-    def degree(self) -> int:
-        return self.nu_exponent + sum(p - 1 for p in self.cycle_parts)
-
     def partition(self) -> Partition:
         return Partition(self.cycle_parts)
 
@@ -104,41 +93,12 @@ class FactoredCoxPoly(FrozenRecord):
         """Dense integer coefficients, lowest degree first."""
         return _expand_nu_form(self.nu_exponent, self.cycle_parts)
 
-    def expand_unit_form(self) -> IntPoly:
-        """Expansion through the (v^k - 1)-form; defined only when the
-        unit exponent is nonnegative."""
-        e = self.unit_exponent
-        if e < 0:
-            raise ValueError("(v^k - 1)-form undefined: unit exponent is negative")
-        out = poly_pow((-1, 1), e)
-        for p in self.cycle_parts:
-            out = poly_mul(out, v_power_minus_one(p))
-        return out
-
     def to_json(self) -> dict:
         return {
             "unit_exponent": self.unit_exponent,
             "cycle_parts": list(self.cycle_parts),
             "dense": list(self.expand()),
         }
-
-    @classmethod
-    def from_json(cls, data: object) -> "FactoredCoxPoly":
-        if not isinstance(data, dict):
-            raise ValueError("factored polynomial JSON must be an object")
-        allowed = {"unit_exponent", "cycle_parts", "dense"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown keys in factored polynomial JSON: {sorted(unknown)}")
-        try:
-            unit_exponent = data["unit_exponent"]
-            cycle_parts = tuple(data["cycle_parts"])
-        except KeyError as exc:
-            raise ValueError(f"missing key in factored polynomial JSON: {exc}") from exc
-        poly = cls(unit_exponent + len(cycle_parts), cycle_parts)
-        if "dense" in data and list(data["dense"]) != list(poly.expand()):
-            raise ValueError("dense coefficients inconsistent with factored form")
-        return poly
 
 
 @lru_cache(maxsize=4096)
@@ -156,30 +116,37 @@ def char_poly_of_partition(p: Partition) -> FactoredCoxPoly:
 
 @lru_cache(maxsize=None)
 def partitions_by_length(m: int, l: int) -> tuple[Partition, ...]:
-    """All partitions of m with exactly l parts.
-
-    Recursive construction: partitions ending in 1 come from (m-1, l-1) by
-    appending a trailing 1, partitions with all parts > 1 come from (m-l, l)
-    by adding 1 to every part.  Results are ordered lexicographically
+    """All partitions of m with exactly l parts, lexicographically
     descending.
+
+    The first is (m - l + 1, 1, ..., 1).  Each next one lowers by 1 the
+    last part that can be lowered to a value v such that the k parts after
+    it can hold their sum plus 1 as k values of at most v, and refills those
+    parts greedily, each with the largest value that leaves 1 for every part
+    after it.  The prefix is kept and the refilled suffix is the largest
+    possible, so no partition lies between the two in lexicographic order.
     """
     if m < 1 or l < 1:
         raise ValueError("partitions_by_length requires m >= 1 and l >= 1")
-    if l == 1:
-        return (Partition((m,)),)
-    if l == m:
-        return (Partition((1,) * m),)
     if l > m:
         return ()
-    with_trailing_one = [
-        Partition(p.parts + (1,)) for p in partitions_by_length(m - 1, l - 1)
-    ]
-    all_bigger = [
-        Partition(tuple(x + 1 for x in p.parts))
-        for p in partitions_by_length(m - l, l)
-    ]
-    merged = sorted(with_trailing_one + all_bigger, key=lambda p: p.parts, reverse=True)
-    return tuple(merged)
+    parts = [m - l + 1] + [1] * (l - 1)
+    out = []
+    while True:
+        out.append(Partition(tuple(parts)))
+        tail = 0  # sum of parts[i:], the parts after the one at i - 1
+        for i in range(l - 1, 0, -1):
+            tail += parts[i]
+            v = parts[i - 1] - 1
+            if tail + 1 <= (l - i) * v:
+                break
+        else:
+            return tuple(out)
+        parts[i - 1] = v
+        rest = tail + 1
+        for j in range(i, l):
+            parts[j] = min(v, rest - (l - 1 - j))
+            rest -= parts[j]
 
 
 def admissible_lengths(c: int, m: int) -> tuple[int, ...]:

@@ -184,15 +184,11 @@ def _prefix_products(q: Quiver) -> tuple[list[int], list[tuple[int, int]]]:
     return p, arrows
 
 
-def vertex_permutation(q: Quiver, *, allow_disconnected: bool = False) -> PermutationMap:
+def vertex_permutation(q: Quiver) -> PermutationMap:
     """The permutation sending each vertex to the end of its structural
     decreasing walk, computed as the product tau_1 o ... o tau_n of the
-    arrow transpositions.  Isolated vertices are fixed points.
-
-    Requires a connected quiver unless ``allow_disconnected`` is set (the
-    construction works per component).
-    """
-    if not allow_disconnected and not is_connected(q):
+    arrow transpositions of a connected quiver."""
+    if not is_connected(q):
         raise ValueError("vertex permutation requires a connected quiver")
     p, _ = _prefix_products(q)
     return tuple(p[1:])

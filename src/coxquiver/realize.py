@@ -21,26 +21,21 @@ from .partitions import Partition
 from .quiver import Quiver, spanning_tree
 from .unitform import UnitForm, symmetric_gram
 
-STRATEGY = "breadth_first"
-
 
 class RealizationResult(FrozenRecord):
-    """A quiver with the same unit form as the input, the basis change B
-    with I(quiver) B = I(canonical extension quiver), and the strategy
-    name, which is always :data:`STRATEGY`."""
+    """A quiver with the same unit form as the input, and the basis change B
+    with I(quiver) B = I(canonical extension quiver)."""
 
-    __slots__ = ("quiver", "basis_change", "strategy")
+    __slots__ = ("quiver", "basis_change")
 
-    def __init__(self, quiver: Quiver, basis_change: IntMatrix, strategy: str) -> None:
+    def __init__(self, quiver: Quiver, basis_change: IntMatrix) -> None:
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "basis_change", basis_change)
-        object.__setattr__(self, "strategy", strategy)
 
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.to_json(),
             "basis_change": [list(row) for row in self.basis_change],
-            "strategy": self.strategy,
         }
 
 
@@ -321,7 +316,7 @@ def realize(f: UnitForm) -> RealizationResult:
     indefinite one and NotDynkinTypeA for any other form not of type A.
     """
     q = realize_quiver(f)
-    return RealizationResult(q, basis_change_to_canonical(q), STRATEGY)
+    return RealizationResult(q, basis_change_to_canonical(q))
 
 
 def weak_congruence_to_canonical(f: UnitForm) -> IntMatrix:

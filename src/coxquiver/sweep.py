@@ -91,23 +91,22 @@ CHECKS = (
 
 
 class SweepReport(Record):
-    """Counts of one sweep or part of one: quivers and forms checked,
-    realizations per strategy, and failures per check with the first
-    samples of each."""
+    """Counts of one sweep or part of one: quivers and forms checked, forms
+    realized, and failures per check with the first samples of each."""
 
     __slots__ = ("max_vertices", "max_arrows", "quiver_count", "form_count",
-                 "strategy_counts", "failure_counts", "failure_samples")
+                 "realized_count", "failure_counts", "failure_samples")
 
     def __init__(self, max_vertices: int, max_arrows: int,
                  quiver_count: int = 0, form_count: int = 0,
-                 strategy_counts: dict[str, int] | None = None,
+                 realized_count: int = 0,
                  failure_counts: dict[str, int] | None = None,
                  failure_samples: dict[str, list[str]] | None = None) -> None:
         self.max_vertices = max_vertices
         self.max_arrows = max_arrows
         self.quiver_count = quiver_count
         self.form_count = form_count
-        self.strategy_counts = {} if strategy_counts is None else strategy_counts
+        self.realized_count = realized_count
         self.failure_counts = (
             {c: 0 for c in CHECKS} if failure_counts is None else failure_counts)
         self.failure_samples = (
@@ -124,8 +123,7 @@ class SweepReport(Record):
         sweep; samples are kept in order up to the cap per check."""
         self.quiver_count += other.quiver_count
         self.form_count += other.form_count
-        for name, value in other.strategy_counts.items():
-            self.strategy_counts[name] = self.strategy_counts.get(name, 0) + value
+        self.realized_count += other.realized_count
         for check in CHECKS:
             self.failure_counts[check] += other.failure_counts[check]
             kept = self.failure_samples[check]
@@ -144,7 +142,7 @@ class SweepReport(Record):
             "max_arrows": self.max_arrows,
             "quiver_count": self.quiver_count,
             "form_count": self.form_count,
-            "strategy_counts": dict(sorted(self.strategy_counts.items())),
+            "realized_count": self.realized_count,
             "failure_counts": self.failure_counts,
             "failure_samples": self.failure_samples,
         }
@@ -409,13 +407,12 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
         except (ValueError, InvariantViolation) as exc:
             rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
         else:
-            strategies = report.strategy_counts
-            strategies[result.strategy] = strategies.get(result.strategy, 0) + 1
+            report.realized_count += 1
             if triangular_gram(result.quiver) != gram_tri:
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the Gram matrix")
             elif cycle_type_of_permutation(
-                vertex_permutation(result.quiver, allow_disconnected=True)
+                tuple(_prefix_products(result.quiver)[0][1:])
             ).parts != ct_parts:
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the cycle type")

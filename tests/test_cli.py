@@ -85,6 +85,17 @@ def test_enumerate_json_is_byte_stable(capsys):
     assert first == second
 
 
+def test_enumerate_with_a_long_partition_list(capsys):
+    # 500 partitions of 1000 into two parts; their generator must not recurse
+    # once per part size
+    code, out, err = run_cli(capsys, "enumerate", "--n", "1000", "--c", "1",
+                             "--format", "table")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 501
+    assert lines[1].split()[0] == "(999,1)" and lines[-1].split()[0] == "(500,500)"
+
+
 def test_enumerate_bad_corank_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--c", "4")
     assert code == 1
@@ -167,7 +178,7 @@ def test_realize_verb(capsys, a3_form_path):
     code, out, _ = run_cli(capsys, "realize", "--form", a3_form_path)
     assert code == 0
     data = json.loads(out)
-    assert data["strategy"] == "breadth_first"
+    assert set(data) == {"quiver", "basis_change"}
     assert data["quiver"]["vertices"] == 3
     assert data["basis_change"] == [[1, 0], [0, 1]]
 
@@ -229,6 +240,34 @@ def test_malformed_json_exit_2_with_position(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cycle-type", "--quiver", str(path))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+UNDECODABLE = {
+    "invalid UTF-8": (b'\xff\xfe{"n": 1, "upper": []}', "is not UTF-8 text"),
+    "nested too deeply": (b"[" * 100000, "malformed JSON"),
+    "integer past the digit limit": (
+        b'{"n": 2, "upper": [[1, 2, ' + b"1" * 5000 + b"]]}", "malformed JSON"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("document", sorted(UNDECODABLE))
+def test_undecodable_document_exit_2(capsys, monkeypatch, tmp_path, document, source):
+    import io
+    data, message = UNDECODABLE[document]
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        path = str(path)
+    else:
+        path = "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                           encoding="utf-8"))
+    code, out, err = run_cli(capsys, "invariants", "--form", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}" if document == "invalid UTF-8"
+                          else f"error: malformed JSON in {path}: ")
+    assert message in err and err.count("\n") == 1
 
 
 def test_schema_violation_exit_2(capsys, tmp_path):
@@ -433,19 +472,19 @@ GOLDEN = [
     }),
     (["realize", "--form", "A3_FORM"], {
         "json": '{"quiver": {"vertices": 3, "arrows": [[1, 2], [2, 3]]}, '
-                '"basis_change": [[1, 0], [0, 1]], "strategy": "breadth_first"}\n',
-        "table": "strategy: breadth_first\nvertices: 3\narrow 1: 1 -> 2\narrow 2: 2 -> 3\n",
+                '"basis_change": [[1, 0], [0, 1]]}\n',
+        "table": "vertices: 3\narrow 1: 1 -> 2\narrow 2: 2 -> 3\n",
     }),
     (["realize", "--quiver", "KRONECKER"], {
         "json": '{"quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]}, '
-                '"basis_change": [[1, -2], [0, 1]], "strategy": "breadth_first"}\n',
-        "table": "strategy: breadth_first\nvertices: 2\narrow 1: 1 -> 2\narrow 2: 1 -> 2\n",
+                '"basis_change": [[1, -2], [0, 1]]}\n',
+        "table": "vertices: 2\narrow 1: 1 -> 2\narrow 2: 1 -> 2\n",
     }),
     (["realize", "--quiver", "TWO_CYCLE"], {
         "json": '{"quiver": {"vertices": 5, "arrows": [[1, 2], [2, 1], [2, 3], [4, 3], [3, 5]]}, '
                 '"basis_change": [[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, -1], '
-                '[0, 0, -1, 1, 0], [0, 0, 0, 1, -1]], "strategy": "breadth_first"}\n',
-        "table": "strategy: breadth_first\nvertices: 5\narrow 1: 1 -> 2\narrow 2: 2 -> 1\n"
+                '[0, 0, -1, 1, 0], [0, 0, 0, 1, -1]]}\n',
+        "table": "vertices: 5\narrow 1: 1 -> 2\narrow 2: 2 -> 1\n"
                  "arrow 3: 2 -> 3\narrow 4: 4 -> 3\narrow 5: 3 -> 5\n",
     }),
     (["cycle-type", "--form", "A3_FORM"], {"json": "[3]\n", "table": "(3)\n"}),
@@ -496,7 +535,7 @@ GOLDEN = [
     }),
     (["verify", "--max-vertices", "3", "--max-arrows", "4", "--seed", "3"], {
         "json": '{"max_vertices": 3, "max_arrows": 4, "quiver_count": 181, "form_count": 76, '
-                '"strategy_counts": {"breadth_first": 76}, "failure_counts": {'
+                '"realized_count": 76, "failure_counts": {'
                 + ", ".join(f'"{check}": 0' for check in CHECKS)
                 + '}, "failure_samples": {'
                 + ", ".join(f'"{check}": []' for check in CHECKS) + "}}\n",

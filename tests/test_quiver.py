@@ -350,8 +350,17 @@ def test_vertex_permutation_single_vertex():
 
 
 def test_vertex_permutation_requires_connected():
-    with pytest.raises(ValueError):
-        vertex_permutation(Quiver(4, ((1, 2), (3, 4))))
+    for q in (Quiver(4, ((1, 2), (3, 4))), Quiver(3, ((1, 2), (2, 1)))):
+        with pytest.raises(ValueError, match="connected"):
+            vertex_permutation(q)
+    with pytest.raises(TypeError):
+        vertex_permutation(KRONECKER, allow_disconnected=True)
+
+
+def per_component_xi(q):
+    """The prefix-product vertex permutation of any quiver, connected or
+    not; isolated vertices are fixed points."""
+    return tuple(_prefix_products(q)[0][1:])
 
 
 def test_trees_give_single_cycle():
@@ -433,13 +442,14 @@ def quivers_in_any_order(draw):
 def test_transposition_products_match_the_walk_oracle(case):
     q, connected = case
     assert is_connected(q) == connected
-    xi = vertex_permutation(q, allow_disconnected=True)
+    xi = per_component_xi(q)
     assert xi == walk_permutation(q)
     # the increasing structural walks invert xi
     xi_plus = walk_permutation(q, decreasing=False)
     assert all(xi_plus[xi[v] - 1] == v + 1 for v in range(q.m))
     expected = walk_inverse_arrows(q)
     if connected:
+        assert vertex_permutation(q) == xi
         assert inverse_quiver(q).arrows == expected
         # the arrow constructions against the dense products
         inc = incidence_matrix(q)
@@ -451,10 +461,11 @@ def test_transposition_products_match_the_walk_oracle(case):
     else:
         with pytest.raises(ValueError, match="connected"):
             inverse_quiver(q)
+        with pytest.raises(ValueError, match="connected"):
+            vertex_permutation(q)
         assert tuple(_prefix_products(q)[1]) == expected
     # the inverse quiver's permutation tau_n o ... o tau_1 is xi^-1
-    xi_of_inverse = vertex_permutation(Quiver(q.m, expected),
-                                       allow_disconnected=not connected)
+    xi_of_inverse = per_component_xi(Quiver(q.m, expected))
     assert all(xi_of_inverse[xi[v] - 1] == v + 1 for v in range(q.m))
 
 
@@ -510,7 +521,7 @@ def test_remove_last_arrow_transposition_identity():
         s, t = q.arrows[-1]
         tau = list(range(1, q.m + 1))
         tau[s - 1], tau[t - 1] = t, s
-        xi_small = vertex_permutation(smaller, allow_disconnected=True)
+        xi_small = per_component_xi(smaller)
         composed = tuple(xi_small[tau[v] - 1] for v in range(q.m))
         assert vertex_permutation(q) == composed
 

@@ -23,7 +23,6 @@ from coxquiver.quiver import (
     triangular_gram,
 )
 from coxquiver.realize import (
-    STRATEGY,
     basis_change_to_canonical,
     canonical_extension_quiver,
     realize,
@@ -323,7 +322,6 @@ def test_algorithm71_on_canonical_form():
     q = canonical_extension_quiver(3, 2)
     f = form_of_quiver(q)
     result = realize(f)
-    assert result.strategy == STRATEGY
     assert result.quiver == q
     assert form_of_quiver(result.quiver) == f
 
@@ -331,7 +329,6 @@ def test_algorithm71_on_canonical_form():
 def test_algorithm71_path_form():
     f = form_from_upper(2, [(1, 2, -1)])
     result = realize(f)
-    assert result.strategy == STRATEGY
     assert result.basis_change is not None
     assert form_of_quiver(result.quiver) == f
     assert cycle_type_of_quiver(result.quiver) == Partition((3,))
@@ -341,7 +338,6 @@ def test_realize_two_isotropic_pairs_without_fallback():
     q = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
     f = form_of_quiver(q)
     result = realize(f)
-    assert result.strategy == STRATEGY
     assert form_of_quiver(result.quiver) == f
     assert_weak_congruence(f, result.basis_change)
 
@@ -415,8 +411,7 @@ def test_realization_result_json():
     f = form_from_upper(2, [(1, 2, 2)])
     result = realize(f)
     data = json.loads(json.dumps(result.to_json()))
-    assert set(data) == {"quiver", "basis_change", "strategy"}
-    assert data["strategy"] == STRATEGY
+    assert set(data) == {"quiver", "basis_change"}
     assert Quiver.from_json(data["quiver"]) == result.quiver
     assert data["basis_change"] == [list(row) for row in result.basis_change]
 

@@ -19,7 +19,7 @@ import pytest
 from coxquiver.invariants import CoxeterNumbers
 from coxquiver.partitions import FactoredCoxPoly, Partition
 from coxquiver.quiver import Quiver
-from coxquiver.realize import STRATEGY, RealizationResult
+from coxquiver.realize import RealizationResult
 from coxquiver.sweep import CHECKS, SweepReport, run_sweep
 from coxquiver.unitform import UnitForm
 
@@ -43,10 +43,10 @@ FROZEN = {
         {"n": 2, "gram_upper": ((1, 1), (0, 1))},
         "UnitForm(n=2, gram_upper=((1, -1), (0, 1)))"),
     RealizationResult: (
-        {"quiver": PATH, "basis_change": ((1, 0), (0, 1)), "strategy": STRATEGY},
-        {"quiver": PATH, "basis_change": ((1, 1), (0, 1)), "strategy": STRATEGY},
+        {"quiver": PATH, "basis_change": ((1, 0), (0, 1))},
+        {"quiver": PATH, "basis_change": ((1, 1), (0, 1))},
         "RealizationResult(quiver=Quiver(m=3, arrows=((1, 2), (2, 3))), "
-        f"basis_change=((1, 0), (0, 1)), strategy={STRATEGY!r})"),
+        "basis_change=((1, 0), (0, 1)))"),
     CoxeterNumbers: (
         {"coxeter_number": None, "reduced_coxeter_number": 6},
         {"coxeter_number": 6, "reduced_coxeter_number": 6},
@@ -117,6 +117,16 @@ def test_pickle_and_deepcopy_round_trip(case):
         assert clone == record
 
 
+def test_a_realization_result_carries_the_quiver_and_basis_change_alone():
+    record = RealizationResult(PATH, ((1, 0), (0, 1)))
+    assert RealizationResult.__slots__ == ("quiver", "basis_change")
+    assert record.__reduce__() == (RealizationResult, (PATH, ((1, 0), (0, 1))))
+    clone = copy.deepcopy(record)
+    assert (clone.quiver, clone.basis_change) == (PATH, ((1, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        RealizationResult(PATH, ((1, 0), (0, 1)), "breadth_first")
+
+
 def test_records_are_not_json_arrays(case):
     cls, values, _, _ = case
     with pytest.raises(TypeError):
@@ -160,22 +170,20 @@ def test_sweep_report_defaults_and_keyword_construction():
     report = SweepReport(3, 4)
     assert (report.max_vertices, report.max_arrows) == (3, 4)
     assert (report.quiver_count, report.form_count) == (0, 0)
-    assert report.strategy_counts == {}
+    assert report.realized_count == 0
     assert report.failure_counts == {check: 0 for check in CHECKS}
     assert report.failure_samples == {check: [] for check in CHECKS}
     assert SweepReport(max_vertices=3, max_arrows=4) == report
-    full = SweepReport(3, 4, 10, 2, {STRATEGY: 2})
+    full = SweepReport(3, 4, 10, 2, 2)
     assert full == SweepReport(3, 4, quiver_count=10, form_count=2,
-                               strategy_counts={STRATEGY: 2})
+                               realized_count=2)
 
 
 def test_sweep_reports_do_not_share_their_containers():
     first, second = SweepReport(3, 4), SweepReport(3, 4)
     first.record("coxeter_numbers", "sample")
-    first.strategy_counts[STRATEGY] = 1
     assert second.failure_counts["coxeter_numbers"] == 0
     assert second.failure_samples["coxeter_numbers"] == []
-    assert second.strategy_counts == {}
 
 
 def test_sweep_report_is_mutable_and_unhashable():
@@ -187,7 +195,7 @@ def test_sweep_report_is_mutable_and_unhashable():
     with pytest.raises(TypeError):
         hash(report)
     fields = ("max_vertices", "max_arrows", "quiver_count", "form_count",
-              "strategy_counts", "failure_counts", "failure_samples")
+              "realized_count", "failure_counts", "failure_samples")
     assert report != SimpleNamespace(**{f: getattr(report, f) for f in fields})
 
 
@@ -197,11 +205,11 @@ def test_sweep_report_repr():
     samples = {check: [] for check in CHECKS}
     assert repr(report) == (
         "SweepReport(max_vertices=2, max_arrows=1, quiver_count=2, form_count=0, "
-        f"strategy_counts={{}}, failure_counts={counts!r}, failure_samples={samples!r})")
+        f"realized_count=0, failure_counts={counts!r}, failure_samples={samples!r})")
 
 
 def test_sweep_report_pickle_and_deepcopy_round_trip():
-    report = SweepReport(3, 4, quiver_count=5, strategy_counts={STRATEGY: 1})
+    report = SweepReport(3, 4, quiver_count=5, realized_count=1)
     report.record("coxeter_numbers", "sample")
     for clone in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
         assert type(clone) is SweepReport

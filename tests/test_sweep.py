@@ -10,7 +10,7 @@ from coxquiver import sweep
 from coxquiver.cli import main
 from coxquiver.partitions import FactoredCoxPoly, Partition
 from coxquiver.quiver import Quiver, triangular_gram
-from coxquiver.realize import STRATEGY, RealizationResult
+from coxquiver.realize import RealizationResult
 from coxquiver.sweep import (
     SweepReport,
     _encode_gram,
@@ -25,7 +25,7 @@ def test_two_workers_match_one():
     serial = run_sweep(3, 4, seed=5, jobs=1)
     assert run_sweep(3, 4, seed=5, jobs=2).to_json() == serial.to_json()
     assert serial.ok()
-    assert serial.strategy_counts == {STRATEGY: serial.form_count}
+    assert serial.realized_count == serial.form_count > 0
 
 
 def test_form_checks_fire_on_a_wrong_cycle_type():
@@ -53,8 +53,7 @@ def test_record_keeps_the_first_twenty_samples():
 def test_merge_keeps_the_first_samples_in_submission_order():
     total = SweepReport(3, 4)
     for unit in range(3):
-        part = SweepReport(3, 4, quiver_count=10, form_count=2,
-                           strategy_counts={STRATEGY: 2})
+        part = SweepReport(3, 4, quiver_count=10, form_count=2, realized_count=2)
         for k in range(12):
             part.record("coxeter_numbers", f"unit {unit} sample {k}")
         total.merge(part)
@@ -63,7 +62,7 @@ def test_merge_keeps_the_first_samples_in_submission_order():
         [f"unit 0 sample {k}" for k in range(12)]
         + [f"unit 1 sample {k}" for k in range(8)])
     assert (total.quiver_count, total.form_count) == (30, 6)
-    assert total.strategy_counts == {STRATEGY: 6}
+    assert total.realized_count == total.form_count == 6
     assert total.total_failures == 36
 
 
@@ -155,7 +154,7 @@ def _times_v_minus_one(poly):
 
 
 def _with_quiver(result, quiver):
-    return RealizationResult(quiver, result.basis_change, result.strategy)
+    return RealizationResult(quiver, result.basis_change)
 
 
 def _with_isolated_vertex(result):
@@ -234,6 +233,21 @@ def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert expected <= fired, (route, item, report.failure_counts)
         for check in fired:
             assert all(s.startswith("n=") for s in report.failure_samples[check])
+
+
+def test_phase2_round_trip_reads_the_cycle_type_of_an_extra_isolated_vertex(monkeypatch):
+    """A realized quiver with one more vertex, on no arrow, is not
+    connected; the round trip still reads its vertex permutation and
+    reports the changed cycle type, not a raised exception."""
+    items = _phase2_items(3, 4)
+    route = sweep.realize
+    monkeypatch.setattr(sweep, "realize",
+                        lambda form: _with_isolated_vertex(route(form)))
+    for item in items:
+        report = _phase2_worker((3, 4, [item]))
+        assert report.total_failures == 1, (item, report.failure_counts)
+        [sample] = report.failure_samples["realization_roundtrip"]
+        assert sample.endswith(": realization changed the cycle type"), sample
 
 
 def test_phase2_round_trip_fires_on_a_wrong_basis_change_column(monkeypatch):

@@ -5,8 +5,8 @@ lives here.  The parser is built once, at import, from the table ``_VERBS``;
 a verb returns a JSON value and the lines of its table rendering, and
 ``main`` prints the one ``--format`` names.  Exit codes: 0 success, 1 domain
 errors (for instance a form that is not of Dynkin type A), 2 usage errors
-and malformed input, 3 internal invariant violations, 141 a closed output
-pipe.
+and malformed input, 3 internal invariant violations and any other
+exception, 141 a closed output pipe.
 """
 
 from __future__ import annotations
@@ -49,7 +49,10 @@ def _load(path: str, cls: type, what: str):
     ``NotConnected`` passes through, other faults become ``InputError``."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # the bytes, decoded strictly: in UTF-8 mode the text layer of
+            # stdin would let invalid bytes through as surrogates
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -343,6 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else 2
     try:
         data, lines, *status = args.func(args)
+        text = json.dumps(data) if args.format == "json" else "\n".join(lines)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -352,8 +356,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of this program: one line, no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     try:
-        print(json.dumps(data) if args.format == "json" else "\n".join(lines))
+        print(text)
     except BrokenPipeError:
         # the reader closed the pipe (``| head``): send the unflushed rest
         # to the null device so the flush at exit cannot raise again, and

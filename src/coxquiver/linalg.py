@@ -489,10 +489,3 @@ def v_power_minus_one(t: int) -> IntPoly:
     if t < 1:
         raise ValueError("exponent must be >= 1")
     return (-1,) + (0,) * (t - 1) + (1,)
-
-
-def nu_poly(k: int) -> IntPoly:
-    """nu_k(v) = v^{k-1} + ... + v + 1, so that v^k - 1 = (v-1) nu_k(v)."""
-    if k < 1:
-        raise ValueError("nu_k requires k >= 1")
-    return (1,) * k

@@ -11,14 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import FrozenRecord
-from .linalg import (
-    IntPoly,
-    PermutationMap,
-    cycle_decomposition,
-    nu_poly,
-    poly_mul,
-    poly_pow,
-)
+from .linalg import IntPoly, PermutationMap, cycle_decomposition
 
 
 class Partition(FrozenRecord):
@@ -103,10 +96,29 @@ class FactoredCoxPoly(FrozenRecord):
 
 @lru_cache(maxsize=4096)
 def _expand_nu_form(nu_exponent: int, parts: tuple[int, ...]) -> IntPoly:
-    out = poly_pow((-1, 1), nu_exponent)
+    """(v-1)^e from its binomial coefficients, then one running sum per
+    part: times nu_p(v) = 1 + v + ... + v^(p-1), each coefficient is the
+    sum of p consecutive ones.  O(e + degree * length) additions, where
+    schoolbook products would take O(degree^2)."""
+    e = nu_exponent
+    term = -1 if e % 2 else 1
+    out = [term]
+    for i in range(e):
+        # C(e, i + 1) (-1)^(e - i - 1) from C(e, i) (-1)^(e - i), exactly
+        term = -term * (e - i) // (i + 1)
+        out.append(term)
     for p in parts:
-        out = poly_mul(out, nu_poly(p))
-    return out
+        size = len(out)
+        window = 0
+        product = []
+        for k in range(size + p - 1):
+            if k < size:
+                window += out[k]
+            if k >= p:
+                window -= out[k - p]
+            product.append(window)
+        out = product
+    return tuple(out)
 
 
 def char_poly_of_partition(p: Partition) -> FactoredCoxPoly:

@@ -122,17 +122,28 @@ def canonical_extension_quiver(r: int, c: int) -> Quiver:
 # breadth-first realization
 # ---------------------------------------------------------------------------
 
-def _breadth_first(g: IntMatrix) -> list[tuple[int, int]]:
+def _neighbours(f: UnitForm) -> list[dict[int, int]]:
+    """For each variable (0-based), its Gram neighbours with the entries of
+    G + G^T.  The form's entries are sorted, so every dict lists its
+    neighbours in ascending order."""
+    rows: list[dict[int, int]] = [{} for _ in range(f.n)]
+    for i, j, value in f.upper:
+        rows[i - 1][j - 1] = value
+        rows[j - 1][i - 1] = value
+    return rows
+
+
+def _breadth_first(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
     """Variables in breadth-first order of the Gram graph from variable 1,
-    each paired with the neighbour it was reached from (-1 for the root)."""
-    n = len(g)
+    neighbours in ascending order, each paired with the neighbour it was
+    reached from (-1 for the root)."""
+    n = len(rows)
     parent = [-2] * n
     parent[0] = -1
     order = [0]
     for i in order:  # the list grows while it is walked
-        row = g[i]
-        for j in range(n):
-            if row[j] and parent[j] == -2:
+        for j in rows[i]:
+            if parent[j] == -2:
                 parent[j] = i
                 order.append(j)
     if len(order) < n:
@@ -140,41 +151,55 @@ def _breadth_first(g: IntMatrix) -> list[tuple[int, int]]:
     return [(i, parent[i]) for i in order]
 
 
-def _candidate(known: int, source: bool, row: tuple[int, ...],
-               placed: list[int], arrows: list, fresh: int) -> tuple[int, int]:
+def _candidate(known: int, source: bool, row: dict[int, int], near: list,
+               at: list, arrows: list, fresh: int) -> tuple[int, int]:
     """The one column with ``known`` as its source (or target) that can have
-    inner product ``row[j]`` with every placed column j.
+    inner product ``row.get(j, 0)`` with every placed column j; ``near``
+    lists the placed neighbours j with their entries.
 
-    On a placed arrow (u, v) the column's inner product is the incidence
-    entry of ``known`` plus or minus that of the other endpoint x, so the
-    first placed arrow where the two disagree names x.  When none does, x
-    touches no placed arrow and is the unused vertex ``fresh``.
+    On a placed arrow the column's inner product is the incidence entry of
+    ``known`` plus or minus that of the other endpoint x, so a placed arrow
+    where the two disagree names x.  Only placed neighbours and arrows at
+    ``known`` can disagree, and an arrow at ``known`` that is no neighbour
+    always does.  When none does, x touches no placed arrow and is the
+    unused vertex ``fresh``.
     """
     sign = 1 if source else -1
-    x = fresh
-    for j in placed:
-        u, v = arrows[j]
-        r = sign * ((known == u) - (known == v)) - row[j]
+    here = at[known]
+    for j, value in near:
+        r = sign * here.get(j, 0) - value
         if r:
-            x = u if r == sign else v
             break
+    else:
+        for j, incidence in here.items():
+            if j not in row:
+                r = sign * incidence
+                break
+        else:
+            return (known, fresh) if source else (fresh, known)
+    u, v = arrows[j]
+    x = u if r == sign else v
     return (known, x) if source else (x, known)
 
 
-def _fits(column: tuple[int, int], row: tuple[int, ...], placed: list[int],
-          arrows: list) -> bool:
+def _fits(column: tuple[int, int], row: dict[int, int], near: list,
+          at: list) -> bool:
+    """Whether the column (s, t) has inner product ``row.get(j, 0)`` with
+    every placed column j.  That product is the incidence entry of arrow j
+    at s minus its entry at t: checked on the placed neighbours in
+    ``near``, and nonzero on every other arrow at s or t, so none may be
+    there."""
     s, t = column
-    for j in placed:
-        u, v = arrows[j]
-        if (s == u) + (t == v) - (s == v) - (t == u) != row[j]:
+    at_s, at_t = at[s], at[t]
+    for j, value in near:
+        if at_s.get(j, 0) - at_t.get(j, 0) != value:
             return False
-    return True
+    return at_s.keys() <= row.keys() and at_t.keys() <= row.keys()
 
 
-def _stuck(i: int, row: tuple[int, ...], placed: list[int]) -> str:
-    neighbours = sorted(j for j in placed if row[j])
-    entries = ", ".join(f"{row[j]} with variable {j + 1}" for j in neighbours)
-    others = len(placed) - len(neighbours)
+def _stuck(i: int, near: list, placed: int) -> str:
+    entries = ", ".join(f"{value} with variable {j + 1}" for j, value in near)
+    others = placed - len(near)
     return (f"not Dynkin type A: no incidence column for variable {i + 1} has "
             f"the Gram entries {entries} and 0 with the {others} other placed "
             "variables")
@@ -205,43 +230,66 @@ def realize_quiver(f: UnitForm) -> Quiver:
     with the columns placed so far, and a variable with no surviving
     column proves the form is not of type A.
 
-    O(n^2) inner products; the vertex count gives the corank n - m + 1,
-    and a realization proves non-negativity.  Exactness of the Gram matrix
-    holds by construction: every pair of columns was checked when the
-    later one was placed.
+    Why looking only near the column is enough: a column (s, t) has inner
+    product 0 with every placed arrow at neither s nor t, so only the
+    placed arrows at s and t, and the variable's placed neighbours, which
+    must be among them, can contradict it.  A shape with one endpoint x
+    still open is fixed by any placed arrow that disagrees with the known
+    endpoint alone, and each such arrow names x by itself; a surviving
+    column agrees with all of them, so they all name the same x, and the
+    order in which they are scanned cannot change the column kept.
+
+    So each placement costs time in the degrees of the vertices and the
+    variable involved, not in n, and the Gram matrix is never built unless
+    a variable is stuck: then the dense G + G^T tells an indefinite form
+    from a non-negative one not of type A.  The vertex count gives the
+    corank n - m + 1, and a realization proves non-negativity.  Exactness
+    of the Gram matrix holds by construction: every pair of columns was
+    checked when the later one was placed.
     """
-    g = symmetric_gram(f)
-    order = _breadth_first(g)
-    arrows: list = [None] * f.n
+    n = f.n
+    rows = _neighbours(f)
+    order = _breadth_first(rows)
+    arrows: list = [None] * n
     arrows[0] = (1, 2)
-    placed = [0]
+    # per vertex, the placed arrows at it with their incidence entry there;
+    # a connected quiver with n arrows has at most n + 1 vertices, and the
+    # fresh one is the next
+    at: list[dict[int, int]] = [{} for _ in range(n + 3)]
+    at[1][0] = 1
+    at[2][0] = -1
     m = 2
-    for i, p in order[1:]:
-        row = g[i]
+    for placed, (i, p) in enumerate(order[1:], start=1):
+        row = rows[i]
+        near = [(j, value) for j, value in row.items() if arrows[j] is not None]
         a, b = arrows[p]
         entry = row[p]
-        if entry in (2, -2):
-            shapes = [(a, b) if entry == 2 else (b, a)]
-        elif entry in (1, -1):
+        if entry == 2 or entry == -2:
+            column = (a, b) if entry == 2 else (b, a)
+            fits = _fits(column, row, near, at)
+        elif entry == 1 or entry == -1:
             # the shape with the shared endpoint as source first, the other
             # built only when the first does not fit
-            ends = ((a, True), (b, False)) if entry == 1 else ((b, True), (a, False))
-            shapes = (_candidate(known, source, row, placed, arrows, m + 1)
-                      for known, source in ends)
+            if entry == -1:
+                a, b = b, a
+            column = _candidate(a, True, row, near, at, arrows, m + 1)
+            fits = _fits(column, row, near, at)
+            if not fits:
+                column = _candidate(b, False, row, near, at, arrows, m + 1)
+                fits = _fits(column, row, near, at)
         else:
-            shapes = ()
+            fits = False
         # a loop has inner product 0 with the parent column, so never fits
-        for column in shapes:
-            if _fits(column, row, placed, arrows):
-                break
-        else:
-            if not is_psd(g):
+        if not fits:
+            if not is_psd(symmetric_gram(f)):
                 raise ValueError("the form is indefinite: realization requires "
                                  "a non-negative unit form")
-            raise NotDynkinTypeA(_stuck(i, row, placed))
-        m = max(m, *column)
+            raise NotDynkinTypeA(_stuck(i, near, placed))
+        s, t = column
+        m = max(m, s, t)
         arrows[i] = column
-        placed.append(i)
+        at[s][i] = 1
+        at[t][i] = -1
     return Quiver(m, tuple(arrows))
 
 

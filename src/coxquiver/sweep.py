@@ -154,11 +154,16 @@ def _encode_gram(gram_tri) -> bytes:
 
 
 def _decode_gram(blob: bytes):
+    """The triangular Gram matrix and its nonzero strictly upper entries
+    (1-based), as a unit form takes them."""
     n = isqrt(len(blob))
     # one list of values sliced per row: tuple() of a generator resizes its
     # result
     values = [x - 2 for x in blob]
-    return tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
+    gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
+    upper = [(i + 1, j + 1, row[j])
+             for i, row in enumerate(gram_tri) for j in range(i + 1, n) if row[j]]
+    return gram_tri, upper
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +379,9 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
 # phase 2: per-form checks
 # ---------------------------------------------------------------------------
 
-def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
-                roundtrip_memo: dict, multiplicity_memo: dict) -> None:
+def _check_form(report: SweepReport, gram_tri, upper: list,
+                ct_parts: tuple[int, ...], roundtrip_memo: dict,
+                multiplicity_memo: dict) -> None:
     rec = report.record
     n = len(gram_tri)
     ct = Partition(ct_parts)
@@ -385,7 +391,7 @@ def _check_form(report: SweepReport, gram_tri, ct_parts: tuple[int, ...],
         return f"n={n} c={c} gram={gram_tri}"
     try:
         check = "polynomial_factorization"
-        form = UnitForm(n, gram_tri)
+        form = UnitForm(n, upper)
         phi = coxeter_matrix(form)
         direct = char_poly(phi)
 
@@ -471,7 +477,7 @@ def _phase2_worker(args: tuple) -> SweepReport:
     roundtrip_memo: dict = {}
     multiplicity_memo: dict = {}
     for blob, ct_parts in items:
-        _check_form(report, _decode_gram(blob), ct_parts,
+        _check_form(report, *_decode_gram(blob), ct_parts,
                     roundtrip_memo, multiplicity_memo)
     return report
 

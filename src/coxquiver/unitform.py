@@ -1,9 +1,8 @@
-"""Integral unit quadratic forms as upper triangular Gram matrices."""
+"""Integral unit quadratic forms, stored as their nonzero Gram entries."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import add
+from collections.abc import Iterable, Sequence
 
 from ._record import FrozenRecord
 from .errors import NotConnected
@@ -19,43 +18,74 @@ from .linalg import (
     transpose,
     unitriangular_inverse,
 )
-from .quiver import Quiver, spanning_tree, triangular_gram
+from .quiver import Quiver, spanning_tree
+
+_TRIPLES = "'upper' must be a list of [i, j, value] triples"
+
+
+def _canonical_entries(n: int, entries: Iterable) -> tuple[tuple[int, int, int], ...]:
+    """The entries as a sorted tuple of (i, j, value) with value != 0,
+    after checking each is an integer triple with 1 <= i < j <= n and no
+    position repeats; the first fault in input order is the one reported."""
+    seen = set()
+    out = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(_TRIPLES)
+        i, j, value = entry
+        # bool is a subclass of int, but a JSON true is not an integer
+        if type(i) is not int or type(j) is not int or type(value) is not int:
+            raise ValueError(_TRIPLES)
+        if not 1 <= i < j <= n:
+            raise ValueError(f"entry ({i}, {j}) is not strictly upper triangular")
+        key = (i, j)
+        if key in seen:
+            raise ValueError(f"entry ({i}, {j}) is given twice")
+        seen.add(key)
+        if value:
+            out.append((i, j, value))
+    # input in canonical order, as to_json writes it, sorts in linear time
+    out.sort()
+    return tuple(out)
 
 
 class UnitForm(FrozenRecord):
-    """A unit form q(x) = x^T G x with G upper triangular, unit diagonal."""
+    """A unit form q(x) = x^T G x with G upper triangular, unit diagonal,
+    stored as the nonzero entries of G above the diagonal: ``upper`` is a
+    sorted tuple of 1-based (i, j, G_ij) with i < j, so that two forms are
+    equal exactly when their Gram matrices are."""
 
-    __slots__ = ("n", "gram_upper")
+    __slots__ = ("n", "upper")
 
-    def __init__(self, n: int, gram_upper: IntMatrix) -> None:
+    def __init__(self, n: int, upper: Iterable[Sequence[int]]) -> None:
         if n < 1:
             raise ValueError("a unit form needs at least one variable")
-        if len(gram_upper) != n or any(len(row) != n for row in gram_upper):
-            raise ValueError("Gram matrix size does not match the variable count")
-        for i, row in enumerate(gram_upper):
-            if row[i] != 1:
-                raise ValueError("unit forms have unit diagonal")
-            if any(row[:i]):
-                raise ValueError("Gram matrix must be upper triangular")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gram_upper", gram_upper)
+        object.__setattr__(self, "upper", _canonical_entries(n, upper))
+
+    @property
+    def gram_upper(self) -> IntMatrix:
+        """The dense upper triangular Gram matrix G: an O(n^2) view for the
+        routes that need the whole matrix."""
+        n = self.n
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1
+        for i, j, value in self.upper:
+            rows[i - 1][j - 1] = value
+        # from a list: tuple() of a generator resizes its result, and the
+        # resized tuples pile up on CPython's tuple free list
+        return tuple([tuple(row) for row in rows])
 
     def to_json(self) -> dict:
-        entries = [
-            [i + 1, j + 1, self.gram_upper[i][j]]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.gram_upper[i][j] != 0
-        ]
-        return {"n": self.n, "upper": entries}
+        return {"n": self.n, "upper": [*map(list, self.upper)]}
 
     @classmethod
     def from_json(cls, data: object, *, connected: bool = False) -> "UnitForm":
         """Parse ``{"n": n, "upper": [[i, j, value], ...]}``.
 
         With ``connected`` set, fewer than n - 1 entries raise NotConnected
-        before the n x n matrix is allocated: they cannot connect n
-        variables.
+        before any entry is read: they cannot connect n variables.
         """
         if not isinstance(data, dict):
             raise ValueError("unit form JSON must be an object")
@@ -68,61 +98,33 @@ class UnitForm(FrozenRecord):
         if type(n) is not int or n < 1:
             raise ValueError("'n' must be a positive integer")
         if not isinstance(entries, list):
-            raise ValueError("'upper' must be a list of [i, j, value] triples")
+            raise ValueError(_TRIPLES)
         if connected and len(entries) < n - 1:
             raise NotConnected(f"{len(entries)} entries cannot connect {n} "
                                "variables: the form is not connected")
-        seen = set()
-        for entry in entries:
-            # bool is a subclass of int, but a JSON true is not an integer
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not all(type(x) is int for x in entry)
-            ):
-                raise ValueError("'upper' must be a list of [i, j, value] triples")
-            i, j, _ = entry
-            if not (1 <= i < j <= n):
-                raise ValueError(f"entry ({i}, {j}) is not strictly upper triangular")
-            if (i, j) in seen:
-                raise ValueError(f"entry ({i}, {j}) is given twice")
-            seen.add((i, j))
-        return form_from_upper(n, entries)
-
-
-def form_from_upper(n: int, entries: Sequence[tuple[int, int, int]]) -> UnitForm:
-    """Build a unit form from its nonzero strictly-upper entries (1-based)."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for i, j, value in entries:
-        if not (1 <= i < j <= n):
-            raise ValueError(f"entry ({i}, {j}) is not strictly upper triangular")
-        rows[i - 1][j - 1] = value
-    # from a list: tuple() of a generator resizes its result, and the
-    # resized tuples pile up on CPython's tuple free list
-    return UnitForm(n, tuple([tuple(row) for row in rows]))
+        return cls(n, entries)
 
 
 def evaluate(f: UnitForm, x: Sequence[int]) -> int:
     """q(x) = x^T G x, exactly."""
     if len(x) != f.n:
         raise ValueError(f"vector length {len(x)} does not match {f.n} variables")
-    g = f.gram_upper
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = g[i]
-            total += xi * sum(row[j] * x[j] for j in range(i, f.n))
+    total = sum(xi * xi for xi in x)
+    for i, j, value in f.upper:
+        total += value * x[i - 1] * x[j - 1]
     return total
 
 
 def symmetric_gram(f: UnitForm) -> IntMatrix:
     """G + G^T: symmetric with diagonal 2."""
-    g = f.gram_upper
-    # rows from lists: tuple() of a map resizes its result, and the resized
-    # tuples pile up on CPython's tuple free list
-    return tuple([tuple([*map(add, row, col)]) for row, col in zip(g, zip(*g))])
+    n = f.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+    for i, j, value in f.upper:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    # from a list: tuple() of a generator resizes its result
+    return tuple([tuple(row) for row in rows])
 
 
 def corank(f: UnitForm) -> int:
@@ -136,25 +138,35 @@ def is_non_negative(f: UnitForm) -> bool:
 def is_connected(f: UnitForm) -> bool:
     """Connectivity of the graph on variables with edges at nonzero Gram
     entries."""
-    n = f.n
-    g = f.gram_upper
-    edges = ((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j])
-    return len(spanning_tree(n, edges)) == n - 1
+    edges = ((i, j) for i, j, _ in f.upper)
+    return len(spanning_tree(f.n, edges)) == f.n - 1
 
 
 def form_of_quiver(q: Quiver) -> UnitForm:
-    """The unit form of a loop-less quiver: its triangular Gram matrix.
+    """The unit form of a loop-less quiver: G_ij for i < j is the inner
+    product of the incidence columns of arrows i and j.
 
+    Only arrows with a common vertex have a nonzero product, so the entries
+    come from the arrows already seen at each endpoint of each arrow.
     Evaluates identically to half the squared norm of I(Q) x.
     """
     if q.n == 0:
         raise ValueError("a quiver with no arrows has no unit form")
-    return UnitForm(q.n, triangular_gram(q))
+    # per vertex, the arrows at it so far with their incidence entry there
+    seen: list[list[tuple[int, int]]] = [[] for _ in range(q.m + 1)]
+    entries: dict[tuple[int, int], int] = {}
+    for j, (s, t) in enumerate(q.arrows, start=1):
+        for v, sign in ((s, 1), (t, -1)):
+            for i, other in seen[v]:
+                entries[i, j] = entries.get((i, j), 0) + sign * other
+            seen[v].append((j, sign))
+    return UnitForm(q.n, [(i, j, value) for (i, j), value in entries.items()])
 
 
 def coxeter_matrix(f: UnitForm) -> IntMatrix:
     """-G^T G^{-1}, using the exact unitriangular inverse."""
-    return coxeter_from_gram(f.gram_upper, unitriangular_inverse(f.gram_upper))
+    g = f.gram_upper
+    return coxeter_from_gram(g, unitriangular_inverse(g))
 
 
 def coxeter_polynomial_direct(f: UnitForm) -> IntPoly:

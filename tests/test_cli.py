@@ -384,6 +384,31 @@ def test_invariant_violation_exit_3(capsys, monkeypatch, a3_form_path):
     assert err.startswith("internal invariant violation:")
 
 
+def test_any_other_exception_exit_3_without_traceback(capsys, monkeypatch, a3_form_path):
+    def broken(form):
+        raise RuntimeError("an unexpected fault")
+
+    monkeypatch.setattr(cli, "cycle_type_and_corank", broken)
+    code, out, err = run_cli(capsys, "invariants", "--form", a3_form_path)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError('an unexpected fault')\n"
+
+
+def test_undecodable_stdin_in_utf8_mode_exit_2():
+    # in UTF-8 mode the text layer of stdin decodes invalid bytes to
+    # surrogates, so the check must read the bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "coxquiver", "invariants", "--form", "-"],
+        input=b"\xff\xfe{}", capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: - is not UTF-8 text")
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_realize_rejection_names_the_variable(capsys, tmp_path):
     path = write_json(tmp_path, {"n": 4, "upper": [[1, 2, -1], [1, 3, -1], [1, 4, -1]]})
     code, _, err = run_cli(capsys, "invariants", "--form", path)

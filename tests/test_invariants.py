@@ -2,6 +2,10 @@
 polynomials, Coxeter numbers, spectral multiplicities, the polynomial ->
 cycle type inverse, and the enumeration of attainable polynomials."""
 
+import json
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from coxquiver.invariants import (
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
     coxeter_polynomial_of_cycle_type,
+    cycle_type_and_corank,
     cycle_type_from_cox_poly,
     cycle_type_of_form,
     enumerate_coxeter_polynomials,
@@ -22,13 +27,13 @@ from coxquiver.invariants import (
 )
 from coxquiver.linalg import char_poly, poly_mul, poly_pow, v_power_minus_one
 from coxquiver.partitions import Partition, part1c
-from coxquiver.quiver import Quiver
+from coxquiver.quiver import Quiver, cycle_type_of_quiver
 from coxquiver.realize import representative_quiver_A
 from coxquiver.unitform import (
+    UnitForm,
     corank,
     coxeter_matrix,
     coxeter_polynomial_direct,
-    form_from_upper,
     form_of_quiver,
 )
 
@@ -62,19 +67,19 @@ def test_cycle_type_of_representative():
 
 
 def test_cycle_type_rejects_non_type_a():
-    d4 = form_from_upper(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
+    d4 = UnitForm(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
     with pytest.raises(NotDynkinTypeA):
         cycle_type_of_form(d4)
 
 
 def test_cycle_type_rejects_disconnected():
     with pytest.raises(ValueError):
-        cycle_type_of_form(form_from_upper(2, []))
+        cycle_type_of_form(UnitForm(2, []))
 
 
 def test_cycle_type_rejects_indefinite():
     with pytest.raises(ValueError):
-        cycle_type_of_form(form_from_upper(2, [(1, 2, -3)]))
+        cycle_type_of_form(UnitForm(2, [(1, 2, -3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +345,26 @@ def test_cycle_type_from_characteristic_polynomial_matches_realization(q):
     f = form_of_quiver(q)
     poly = char_poly(coxeter_matrix(f))
     assert cycle_type_from_cox_poly(poly, corank(f)) == cycle_type_of_form(f)
+
+
+def test_a_sparse_form_is_read_and_realized_in_linear_memory():
+    # a random connected quiver with n = 3000 arrows on 1710 vertices, whose
+    # form has about 3.5n entries; a dense n x n Gram matrix alone would
+    # take over 70 MB
+    rng = random.Random(1)
+    m, n = 1710, 3000
+    arrows = [(k + 1, rng.randrange(k) + 1)[::rng.choice((1, -1))] for k in range(1, m)]
+    while len(arrows) < n:
+        arrows.append(tuple(rng.sample(range(1, m + 1), 2)))
+    rng.shuffle(arrows)
+    q = Quiver(m, tuple(arrows))
+    data = json.loads(json.dumps(form_of_quiver(q).to_json()))
+    assert 3.4 * n < len(data["upper"]) < 3.7 * n
+    tracemalloc.start()
+    try:
+        ct, c = cycle_type_and_corank(UnitForm.from_json(data, connected=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ct, c) == (cycle_type_of_quiver(q), n - m + 1)
+    assert peak < 16 * 2 ** 20

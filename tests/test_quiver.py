@@ -48,7 +48,7 @@ from coxquiver.quiver import (
     vertex_permutation,
 )
 from coxquiver.sweep import _phase1_units
-from coxquiver.unitform import form_from_upper, is_connected as form_connected
+from coxquiver.unitform import UnitForm, is_connected as form_connected
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -135,7 +135,7 @@ def test_spanning_tree_and_connectivity_match_a_bfs_oracle():
         assert (len(tree) == m - 1) == connected
         assert is_connected(Quiver(m, tuple(edges))) == connected
         entries = {(min(e), max(e), -1) for e in edges}
-        assert form_connected(form_from_upper(m, sorted(entries))) == connected
+        assert form_connected(UnitForm(m, sorted(entries))) == connected
     assert connected_seen > 50 and disconnected_seen > 50
 
 

@@ -1,6 +1,7 @@
 """Realization tests: representative families, the canonical extension
 quiver, the breadth-first realizer and its basis change, and differential
-checks against an exhaustive search kept here as an oracle."""
+checks against an exhaustive search and the dense breadth-first realizer,
+both kept here as oracles."""
 
 import itertools
 import json
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxquiver.errors import NotConnected, NotDynkinTypeA
-from coxquiver.linalg import determinant, mat_mul, transpose
+from coxquiver.linalg import determinant, is_psd, mat_mul, transpose
 from coxquiver.partitions import Partition, part1c
 from coxquiver.quiver import (
     Quiver,
@@ -35,12 +36,13 @@ from coxquiver.unitform import (
     UnitForm,
     corank,
     evaluate,
-    form_from_upper,
     form_of_quiver,
     is_connected,
     is_non_negative,
     symmetric_gram,
 )
+
+from dense import form_from_gram
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +207,99 @@ def realize_backtracking(f: UnitForm) -> Quiver:
     return Quiver(m, tuple(arrows))
 
 
+# ---------------------------------------------------------------------------
+# the dense breadth-first realizer, kept as an oracle for the sparse one
+# ---------------------------------------------------------------------------
+
+def _dense_breadth_first(g):
+    n = len(g)
+    parent = [-2] * n
+    parent[0] = -1
+    order = [0]
+    for i in order:
+        row = g[i]
+        for j in range(n):
+            if row[j] and parent[j] == -2:
+                parent[j] = i
+                order.append(j)
+    if len(order) < n:
+        raise NotConnected("realization requires a connected unit form")
+    return [(i, parent[i]) for i in order]
+
+
+def _dense_candidate(known, source, row, placed, arrows, fresh):
+    sign = 1 if source else -1
+    x = fresh
+    for j in placed:
+        u, v = arrows[j]
+        r = sign * ((known == u) - (known == v)) - row[j]
+        if r:
+            x = u if r == sign else v
+            break
+    return (known, x) if source else (x, known)
+
+
+def _dense_fits(column, row, placed, arrows):
+    s, t = column
+    for j in placed:
+        u, v = arrows[j]
+        if (s == u) + (t == v) - (s == v) - (t == u) != row[j]:
+            return False
+    return True
+
+
+def _dense_stuck(i, row, placed):
+    neighbours = sorted(j for j in placed if row[j])
+    entries = ", ".join(f"{row[j]} with variable {j + 1}" for j in neighbours)
+    others = len(placed) - len(neighbours)
+    return (f"not Dynkin type A: no incidence column for variable {i + 1} has "
+            f"the Gram entries {entries} and 0 with the {others} other placed "
+            "variables")
+
+
+def realize_quiver_dense(f: UnitForm) -> Quiver:
+    """The breadth-first realizer on the dense matrix G + G^T: each candidate
+    column is compared with every placed column, in placement order."""
+    g = symmetric_gram(f)
+    order = _dense_breadth_first(g)
+    arrows = [None] * f.n
+    arrows[0] = (1, 2)
+    placed = [0]
+    m = 2
+    for i, p in order[1:]:
+        row = g[i]
+        a, b = arrows[p]
+        entry = row[p]
+        if entry in (2, -2):
+            shapes = [(a, b) if entry == 2 else (b, a)]
+        elif entry in (1, -1):
+            ends = ((a, True), (b, False)) if entry == 1 else ((b, True), (a, False))
+            shapes = (_dense_candidate(known, source, row, placed, arrows, m + 1)
+                      for known, source in ends)
+        else:
+            shapes = ()
+        for column in shapes:
+            if _dense_fits(column, row, placed, arrows):
+                break
+        else:
+            if not is_psd(g):
+                raise ValueError("the form is indefinite: realization requires "
+                                 "a non-negative unit form")
+            raise NotDynkinTypeA(_dense_stuck(i, row, placed))
+        m = max(m, *column)
+        arrows[i] = column
+        placed.append(i)
+    return Quiver(m, tuple(arrows))
+
+
+def realized_or_raised(realizer, f):
+    """The quiver, or the type and message of the ValueError raised."""
+    try:
+        return realizer(f)
+    except ValueError as exc:  # NotDynkinTypeA and NotConnected included
+        return type(exc), str(exc)
+
+
 def outcome(realizer, f):
     """'realized', 'not type A' or 'indefinite', checking any quiver."""
     try:
@@ -218,14 +313,14 @@ def outcome(realizer, f):
 
 
 def test_backtracking_path_form():
-    f = form_from_upper(2, [(1, 2, -1)])
+    f = UnitForm(2, [(1, 2, -1)])
     q = realize_backtracking(f)
     assert form_of_quiver(q) == f
     assert cycle_type_of_quiver(q) == Partition((3,))
 
 
 def test_backtracking_kronecker():
-    f = form_from_upper(2, [(1, 2, 2)])
+    f = UnitForm(2, [(1, 2, 2)])
     assert realize_backtracking(f) == Quiver(2, ((1, 2), (1, 2)))
 
 
@@ -238,14 +333,14 @@ def test_backtracking_deterministic_labels():
 
 
 def test_backtracking_rejects_type_d():
-    d4 = form_from_upper(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
+    d4 = UnitForm(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
     with pytest.raises(NotDynkinTypeA):
         realize_backtracking(d4)
 
 
 def test_backtracking_rejects_type_e():
     # E6 diagram: path 1-2-3-4-5 with 6 attached to the middle vertex 3
-    e6 = form_from_upper(6, [(1, 2, -1), (2, 3, -1), (3, 4, -1),
+    e6 = UnitForm(6, [(1, 2, -1), (2, 3, -1), (3, 4, -1),
                              (4, 5, -1), (3, 6, -1)])
     with pytest.raises(NotDynkinTypeA):
         realize_backtracking(e6)
@@ -253,9 +348,9 @@ def test_backtracking_rejects_type_e():
 
 def test_backtracking_validates_preconditions():
     with pytest.raises(ValueError):
-        realize_backtracking(form_from_upper(2, []))  # disconnected
+        realize_backtracking(UnitForm(2, []))  # disconnected
     with pytest.raises(ValueError):
-        realize_backtracking(form_from_upper(2, [(1, 2, -3)]))  # indefinite
+        realize_backtracking(UnitForm(2, [(1, 2, -3)]))  # indefinite
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +374,23 @@ def test_weak_congruence_canonical_input_is_signed_permutation():
 
 
 def test_weak_congruence_kronecker():
-    f = form_from_upper(2, [(1, 2, 2)])
+    f = UnitForm(2, [(1, 2, 2)])
     assert_weak_congruence(f, weak_congruence_to_canonical(f))
 
 
 def test_weak_congruence_path_form():
-    f = form_from_upper(2, [(1, 2, -1)])
+    f = UnitForm(2, [(1, 2, -1)])
     assert_weak_congruence(f, weak_congruence_to_canonical(f))
 
 
 def test_weak_congruence_clears_positive_units():
     # gram with a +1 entry
-    f = form_from_upper(2, [(1, 2, 1)])
+    f = UnitForm(2, [(1, 2, 1)])
     assert_weak_congruence(f, weak_congruence_to_canonical(f))
 
 
 def test_weak_congruence_failure_raises():
-    d4 = form_from_upper(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
+    d4 = UnitForm(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
     with pytest.raises(NotDynkinTypeA):
         weak_congruence_to_canonical(d4)
 
@@ -327,7 +422,7 @@ def test_algorithm71_on_canonical_form():
 
 
 def test_algorithm71_path_form():
-    f = form_from_upper(2, [(1, 2, -1)])
+    f = UnitForm(2, [(1, 2, -1)])
     result = realize(f)
     assert result.basis_change is not None
     assert form_of_quiver(result.quiver) == f
@@ -350,7 +445,7 @@ def test_algorithm71_representative_322():
 
 
 def test_realize_wrapper():
-    f = form_from_upper(2, [(1, 2, 2)])
+    f = UnitForm(2, [(1, 2, 2)])
     assert form_of_quiver(realize(f).quiver) == f
 
 
@@ -363,17 +458,17 @@ def test_realize_first_arrow_and_labels():
 
 def test_realize_rejects_disconnected_and_indefinite():
     with pytest.raises(NotConnected, match="connected"):
-        realize(form_from_upper(3, [(1, 2, -1)]))
+        realize(UnitForm(3, [(1, 2, -1)]))
     with pytest.raises(ValueError, match="indefinite"):
-        realize(form_from_upper(2, [(1, 2, -3)]))
+        realize(UnitForm(2, [(1, 2, -3)]))
     with pytest.raises(ValueError, match="indefinite"):
         # four pairwise -1 entries: 3 Id - J has the eigenvalue -1
-        realize(form_from_upper(4, [(i, j, -1) for i in range(1, 5)
+        realize(UnitForm(4, [(i, j, -1) for i in range(1, 5)
                                     for j in range(i + 1, 5)]))
 
 
 def test_realize_names_the_stuck_variable():
-    d4 = form_from_upper(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
+    d4 = UnitForm(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
     with pytest.raises(NotDynkinTypeA) as info:
         realize(d4)
     message = str(info.value)
@@ -396,7 +491,7 @@ def test_both_strategies_agree_exhaustively_small():
                 if gram in seen:
                     continue
                 seen.add(gram)
-                f = UnitForm(n, gram)
+                f = form_from_gram(gram)
                 ct = cycle_type_of_quiver(q)
                 bt = realize_backtracking(f)
                 assert triangular_gram(bt) == gram
@@ -408,7 +503,7 @@ def test_both_strategies_agree_exhaustively_small():
 
 
 def test_realization_result_json():
-    f = form_from_upper(2, [(1, 2, 2)])
+    f = UnitForm(2, [(1, 2, 2)])
     result = realize(f)
     data = json.loads(json.dumps(result.to_json()))
     assert set(data) == {"quiver", "basis_change"}
@@ -445,7 +540,7 @@ def shuffled_connected_quivers(draw, max_vertices=25):
 @settings(max_examples=150, deadline=None)
 def test_realize_random_quivers(q):
     gram = triangular_gram(q)
-    result = realize(UnitForm(q.n, gram))
+    result = realize(form_from_gram(gram))
     assert triangular_gram(result.quiver) == gram
     assert result.quiver.m == q.m
     assert cycle_type_of_quiver(result.quiver) == cycle_type_of_quiver(q)
@@ -470,7 +565,7 @@ def test_realize_agrees_with_search_oracle(q, position, value):
     if pairs:
         i, j = pairs[position % len(pairs)]
         rows[i][j] = value
-    f = UnitForm(q.n, tuple(tuple(row) for row in rows))
+    f = form_from_gram(rows)
     assume(is_connected(f))
     assert outcome(realize_quiver, f) == outcome(realize_backtracking, f)
 
@@ -481,7 +576,7 @@ def test_realize_agrees_with_search_oracle_on_every_form_with_4_variables():
     pairs = list(itertools.combinations(range(1, 5), 2))
     counts = {"realized": 0, "not type A": 0, "indefinite": 0}
     for values in itertools.product((-2, -1, 0, 1, 2), repeat=len(pairs)):
-        f = form_from_upper(4, [(i, j, v) for (i, j), v in zip(pairs, values) if v])
+        f = UnitForm(4, [(i, j, v) for (i, j), v in zip(pairs, values) if v])
         if is_connected(f):
             got = outcome(realize_quiver, f)
             assert got == outcome(realize_backtracking, f), values
@@ -519,7 +614,7 @@ def test_realize_rejects_d_and_e_forms(family, size):
     for _ in range(5):
         order = list(range(1, count + 1))
         rng.shuffle(order)
-        f = form_from_upper(count, [
+        f = UnitForm(count, [
             (min(order[a], order[b]), max(order[a], order[b]), rng.choice((-1, 1)))
             for a, b in edges
         ])
@@ -528,3 +623,71 @@ def test_realize_rejects_d_and_e_forms(family, size):
             realize(f)
         if count <= 10:
             assert outcome(realize_backtracking, f) == "not type A"
+
+
+# ---------------------------------------------------------------------------
+# the sparse realizer against the dense one
+# ---------------------------------------------------------------------------
+
+def flipped_and_shuffled(f, rng):
+    """The form with each variable's sign flipped with probability 1/2, the
+    form of a realization with those arrows reversed, given with its
+    entries in shuffled order."""
+    flip = [rng.random() < 0.5 for _ in range(f.n + 1)]
+    entries = [(i, j, -v if flip[i] != flip[j] else v) for i, j, v in f.upper]
+    rng.shuffle(entries)
+    return UnitForm(f.n, entries)
+
+
+def assert_realizers_agree(f):
+    assert realized_or_raised(realize_quiver, f) == \
+        realized_or_raised(realize_quiver_dense, f)
+
+
+@given(shuffled_connected_quivers(max_vertices=40), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_sparse_realizer_matches_the_dense_one_on_quiver_forms(q, rng):
+    f = flipped_and_shuffled(form_of_quiver(q), rng)
+    assert isinstance(realize_quiver(f), Quiver)
+    assert_realizers_agree(f)
+
+
+@given(st.sampled_from([("D", n) for n in range(4, 21)] + [("E", n) for n in (6, 7, 8)]
+                       + [("Dt", n) for n in range(4, 21)]
+                       + [("Et", n) for n in (6, 7, 8)]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_sparse_realizer_matches_the_dense_one_on_d_and_e_forms(shape, rng):
+    edges = tree_edges(*shape)
+    count = len(edges) + 1
+    order = list(range(1, count + 1))
+    rng.shuffle(order)
+    f = UnitForm(count, [(min(order[a], order[b]), max(order[a], order[b]),
+                          rng.choice((-1, 1))) for a, b in edges])
+    assert_realizers_agree(f)
+
+
+@given(shuffled_connected_quivers(max_vertices=40), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_sparse_realizer_matches_the_dense_one_on_changed_entries(q, rng, changes):
+    # a quiver form with up to three entries set to a value in -3..3:
+    # mostly indefinite forms, some of them disconnected
+    assume(q.n >= 2)
+    values = {(i, j): v for i, j, v in form_of_quiver(q).upper}
+    for _ in range(changes):
+        i, j = sorted(rng.sample(range(1, q.n + 1), 2))
+        values[i, j] = rng.randint(-3, 3)
+    f = UnitForm(q.n, [(i, j, v) for (i, j), v in values.items()])
+    assert_realizers_agree(f)
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(1, n), st.integers(1, n))
+                    .filter(lambda pair: pair[0] < pair[1]),
+                    st.integers(-3, 3)))))
+@settings(max_examples=300, deadline=None)
+def test_sparse_realizer_matches_the_dense_one_on_small_forms(case):
+    n, values = case
+    assert_realizers_agree(UnitForm(n, [(i, j, v) for (i, j), v in values.items()]))

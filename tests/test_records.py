@@ -39,9 +39,9 @@ FROZEN = {
         {"m": 3, "arrows": ((1, 2), (2, 3))}, {"m": 3, "arrows": ((1, 2), (3, 2))},
         "Quiver(m=3, arrows=((1, 2), (2, 3)))"),
     UnitForm: (
-        {"n": 2, "gram_upper": ((1, -1), (0, 1))},
-        {"n": 2, "gram_upper": ((1, 1), (0, 1))},
-        "UnitForm(n=2, gram_upper=((1, -1), (0, 1)))"),
+        {"n": 2, "upper": ((1, 2, -1),)},
+        {"n": 2, "upper": ((1, 2, 1),)},
+        "UnitForm(n=2, upper=((1, 2, -1),))"),
     RealizationResult: (
         {"quiver": PATH, "basis_change": ((1, 0), (0, 1))},
         {"quiver": PATH, "basis_change": ((1, 1), (0, 1))},
@@ -145,11 +145,11 @@ INVALID = [
     (Quiver, (2, ((0, 1),)), "arrow 1 endpoint out of range: (0, 1)"),
     (Quiver, (3, ((1, 2), (3, 3))), "arrow 2 is a loop at vertex 3"),
     (UnitForm, (0, ()), "a unit form needs at least one variable"),
-    (UnitForm, (2, ((1, 0),)), "Gram matrix size does not match the variable count"),
-    (UnitForm, (2, ((1, 0), (0,))),
-     "Gram matrix size does not match the variable count"),
-    (UnitForm, (2, ((1, 0), (0, 2))), "unit forms have unit diagonal"),
-    (UnitForm, (2, ((1, 0), (1, 1))), "Gram matrix must be upper triangular"),
+    (UnitForm, (2, ((1, 2),)), "'upper' must be a list of [i, j, value] triples"),
+    (UnitForm, (2, ((1, 2, True),)),
+     "'upper' must be a list of [i, j, value] triples"),
+    (UnitForm, (2, ((2, 1, -1),)), "entry (2, 1) is not strictly upper triangular"),
+    (UnitForm, (2, ((1, 2, -1), (1, 2, 2))), "entry (1, 2) is given twice"),
     (CoxeterNumbers, (None, 0), "reduced Coxeter number must be positive"),
     (CoxeterNumbers, (3, 6), "a finite Coxeter number equals the reduced one"),
 ]

@@ -22,12 +22,13 @@ from coxquiver.unitform import (
     coxeter_matrix,
     coxeter_polynomial_direct,
     evaluate,
-    form_from_upper,
     form_of_quiver,
     is_connected,
     is_non_negative,
     symmetric_gram,
 )
+
+from dense import form_from_gram
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -37,9 +38,18 @@ KRONECKER_FORM = form_of_quiver(KRONECKER)  # gram ((1,2),(0,1))
 
 def test_unitform_validation():
     with pytest.raises(ValueError):
-        UnitForm(2, ((2, 0), (0, 1)))  # bad diagonal
+        UnitForm(2, ((1, 1, 1),))  # diagonal entry
     with pytest.raises(ValueError):
-        UnitForm(2, ((1, 0), (1, 1)))  # lower entry
+        UnitForm(2, ((2, 1, -1),))  # lower entry
+
+
+def test_entries_are_stored_sorted_without_zeros():
+    f = UnitForm(3, [(2, 3, 1), (1, 3, 0), (1, 2, -1)])
+    assert f.upper == ((1, 2, -1), (2, 3, 1))
+    assert f == UnitForm(3, (((1, 2, -1), (2, 3, 1))))
+    assert hash(f) == hash(UnitForm(3, [[1, 2, -1], [2, 3, 1]]))
+    assert f.gram_upper == ((1, -1, 0), (0, 1, 1), (0, 0, 1))
+    assert form_from_gram(f.gram_upper) == f
 
 
 def test_evaluate_zero_vector():
@@ -63,7 +73,7 @@ def test_evaluate_length_mismatch():
 
 
 def test_symmetric_gram():
-    assert symmetric_gram(form_from_upper(1, [])) == ((2,),)
+    assert symmetric_gram(UnitForm(1, [])) == ((2,),)
     assert symmetric_gram(KRONECKER_FORM) == ((2, 2), (2, 2))
     assert symmetric_gram(A3_FORM) == ((2, -1), (-1, 2))
 
@@ -78,8 +88,8 @@ def test_corank_examples():
 def test_is_non_negative():
     assert is_non_negative(A3_FORM)
     assert is_non_negative(KRONECKER_FORM)
-    assert not is_non_negative(form_from_upper(2, [(1, 2, -3)]))
-    assert is_non_negative(form_from_upper(1, []))
+    assert not is_non_negative(UnitForm(2, [(1, 2, -3)]))
+    assert is_non_negative(UnitForm(1, []))
 
 
 def test_quiver_forms_are_non_negative():
@@ -90,10 +100,10 @@ def test_quiver_forms_are_non_negative():
 
 
 def test_is_connected():
-    assert is_connected(form_from_upper(1, []))
+    assert is_connected(UnitForm(1, []))
     assert is_connected(KRONECKER_FORM)
-    assert not is_connected(form_from_upper(2, []))
-    block = form_from_upper(4, [(1, 2, -1), (3, 4, -1)])
+    assert not is_connected(UnitForm(2, []))
+    block = UnitForm(4, [(1, 2, -1), (3, 4, -1)])
     assert not is_connected(block)
 
 
@@ -122,7 +132,7 @@ def test_form_of_quiver_invariance():
 
 
 def test_coxeter_matrix_examples():
-    assert coxeter_matrix(form_from_upper(1, [])) == ((-1,),)
+    assert coxeter_matrix(UnitForm(1, [])) == ((-1,),)
     assert coxeter_matrix(KRONECKER_FORM) == ((-1, 2), (-2, 3))
 
 
@@ -134,7 +144,7 @@ def test_coxeter_matrix_agrees_with_quiver_route():
 
 
 def test_coxeter_polynomial_direct_examples():
-    assert coxeter_polynomial_direct(form_from_upper(1, [])) == (1, 1)
+    assert coxeter_polynomial_direct(UnitForm(1, [])) == (1, 1)
     assert coxeter_polynomial_direct(KRONECKER_FORM) == (1, -2, 1)
     # linear quivers give nu_m
     for m in range(2, 7):
@@ -171,10 +181,9 @@ def test_strong_congruence_from_relabeled_quivers():
 
 def test_strong_congruence_preserves_coxeter_polynomial():
     # congruence by the permutation matrix that swaps two orthogonal variables
-    f = form_from_upper(3, [(1, 2, -1)])
+    f = UnitForm(3, [(1, 2, -1)])
     b = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-    g_gram = ((1, 0, -1), (0, 1, 0), (0, 0, 1))
-    g = UnitForm(3, g_gram)
+    g = form_from_gram(((1, 0, -1), (0, 1, 0), (0, 0, 1)))
     assert check_strong_congruence(f, g, b)
     assert coxeter_polynomial_direct(f) == coxeter_polynomial_direct(g)
 
@@ -184,7 +193,7 @@ def test_strong_congruence_preserves_coxeter_polynomial():
 # ---------------------------------------------------------------------------
 
 def test_unitform_json_roundtrip():
-    f = form_from_upper(3, [(1, 2, -1), (1, 3, 2)])
+    f = UnitForm(3, [(1, 2, -1), (1, 3, 2)])
     blob = json.dumps(f.to_json())
     assert UnitForm.from_json(json.loads(blob)) == f
 
@@ -212,5 +221,5 @@ def test_unitform_json_roundtrip_random(entries):
         if (i, j) not in seen:
             seen.add((i, j))
             unique.append((i, j, v))
-    f = form_from_upper(4, unique)
+    f = UnitForm(4, unique)
     assert UnitForm.from_json(json.loads(json.dumps(f.to_json()))) == f

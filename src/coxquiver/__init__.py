@@ -17,6 +17,7 @@ from .invariants import (
     spectral_multiplicity,
     verify_reduced_coxeter_number,
 )
+from .linalg import is_psd
 from .partitions import (
     FactoredCoxPoly,
     Partition,

@@ -41,7 +41,8 @@ INFINITY = "∞"
 
 
 class InputError(Exception):
-    """Malformed input (bad JSON, bad schema, bad inline parameter)."""
+    """Malformed or oversized input (bad JSON, bad schema, bad inline
+    parameter, an output integer too long to print)."""
 
 
 def _load(path: str, cls: type, what: str):
@@ -78,6 +79,18 @@ def _load(path: str, cls: type, what: str):
         raise
     except ValueError as exc:
         raise InputError(f"bad {what} in {path}: {exc}") from exc
+
+
+def _dumps(data) -> str:
+    try:
+        return json.dumps(data)
+    except ValueError as exc:
+        # an integer past the interpreter's digit limit for str(), the one
+        # ValueError json.dumps raises on a verb's value
+        raise InputError(
+            "the output has an integer longer than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from exc
 
 
 def _form_from_args(args: argparse.Namespace) -> UnitForm:
@@ -346,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else 2
     try:
         data, lines, *status = args.func(args)
-        text = json.dumps(data) if args.format == "json" else "\n".join(lines)
+        text = _dumps(data) if args.format == "json" else "\n".join(lines)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

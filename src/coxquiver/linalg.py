@@ -357,26 +357,136 @@ def char_poly(m: IntMatrix) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 def is_psd(m: IntMatrix) -> bool:
-    """Decide x^T m x >= 0 for all rational x, exactly.
-
-    Symmetric lazy fraction-free elimination (:func:`_eliminate`) without
-    row swaps: every pivot (a scaled Schur complement diagonal, same sign
-    as the rational one) must be nonnegative, and a zero pivot is only
-    admissible when its entire reduced row (hence column) vanishes.  A row
-    untouched since minor d_j holds its stored values times d_k / d_j at
-    minor d_k, exactly by Bareiss' theorem.  Every minor so far is a
-    positive pivot, so the stored row k has the signs of the reduced one.
-    Raises ValueError on non-symmetric input.
-    """
+    """Decide x^T m x >= 0 for all rational x, exactly, by the sparse
+    elimination of :func:`_is_psd_rows` on the nonzero entries of m.
+    Raises ValueError on non-symmetric input."""
     if not is_symmetric(m):
         raise ValueError("positive semidefiniteness requires a symmetric matrix")
-    a, since, prev = [list(row) for row in m], [1] * len(m), 1
-    for k, row_k in enumerate(a):
-        if row_k[k] < 0 or (row_k[k] == 0 and any(row_k[k + 1:])):
+    return _is_psd_rows([{j: x for j, x in enumerate(row) if x} for row in m])
+
+
+def _is_psd_rows(rows: list) -> bool:
+    """Decide whether the symmetric matrix M with the rows ``rows`` is
+    positive semidefinite, exactly.  Row i is a dict {column: value} of
+    its nonzero entries; the rows are consumed.
+
+    Symmetric fraction-free elimination (:func:`_eliminate_sparse`) whose
+    next pivot is always the remaining row with the fewest entries, the
+    lowest index on a tie, taken from a heap of (size, index) in which an
+    entry whose size is no longer the row's is skipped.  A negative pivot
+    means M is not PSD, and a zero pivot is admissible only when its whole
+    reduced row vanishes; such an index is dropped without a step.
+
+    * Any order.  Let P be the permutation of the order the pivots are
+      taken in.  x^T P^T M P x = (Px)^T M (Px), and P is invertible, so
+      P^T M P is PSD exactly when M is.
+    * Zero pivots.  Let K be the indices eliminated so far, all with
+      positive pivots.  The Schur complement S of M[K, K] is PSD exactly
+      when M is.  A PSD matrix with a zero diagonal entry has a zero row
+      there, and dropping a zero row and column keeps a matrix PSD or not,
+      whichever step the zero turns up at.
+    * Scales.  S_ij = det M[K + i, K + j] / det M[K, K].  A fragment is a
+      connected component of the graph of M on K.  In M[K + i, K + j] the
+      rows of a fragment F next to neither i nor j are zero outside the
+      columns of F, the rows of one next to i alone are too, and so are
+      the columns of one next to j alone.  So det M[F, F] splits off from
+      that minor and from det M[K, K], and S_ij = det M[B + i, B + j] /
+      det M[B, B] for the union B of the fragments next to both i and j.
+      Let s_i be the product of det M[F, F] over the fragments F next to
+      the remaining index i.  Row i is stored as s_i S_ij, which is the
+      integer det M[B + i, B + j] times the determinants of the other
+      fragments next to i.  The stored pivot s_k S_kk is det M[F', F'] for
+      the fragment F' of k and the fragments next to it, which the step
+      creates; it is positive when the step is taken, so every s_i is
+      positive and the stored rows have the signs of S.  A row i next to
+      F' goes from s_i S_i to s_i' S'_i with s_i' = s_i p / g, for p the
+      pivot and g the product of det M[F, F] over the fragments next to
+      both i and k.  As p * row_i - lead * row_k = s_i p S'_i, for lead
+      its entry in column k, the division by g is exact.  A single
+      global scale would multiply the determinants of all fragments,
+      however far apart; s_i grows only with the fragments next to i.
+    * Supports.  Entries that cancel to zero are kept, so the support of
+      row k is the set of remaining indices joined to k by a path through
+      K: exactly the rows next to F', whose C_i change.
+    * Cost.  The rows hold the n diagonal entries, the nonzero entries of
+      M and the fill, the entries a step adds outside the supports it
+      started from, so memory is O(n + entries + fill).  A step takes
+      time in the sizes of the rows and fragment sets it touches.  When
+      the graph of M is a forest, a row of at most two entries is a leaf
+      or an isolated vertex, or a vertex that lost its diagonal entry,
+      where the run stops; a forest with an edge has a leaf, so the
+      smallest row is one of these.  Eliminating a leaf changes only its
+      neighbour's row, within its support, and leaves a forest: no fill.
+      The worst case, a dense M, is O(n^3) time and O(n^2) memory.
+    """
+    # imported here, not with the module: every CLI call pays for the
+    # package's import, and only the PSD test needs a heap
+    from heapq import heapify, heappop, heappush
+
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    # per remaining row, its fragments: {id: det M[F, F]}, where a
+    # fragment's id is the index whose step created it
+    near = [{} for _ in rows]
+    while heap:
+        size, k = heappop(heap)
+        row_k = rows[k]
+        if row_k is None or len(row_k) != size:
+            continue
+        pivot = row_k.get(k, 0)
+        if pivot < 0 or (pivot == 0 and any(row_k.values())):
             return False
-        if row_k[k]:
-            prev = _eliminate(a, since, k, k, prev)
+        if pivot:
+            _eliminate_sparse(rows, near, k)
+        else:
+            for i in row_k:
+                if i != k:
+                    del rows[i][k]
+        for i in row_k:
+            if i != k:
+                heappush(heap, (len(rows[i]), i))
+        rows[k] = near[k] = None
     return True
+
+
+def _eliminate_sparse(rows: list, near: list, k: int) -> None:
+    """One step of :func:`_is_psd_rows`: clear column k, whose diagonal
+    entry is nonzero, from the rows of the other columns of row k.
+
+    ``near[i]`` maps each fragment next to row i to its determinant.  Row
+    i becomes (pivot * row_i - lead * row_k) / g over the union of the two
+    supports, without column k, where lead is its entry in column k and g
+    the product of the determinants of the fragments next to both rows;
+    those fragments and k become one fragment, of determinant pivot.  A
+    remainder raises InvariantViolation.
+    """
+    row_k, near_k = rows[k], near[k]
+    pivot = row_k[k]
+    for i in row_k:
+        if i == k:
+            continue
+        row_i = rows[i]
+        lead = row_i.pop(k)
+        combined = {j: pivot * x for j, x in row_i.items()}
+        for j, y in row_k.items():
+            combined[j] = combined.get(j, 0) - lead * y
+        del combined[k]
+        g = 1
+        apart = {k: pivot}
+        for f, det in near[i].items():
+            if f in near_k:
+                g *= near_k[f]
+            else:
+                apart[f] = det
+        if g != 1:
+            for j, x in combined.items():
+                quotient, r = divmod(x, g)
+                if r:
+                    raise InvariantViolation(
+                        "fraction-free elimination lost exactness")
+                combined[j] = quotient
+        near[i] = apart
+        rows[i] = combined
 
 
 # ---------------------------------------------------------------------------

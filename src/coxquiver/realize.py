@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from ._record import FrozenRecord
 from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
-from .linalg import IntMatrix, is_psd
+from .linalg import IntMatrix
 from .partitions import Partition
 from .quiver import Quiver, spanning_tree
-from .unitform import UnitForm, symmetric_gram
+from .unitform import UnitForm, is_non_negative
 
 
 class RealizationResult(FrozenRecord):
@@ -240,12 +240,14 @@ def realize_quiver(f: UnitForm) -> Quiver:
     order in which they are scanned cannot change the column kept.
 
     So each placement costs time in the degrees of the vertices and the
-    variable involved, not in n, and the Gram matrix is never built unless
-    a variable is stuck: then the dense G + G^T tells an indefinite form
-    from a non-negative one not of type A.  The vertex count gives the
-    corank n - m + 1, and a realization proves non-negativity.  Exactness
-    of the Gram matrix holds by construction: every pair of columns was
-    checked when the later one was placed.
+    variable involved, not in n, and no Gram matrix is ever built.  A
+    stuck variable runs :func:`unitform.is_non_negative` on the form's
+    entries, a sparse elimination with no fill when the Gram graph is a
+    forest (O(n^3) time and O(n^2) memory at worst), to tell an
+    indefinite form from a non-negative one not of type A.  The vertex
+    count gives the corank n - m + 1, and a realization proves
+    non-negativity.  Exactness of the Gram matrix holds by construction:
+    every pair of columns was checked when the later one was placed.
     """
     n = f.n
     rows = _neighbours(f)
@@ -281,7 +283,7 @@ def realize_quiver(f: UnitForm) -> Quiver:
             fits = False
         # a loop has inner product 0 with the parent column, so never fits
         if not fits:
-            if not is_psd(symmetric_gram(f)):
+            if not is_non_negative(f):
                 raise ValueError("the form is indefinite: realization requires "
                                  "a non-negative unit form")
             raise NotDynkinTypeA(_stuck(i, near, placed))

@@ -153,17 +153,12 @@ def _encode_gram(gram_tri) -> bytes:
     return bytes(x + 2 for row in gram_tri for x in row)
 
 
-def _decode_gram(blob: bytes):
-    """The triangular Gram matrix and its nonzero strictly upper entries
-    (1-based), as a unit form takes them."""
+def _decode_gram(blob: bytes) -> list:
+    """The nonzero strictly upper entries (1-based) of the triangular Gram
+    matrix in ``blob``, as a unit form takes them."""
     n = isqrt(len(blob))
-    # one list of values sliced per row: tuple() of a generator resizes its
-    # result
-    values = [x - 2 for x in blob]
-    gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
-    upper = [(i + 1, j + 1, row[j])
-             for i, row in enumerate(gram_tri) for j in range(i + 1, n) if row[j]]
-    return gram_tri, upper
+    return [(i + 1, j + 1, blob[i * n + j] - 2)
+            for i in range(n) for j in range(i + 1, n) if blob[i * n + j] != 2]
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +374,20 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
 # phase 2: per-form checks
 # ---------------------------------------------------------------------------
 
-def _check_form(report: SweepReport, gram_tri, upper: list,
-                ct_parts: tuple[int, ...], roundtrip_memo: dict,
-                multiplicity_memo: dict) -> None:
+def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
+                roundtrip_memo: dict, multiplicity_memo: dict) -> None:
     rec = report.record
-    n = len(gram_tri)
+    n = isqrt(len(blob))
     ct = Partition(ct_parts)
     c = n - ct.m + 1
 
     def label() -> str:  # formatted only for a failure
+        values = [x - 2 for x in blob]
+        gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
         return f"n={n} c={c} gram={gram_tri}"
     try:
         check = "polynomial_factorization"
-        form = UnitForm(n, upper)
+        form = UnitForm(n, _decode_gram(blob))
         phi = coxeter_matrix(form)
         direct = char_poly(phi)
 
@@ -414,7 +410,7 @@ def _check_form(report: SweepReport, gram_tri, upper: list,
             rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
         else:
             report.realized_count += 1
-            if triangular_gram(result.quiver) != gram_tri:
+            if _encode_gram(triangular_gram(result.quiver)) != blob:
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the Gram matrix")
             elif cycle_type_of_permutation(
@@ -477,8 +473,7 @@ def _phase2_worker(args: tuple) -> SweepReport:
     roundtrip_memo: dict = {}
     multiplicity_memo: dict = {}
     for blob, ct_parts in items:
-        _check_form(report, *_decode_gram(blob), ct_parts,
-                    roundtrip_memo, multiplicity_memo)
+        _check_form(report, blob, ct_parts, roundtrip_memo, multiplicity_memo)
     return report
 
 

@@ -9,10 +9,10 @@ from .errors import NotConnected
 from .linalg import (
     IntMatrix,
     IntPoly,
+    _is_psd_rows,
     char_poly,
     coxeter_from_gram,
     determinant,
-    is_psd,
     mat_mul,
     rational_rank,
     transpose,
@@ -132,7 +132,14 @@ def corank(f: UnitForm) -> int:
 
 
 def is_non_negative(f: UnitForm) -> bool:
-    return is_psd(symmetric_gram(f))
+    """Whether G + G^T is positive semidefinite, decided by the sparse
+    elimination of :func:`linalg._is_psd_rows` on the form's entries, in
+    O(n + entries + fill) memory, with no fill when the Gram graph is a
+    forest."""
+    rows = [{i: 2} for i in range(f.n)]
+    for i, j, value in f.upper:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    return _is_psd_rows(rows)
 
 
 def is_connected(f: UnitForm) -> bool:

@@ -270,6 +270,26 @@ def test_undecodable_document_exit_2(capsys, monkeypatch, tmp_path, document, so
     assert message in err and err.count("\n") == 1
 
 
+def test_an_output_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # a path on 2300 vertices with an arrow from every vertex two steps on:
+    # corank 2298, so the dense Coxeter polynomial has coefficients of
+    # about 690 digits
+    m = 2300
+    arrows = [[v, v + 1] for v in range(1, m)] + [[v, v + 2] for v in range(1, m - 1)]
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"vertices": m, "arrows": arrows}), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "invariants", "--quiver", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == ("error: the output has an integer longer than the "
+                   "interpreter's limit of 640 digits for integer string "
+                   "conversion\n")
+
+
 def test_schema_violation_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]], "x": 1}),

@@ -516,6 +516,43 @@ def test_is_psd_brute_force_necessary_condition(m):
 # lazy fraction-free elimination: determinant, rank and PSD
 # ---------------------------------------------------------------------------
 
+@st.composite
+def sparse_symmetric_matrices(draw, max_n=12):
+    """Mostly zero symmetric matrices with n <= max_n: B^T B for a sparse
+    B, PSD with a zero pivot wherever a column of B depends on others and
+    with rows that empty out, and then, half the time, up to four entries
+    changed symmetrically, which can make it indefinite or leave a zero
+    diagonal entry beside a nonzero one.  Rows of equal size are common,
+    so the pivot order often falls to the lowest index."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    b = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                      max_size=max_n))
+    m = [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+    if n and draw(st.booleans()):
+        index = st.integers(min_value=0, max_value=n - 1)
+        for i, j, delta in draw(st.lists(st.tuples(index, index, sparse_entries),
+                                         max_size=4)):
+            m[i][j] += delta
+            if i != j:
+                m[j][i] += delta
+    return tuple(map(tuple, m))
+
+
+@given(sparse_symmetric_matrices())
+@example(())
+@example(((0, 0), (0, 0)))
+@example(((1, 1, 1), (1, 1, 1), (1, 1, 1)))   # rows that empty out
+@example(((1, 1, 0), (1, 1, 0), (0, 0, 1)))   # a zero pivot whose row vanishes
+@example(((2, 1, 0), (1, 0, 0), (0, 0, 0)))   # a zero pivot with a nonzero row
+# a 4-cycle, every row of size 3: the affine form A~_3 (corank 1), and with
+# one sign changed a positive definite form
+@example(((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2)))
+@example(((2, -1, 0, 1), (-1, 2, -1, 0), (0, -1, 2, -1), (1, 0, -1, 2)))
+@settings(max_examples=400, deadline=None)
+def test_is_psd_on_sparse_matrices_against_fraction_oracle(m):
+    assert is_psd(m) == fraction_psd(m)
+
+
 @given(square_matrices(5, min_n=0))
 @settings(max_examples=150)
 def test_determinant_against_fraction_oracle(m):
@@ -601,18 +638,20 @@ def test_tree_forms_are_psd_of_corank_at_most_one(family, n):
     assert rational_rank(gram) == len(gram) - corank
 
 
-@pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
-def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
-    # The new edge closes the tree path from u to w into a cycle; its sign
-    # makes the cycle's form vanish on h = (+-1 along the cycle).  The tree
-    # is not a path, so a vertex x off the cycle hangs on a cycle vertex v,
-    # and y = 2h - t h_v e_x, t the sign of edge vx, has y^T G y = -2.
-    gram, signed, _ = _tree_form(family, n)
-    size = len(gram)
+def closing_edge(size, signed, rng):
+    """A signed edge that closes a cycle in a tree of the forest with the
+    signed edges ``signed`` on 0..size-1, none of whose trees is a path,
+    and a vector y with y^T (G + G^T) y = -2 for the form with that edge
+    added.
+
+    The new edge closes the tree path from u to w into a cycle; its sign
+    makes the cycle's form vanish on h = (+-1 along the cycle).  The tree
+    is not a path, so a vertex x off the cycle hangs on a cycle vertex v,
+    and y = 2h - t h_v e_x, t the sign of edge vx, has y^T G y = -2.
+    """
     adjacent = {i: {} for i in range(size)}
     for (u, v), sign in signed.items():
         adjacent[u][v] = adjacent[v][u] = sign
-    rng = random.Random(f"{family}{n} edge")
     u = rng.choice([a for a in range(size) if len(adjacent[a]) < size - 1])
     h = {u: 1}
     parent = {u: None}
@@ -623,29 +662,33 @@ def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
             if b not in h:
                 h[b], parent[b] = -sign * h[a], a
                 frontier.append(b)
-    w = rng.choice([b for b in range(size) if b != u and b not in adjacent[u]])
+    w = rng.choice([b for b in range(size)
+                    if b in h and b != u and b not in adjacent[u]])
     cycle = [w]
     while cycle[-1] != u:
         cycle.append(parent[cycle[-1]])
-    extra = -h[u] * h[w]
-    x, v = next((x, v) for v in cycle for x in adjacent[v] if x not in cycle)
+    on_cycle = set(cycle)
+    x, v = next((x, v) for v in cycle for x in adjacent[v] if x not in on_cycle)
     y = [0] * size
     for c in cycle:
         y[c] = 2 * h[c]
     y[x] = -adjacent[v][x] * h[v]
-    closed = _gram_of(size, {**signed, (u, w): extra})
+    return (u, w), -h[u] * h[w], y
+
+
+@pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
+def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
+    gram, signed, _ = _tree_form(family, n)
+    size = len(gram)
+    edge, extra, y = closing_edge(size, signed, random.Random(f"{family}{n} edge"))
+    closed = _gram_of(size, {**signed, edge: extra})
     assert sum(y[i] * closed[i][j] * y[j]
                for i in range(size) for j in range(size)) == -2
     assert is_psd(closed) is False
     assert rational_rank(closed) == fraction_rank(closed)
 
 
-@pytest.mark.parametrize("skew", ["pivot row", "rows below"])
-@pytest.mark.parametrize("function", [determinant, rational_rank, is_psd])
-def test_exactness_guard_fires_on_an_inconsistent_recorded_scale(
-        monkeypatch, function, skew):
-    step = linalg._eliminate
-
+def _skew_dense(step, skew):
     def skewed(a, since, k, col, prev):
         # record scales that are not the minors the rows were brought to
         if skew == "pivot row":
@@ -653,10 +696,39 @@ def test_exactness_guard_fires_on_an_inconsistent_recorded_scale(
         else:
             since[k + 1:] = [7] * (len(since) - k - 1)
         return step(a, since, k, col, prev)
+    return skewed
 
-    monkeypatch.setattr(linalg, "_eliminate", skewed)
+
+def _skew_sparse(step, skew):
+    def skewed(rows, near, k):
+        # record fragment determinants that are not the minors the rows
+        # were scaled by: the pivot's three times too large, or one more
+        # fragment next to the pivot and every row it clears
+        if skew == "pivot row":
+            near[k] = {f: 3 * det for f, det in near[k].items()}
+        else:
+            for i in rows[k]:
+                near[i][-1] = 7
+        return step(rows, near, k)
+    return skewed
+
+
+# the step each function eliminates with, and how to skew its scales
+STEPS = {determinant: ("_eliminate", _skew_dense),
+         rational_rank: ("_eliminate", _skew_dense),
+         is_psd: ("_eliminate_sparse", _skew_sparse)}
+
+
+@pytest.mark.parametrize("skew", ["pivot row", "rows below"])
+@pytest.mark.parametrize("function", list(STEPS))
+def test_exactness_guard_fires_on_an_inconsistent_recorded_scale(
+        monkeypatch, function, skew):
+    name, skewing = STEPS[function]
+    monkeypatch.setattr(linalg, name, skewing(getattr(linalg, name), skew))
+    # a triangle: the sparse step's second pivot shares a fragment with
+    # the row it clears
     with pytest.raises(InvariantViolation, match="lost exactness"):
-        function(((2, 1), (1, 2)))
+        function(((2, 1, 1), (1, 2, 1), (1, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

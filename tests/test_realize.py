@@ -413,7 +413,7 @@ def test_basis_change_maps_incidence_to_canonical():
 # breadth-first realization
 # ---------------------------------------------------------------------------
 
-def test_algorithm71_on_canonical_form():
+def test_realize_returns_the_canonical_quiver_of_its_form():
     q = canonical_extension_quiver(3, 2)
     f = form_of_quiver(q)
     result = realize(f)
@@ -421,7 +421,7 @@ def test_algorithm71_on_canonical_form():
     assert form_of_quiver(result.quiver) == f
 
 
-def test_algorithm71_path_form():
+def test_realize_path_form():
     f = UnitForm(2, [(1, 2, -1)])
     result = realize(f)
     assert result.basis_change is not None
@@ -437,7 +437,7 @@ def test_realize_two_isotropic_pairs_without_fallback():
     assert_weak_congruence(f, result.basis_change)
 
 
-def test_algorithm71_representative_322():
+def test_realize_representative_322():
     f = form_of_quiver(representative_quiver_A(Partition((3, 2, 2)), 1))
     result = realize(f)
     assert form_of_quiver(result.quiver) == f
@@ -478,7 +478,7 @@ def test_realize_names_the_stuck_variable():
     assert "0 with the 2 other placed variables" in message
 
 
-def test_both_strategies_agree_exhaustively_small():
+def test_realize_and_the_search_oracle_reproduce_every_small_quiver_form():
     # every connected quiver form with m <= 4, n <= 5: the breadth-first
     # realizer and the search both reproduce the form and the cycle type
     seen = set()

@@ -1,12 +1,15 @@
 """Unit form tests."""
 
 import json
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxquiver.errors import NotDynkinTypeA
 from coxquiver.linalg import char_poly, identity
 from coxquiver.quiver import (
     Quiver,
@@ -15,6 +18,7 @@ from coxquiver.quiver import (
     opposite,
     relabel_vertices,
 )
+from coxquiver.realize import realize_quiver
 from coxquiver.unitform import (
     UnitForm,
     check_strong_congruence,
@@ -29,6 +33,7 @@ from coxquiver.unitform import (
 )
 
 from dense import form_from_gram
+from test_linalg import _tree, closing_edge
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -90,6 +95,64 @@ def test_is_non_negative():
     assert is_non_negative(KRONECKER_FORM)
     assert not is_non_negative(UnitForm(2, [(1, 2, -3)]))
     assert is_non_negative(UnitForm(1, []))
+
+
+def _large_forest(family):
+    """D_n or D~_n with n = 100,000, or disjoint copies of E_6, E_7 and E_8
+    (of E~_6, E~_7 and E~_8) with about 100,000 variables in all, through
+    :func:`_shuffled`."""
+    if family in ("D", "D~"):
+        edges = _tree(family, 100_000)[0]
+    else:
+        edges, k = [], 0
+        while True:
+            copy = _tree(family, 6 + k % 3)[0]
+            offset = len(edges) + k
+            if offset + len(copy) + 1 > 100_000:
+                break
+            edges += [(u + offset, v + offset) for u, v in copy]
+            k += 1
+    return _shuffled(edges, family)
+
+
+def _shuffled(edges, seed):
+    """The forest with the edges ``edges``, in a random variable order with
+    random signs: its size and its signed edges {(u, v): sign}."""
+    size = max(map(max, edges)) + 1
+    rng = random.Random(seed)
+    order = list(range(size))
+    rng.shuffle(order)
+    return size, {(order[u], order[v]): rng.choice((-1, 1)) for u, v in edges}
+
+
+def _form_of_edges(size, signed):
+    return UnitForm(size, [(min(u, v) + 1, max(u, v) + 1, sign)
+                           for (u, v), sign in signed.items()])
+
+
+@pytest.mark.parametrize("family", ["D", "E", "D~", "E~"])
+def test_large_tree_forms_are_non_negative_until_a_cycle_closes(family):
+    size, signed = _large_forest(family)
+    assert size > 99_900
+    assert is_non_negative(_form_of_edges(size, signed))
+    edge, value, y = closing_edge(size, signed, random.Random(family))
+    closed = _form_of_edges(size, {**signed, edge: value})
+    assert evaluate(closed, y) == -1
+    assert not is_non_negative(closed)
+
+
+def test_the_stuck_path_decides_non_negativity_without_the_dense_matrix():
+    # D_n with n = 3000 gets stuck at a branch variable; the dense G + G^T
+    # alone would take over 70 MB
+    f = _form_of_edges(*_shuffled(_tree("D", 3000)[0], "D"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotDynkinTypeA):
+            realize_quiver(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_quiver_forms_are_non_negative():

@@ -15,28 +15,23 @@ from .invariants import (
     cycle_type_of_form,
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
-    verify_reduced_coxeter_number,
 )
-from .linalg import is_psd
+from .linalg import determinant, psd_rank
 from .partitions import (
     FactoredCoxPoly,
     Partition,
-    char_poly_of_partition,
     cycle_type_of_permutation,
     part1c,
     partitions_by_length,
 )
 from .quiver import (
     Quiver,
-    coxeter_laplace,
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
-    incidence_matrix,
     inverse_quiver,
     laplace,
     opposite,
     relabel_vertices,
-    remove_last_arrow,
     triangular_gram,
     vertex_permutation,
 )
@@ -48,7 +43,6 @@ from .realize import (
     realize_quiver,
     representative_quiver_A,
     representative_quiver_star,
-    weak_congruence_to_canonical,
 )
 from .sweep import SweepReport, run_sweep
 from .unitform import (
@@ -56,12 +50,9 @@ from .unitform import (
     check_strong_congruence,
     corank,
     coxeter_matrix,
-    coxeter_polynomial_direct,
     evaluate,
     form_of_quiver,
-    is_connected,
     is_non_negative,
-    symmetric_gram,
 )
 
 __version__ = "0.1.0"

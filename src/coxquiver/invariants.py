@@ -12,7 +12,6 @@ from ._record import FrozenRecord
 from .linalg import (
     IntMatrix,
     IntPoly,
-    char_poly,
     identity,
     is_nilpotent,
     mat_pow,
@@ -26,7 +25,7 @@ from .linalg import (
 from .partitions import FactoredCoxPoly, Partition, part1c
 from .quiver import cycle_type_of_quiver
 from .realize import realize_quiver
-from .unitform import UnitForm, coxeter_matrix
+from .unitform import UnitForm
 
 
 class CoxeterNumbers(FrozenRecord):
@@ -219,12 +218,3 @@ def coxeter_number_violations(phi: IntMatrix, poly: IntPoly,
     elif first_identity is not None:
         problems.append(f"Phi^{first_identity} = Id for a multi-part cycle type")
     return problems
-
-
-def verify_reduced_coxeter_number(f: UnitForm) -> bool:
-    """Cross-check the (reduced) Coxeter number of the form's cycle type
-    against exact powers of its Coxeter matrix; see
-    :func:`coxeter_number_violations`."""
-    phi = coxeter_matrix(f)
-    return not coxeter_number_violations(phi, char_poly(phi), cycle_type_of_form(f))
-

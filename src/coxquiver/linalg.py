@@ -69,13 +69,6 @@ def is_square(m: IntMatrix) -> bool:
     return not m or len(m) == len(m[0])
 
 
-def is_symmetric(m: IntMatrix) -> bool:
-    if not is_square(m):
-        return False
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
     """Exact k-th power of a square matrix, k >= 0, by repeated squaring;
     the product starts from the lowest set bit of k, not from the
@@ -111,12 +104,12 @@ def is_nilpotent(m: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinant / rank / inverse
+# determinant / inverse
 # ---------------------------------------------------------------------------
 
-def _eliminate(a: list, since: list, k: int, col: int, prev: int) -> int:
-    """One lazy fraction-free (Bareiss) step: clear column ``col`` below
-    row ``k``, whose entry there is nonzero, and return that pivot.
+def _eliminate(a: list, since: list, k: int, prev: int) -> int:
+    """One lazy fraction-free (Bareiss) step: clear column k below row k,
+    whose entry there is nonzero, and return that pivot.
 
     ``prev`` is the current leading minor, and row i is stored at the
     scale of the minor ``since[i]`` it was last brought to.  Bareiss'
@@ -129,15 +122,15 @@ def _eliminate(a: list, since: list, k: int, col: int, prev: int) -> int:
     """
     row_k = a[k]
     if since[k] != prev:
-        _combine(row_k, prev, 0, row_k, since[k], col)
+        _combine(row_k, prev, 0, row_k, since[k], k)
         since[k] = prev
-    pivot = row_k[col]
+    pivot = row_k[k]
     for i in range(k + 1, len(a)):
         row_i = a[i]
-        lead = row_i[col]
+        lead = row_i[k]
         if lead:
-            _combine(row_i, pivot, lead, row_k, since[i], col + 1)
-            row_i[col] = 0
+            _combine(row_i, pivot, lead, row_k, since[i], k + 1)
+            row_i[k] = 0
             since[i] = pivot
     return pivot
 
@@ -166,27 +159,8 @@ def determinant(m: IntMatrix) -> int:
             a[k], a[i] = a[i], a[k]
             since[k], since[i] = since[i], since[k]
             sign = -sign
-        prev = _eliminate(a, since, k, k, prev)
+        prev = _eliminate(a, since, k, prev)
     return sign * prev
-
-
-def rational_rank(m: IntMatrix) -> int:
-    """Rank over the rationals, by lazy fraction-free elimination: the
-    number of columns in which a pivot is found."""
-    if not m or not m[0]:
-        return 0
-    a, since, rank, prev = [list(row) for row in m], [1] * len(m), 0, 1
-    for col in range(len(m[0])):
-        i = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if i is None:
-            continue
-        a[rank], a[i] = a[i], a[rank]
-        since[rank], since[i] = since[i], since[rank]
-        prev = _eliminate(a, since, rank, col, prev)
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
 
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
@@ -353,22 +327,22 @@ def char_poly(m: IntMatrix) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact positive semidefiniteness
+# exact positive semidefiniteness and rank
 # ---------------------------------------------------------------------------
 
-def is_psd(m: IntMatrix) -> bool:
-    """Decide x^T m x >= 0 for all rational x, exactly, by the sparse
-    elimination of :func:`_is_psd_rows` on the nonzero entries of m.
-    Raises ValueError on non-symmetric input."""
-    if not is_symmetric(m):
+def psd_rank(m: IntMatrix) -> int | None:
+    """The rank of m if m is positive semidefinite, None if it is not,
+    exactly, by the sparse elimination of :func:`_psd_rank_rows` on the
+    nonzero entries of m.  Raises ValueError on non-symmetric input."""
+    if transpose(m) != m:
         raise ValueError("positive semidefiniteness requires a symmetric matrix")
-    return _is_psd_rows([{j: x for j, x in enumerate(row) if x} for row in m])
+    return _psd_rank_rows([{j: x for j, x in enumerate(row) if x} for row in m])
 
 
-def _is_psd_rows(rows: list) -> bool:
-    """Decide whether the symmetric matrix M with the rows ``rows`` is
-    positive semidefinite, exactly.  Row i is a dict {column: value} of
-    its nonzero entries; the rows are consumed.
+def _psd_rank_rows(rows: list) -> int | None:
+    """The rank of the symmetric matrix M with the rows ``rows`` if M is
+    positive semidefinite, None if it is not, exactly.  Row i is a dict
+    {column: value} of its nonzero entries; the rows are consumed.
 
     Symmetric fraction-free elimination (:func:`_eliminate_sparse`) whose
     next pivot is always the remaining row with the fewest entries, the
@@ -379,12 +353,15 @@ def _is_psd_rows(rows: list) -> bool:
 
     * Any order.  Let P be the permutation of the order the pivots are
       taken in.  x^T P^T M P x = (Px)^T M (Px), and P is invertible, so
-      P^T M P is PSD exactly when M is.
+      P^T M P is PSD exactly when M is, and of the same rank.
     * Zero pivots.  Let K be the indices eliminated so far, all with
       positive pivots.  The Schur complement S of M[K, K] is PSD exactly
       when M is.  A PSD matrix with a zero diagonal entry has a zero row
       there, and dropping a zero row and column keeps a matrix PSD or not,
       whichever step the zero turns up at.
+    * Rank.  rank M = |K| + rank S, and dropping a zero row and column
+      keeps the rank, so the rank of a PSD M is its number of positive
+      pivots.
     * Scales.  S_ij = det M[K + i, K + j] / det M[K, K].  A fragment is a
       connected component of the graph of M on K.  In M[K + i, K + j] the
       rows of a fragment F next to neither i nor j are zero outside the
@@ -420,7 +397,7 @@ def _is_psd_rows(rows: list) -> bool:
       The worst case, a dense M, is O(n^3) time and O(n^2) memory.
     """
     # imported here, not with the module: every CLI call pays for the
-    # package's import, and only the PSD test needs a heap
+    # package's import, and only the PSD rank needs a heap
     from heapq import heapify, heappop, heappush
 
     heap = [(len(row), i) for i, row in enumerate(rows)]
@@ -428,6 +405,7 @@ def _is_psd_rows(rows: list) -> bool:
     # per remaining row, its fragments: {id: det M[F, F]}, where a
     # fragment's id is the index whose step created it
     near = [{} for _ in rows]
+    rank = 0
     while heap:
         size, k = heappop(heap)
         row_k = rows[k]
@@ -435,9 +413,10 @@ def _is_psd_rows(rows: list) -> bool:
             continue
         pivot = row_k.get(k, 0)
         if pivot < 0 or (pivot == 0 and any(row_k.values())):
-            return False
+            return None
         if pivot:
             _eliminate_sparse(rows, near, k)
+            rank += 1
         else:
             for i in row_k:
                 if i != k:
@@ -446,11 +425,11 @@ def _is_psd_rows(rows: list) -> bool:
             if i != k:
                 heappush(heap, (len(rows[i]), i))
         rows[k] = near[k] = None
-    return True
+    return rank
 
 
 def _eliminate_sparse(rows: list, near: list, k: int) -> None:
-    """One step of :func:`_is_psd_rows`: clear column k, whose diagonal
+    """One step of :func:`_psd_rank_rows`: clear column k, whose diagonal
     entry is nonzero, from the rows of the other columns of row k.
 
     ``near[i]`` maps each fragment next to row i to its determinant.  Row

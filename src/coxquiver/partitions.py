@@ -1,9 +1,9 @@
-"""Integer partitions, their characteristic polynomials, and length-filtered
+"""Integer partitions, factored Coxeter polynomials, and length-filtered
 partition families.
 
 A partition of m >= 1 is a non-increasing tuple of positive integers summing
-to m.  Its characteristic polynomial is prod_a (v^{pi_a} - 1), the
-characteristic polynomial of any permutation with that cycle type.
+to m.  Any permutation with cycle type pi has the characteristic polynomial
+prod_a (v^{pi_a} - 1), the factored polynomial with unit exponent 0.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class FactoredCoxPoly(FrozenRecord):
         object.__setattr__(self, "nu_exponent", nu_exponent)
         object.__setattr__(self, "cycle_parts", cycle_parts)
 
-    @classmethod
-    def from_unit_exponent(cls, unit_exponent: int, parts: tuple[int, ...]) -> "FactoredCoxPoly":
-        if unit_exponent < 0:
-            raise ValueError("unit exponent must be nonnegative")
-        return cls(unit_exponent + len(parts), tuple(parts))
-
     @property
     def unit_exponent(self) -> int:
         """Exponent of (v-1) in the (v^k - 1)-form; -1 exactly for corank 0."""
@@ -119,11 +113,6 @@ def _expand_nu_form(nu_exponent: int, parts: tuple[int, ...]) -> IntPoly:
             product.append(window)
         out = product
     return tuple(out)
-
-
-def char_poly_of_partition(p: Partition) -> FactoredCoxPoly:
-    """prod_a (v^{pi_a} - 1) as a factored polynomial."""
-    return FactoredCoxPoly.from_unit_exponent(0, p.parts)
 
 
 @lru_cache(maxsize=None)

@@ -107,15 +107,6 @@ def is_connected(q: Quiver) -> bool:
 # matrices attached to a quiver
 # ---------------------------------------------------------------------------
 
-def incidence_matrix(q: Quiver) -> IntMatrix:
-    """m x n matrix whose column i is e_{source(i)} - e_{target(i)}."""
-    rows = [[0] * q.n for _ in range(q.m)]
-    for i, (s, t) in enumerate(q.arrows):
-        rows[s - 1][i] = 1
-        rows[t - 1][i] = -1
-    return tuple(tuple(row) for row in rows)
-
-
 def _column_dot(a: tuple[int, int], b: tuple[int, int]) -> int:
     """Inner product of incidence columns given as endpoint pairs."""
     return (
@@ -204,18 +195,9 @@ def inverse_quiver(q: Quiver) -> Quiver:
     return Quiver(q.m, tuple(arrows))
 
 
-def coxeter_laplace(q: Quiver) -> IntMatrix:
-    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T; it is the
-    permutation matrix of the vertex permutation (see
-    :func:`_coxeter_laplace`)."""
-    if not is_connected(q):
-        raise ValueError("Coxeter-Laplace matrix requires a connected quiver")
-    _, inverse_arrows = _prefix_products(q)
-    return _coxeter_laplace(q.m, q.arrows, inverse_arrows)
-
-
 def _coxeter_laplace(m: int, arrows, inverse_arrows) -> IntMatrix:
-    """Id_m minus the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
+    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T: Id_m minus
+    the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
     where (s_i, t_i) is arrow i of Q and (s'_i, t'_i) arrow i of Q^{-1}.
 
     Proof that this is the permutation matrix of the vertex permutation.
@@ -279,12 +261,6 @@ def cycle_type_of_quiver(q: Quiver) -> Partition:
 # ---------------------------------------------------------------------------
 # editing operations
 # ---------------------------------------------------------------------------
-
-def remove_last_arrow(q: Quiver) -> Quiver:
-    if q.n == 0:
-        raise ValueError("quiver has no arrows to remove")
-    return Quiver(q.m, q.arrows[:-1])
-
 
 def relabel_vertices(q: Quiver, rho: PermutationMap) -> Quiver:
     """Map every source and target through rho (triangular Gram unchanged)."""

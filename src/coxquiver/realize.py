@@ -367,9 +367,3 @@ def realize(f: UnitForm) -> RealizationResult:
     """
     q = realize_quiver(f)
     return RealizationResult(q, basis_change_to_canonical(q))
-
-
-def weak_congruence_to_canonical(f: UnitForm) -> IntMatrix:
-    """Unimodular B with B^T (G_f + G_f^T) B equal to the symmetric Gram
-    matrix of the canonical extension quiver of matching rank and corank."""
-    return realize(f).basis_change

@@ -51,7 +51,7 @@ from .linalg import (
     coxeter_from_gram,
     permutation_matrix,
     poly_divmod,
-    rational_rank,
+    psd_rank,
     v_power_minus_one,
 )
 from .partitions import Partition, cycle_type_of_permutation, part1c
@@ -281,7 +281,7 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
             problems = []
             if any(sum(row) != 0 for row in lap):
                 problems.append("all-ones vector not in the kernel")
-            if rational_rank(lap) != m - 1:
+            if psd_rank(lap) != m - 1:
                 problems.append("Laplace rank != m - 1")
             memo[lap] = problems
         for problem in memo[lap]:

@@ -8,17 +8,14 @@ from ._record import FrozenRecord
 from .errors import NotConnected
 from .linalg import (
     IntMatrix,
-    IntPoly,
-    _is_psd_rows,
-    char_poly,
+    _psd_rank_rows,
     coxeter_from_gram,
     determinant,
     mat_mul,
-    rational_rank,
     transpose,
     unitriangular_inverse,
 )
-from .quiver import Quiver, spanning_tree
+from .quiver import Quiver
 
 _TRIPLES = "'upper' must be a list of [i, j, value] triples"
 
@@ -115,38 +112,32 @@ def evaluate(f: UnitForm, x: Sequence[int]) -> int:
     return total
 
 
-def symmetric_gram(f: UnitForm) -> IntMatrix:
-    """G + G^T: symmetric with diagonal 2."""
-    n = f.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
+def _symmetric_rows(f: UnitForm) -> list:
+    """The rows of G + G^T as dicts {column: value} of their nonzero
+    entries, 0-based, built from the form's entries."""
+    rows = [{i: 2} for i in range(f.n)]
     for i, j, value in f.upper:
         rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
-    # from a list: tuple() of a generator resizes its result
-    return tuple([tuple(row) for row in rows])
+    return rows
 
 
 def corank(f: UnitForm) -> int:
-    return f.n - rational_rank(symmetric_gram(f))
+    """n minus the rank of G + G^T, from the sparse elimination of
+    :func:`linalg._psd_rank_rows` on the form's entries, as
+    :func:`is_non_negative`.  The corank is defined for non-negative forms
+    only: an indefinite form raises ValueError."""
+    rank = _psd_rank_rows(_symmetric_rows(f))
+    if rank is None:
+        raise ValueError("the form is indefinite: its corank is not defined")
+    return f.n - rank
 
 
 def is_non_negative(f: UnitForm) -> bool:
     """Whether G + G^T is positive semidefinite, decided by the sparse
-    elimination of :func:`linalg._is_psd_rows` on the form's entries, in
+    elimination of :func:`linalg._psd_rank_rows` on the form's entries, in
     O(n + entries + fill) memory, with no fill when the Gram graph is a
     forest."""
-    rows = [{i: 2} for i in range(f.n)]
-    for i, j, value in f.upper:
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
-    return _is_psd_rows(rows)
-
-
-def is_connected(f: UnitForm) -> bool:
-    """Connectivity of the graph on variables with edges at nonzero Gram
-    entries."""
-    edges = ((i, j) for i, j, _ in f.upper)
-    return len(spanning_tree(f.n, edges)) == f.n - 1
+    return _psd_rank_rows(_symmetric_rows(f)) is not None
 
 
 def form_of_quiver(q: Quiver) -> UnitForm:
@@ -174,12 +165,6 @@ def coxeter_matrix(f: UnitForm) -> IntMatrix:
     """-G^T G^{-1}, using the exact unitriangular inverse."""
     g = f.gram_upper
     return coxeter_from_gram(g, unitriangular_inverse(g))
-
-
-def coxeter_polynomial_direct(f: UnitForm) -> IntPoly:
-    """Characteristic polynomial of the Coxeter matrix (the oracle path,
-    independent of cycle types)."""
-    return char_poly(coxeter_matrix(f))
 
 
 def check_strong_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:

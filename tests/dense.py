@@ -1,5 +1,9 @@
-"""The tests' one dense construction of a unit form."""
+"""The tests' dense constructions of unit forms and quiver matrices, and
+the oracles built on them."""
 
+from operator import add
+
+from coxquiver.quiver import spanning_tree
 from coxquiver.unitform import UnitForm
 
 
@@ -11,3 +15,24 @@ def form_from_gram(gram) -> UnitForm:
         raise ValueError("not an upper triangular matrix with unit diagonal")
     return UnitForm(n, [(i + 1, j + 1, gram[i][j])
                         for i in range(n) for j in range(i + 1, n) if gram[i][j]])
+
+
+def symmetric_gram(f: UnitForm):
+    """G + G^T: symmetric with diagonal 2."""
+    g = f.gram_upper
+    return tuple(tuple(map(add, row, column)) for row, column in zip(g, zip(*g)))
+
+
+def incidence_matrix(q):
+    """m x n matrix whose column i is e_{source(i)} - e_{target(i)}."""
+    rows = [[0] * q.n for _ in range(q.m)]
+    for i, (s, t) in enumerate(q.arrows):
+        rows[s - 1][i] = 1
+        rows[t - 1][i] = -1
+    return tuple(map(tuple, rows))
+
+
+def form_connected(f: UnitForm) -> bool:
+    """Connectivity of the graph on variables with edges at nonzero Gram
+    entries."""
+    return len(spanning_tree(f.n, ((i, j) for i, j, _ in f.upper))) == f.n - 1

@@ -1,20 +1,27 @@
-"""Every public helper of the package has a caller inside the package.
+"""The package's public surface: every helper has a caller, and every
+export is listed in the README's "Public API" table.
 
 A public top-level function or class of ``src/coxquiver``, or a public
 method, property or classmethod of a public class, counts as used when some
 module of the package names it outside its own definition: as a bare name,
-as an attribute, or in an import (the exports of ``__init__`` included).
-A method's siblings in its class count as callers; a class's own methods do
-not.  A helper that only tests call belongs in those tests.
+as an attribute, or in an import.  A re-export in ``__init__`` counts only
+for the names of the README's "Public API" table, which lists each export
+with its consumer, and that table must list exactly the exports.  A
+method's siblings in its class count as callers; a class's own methods do
+not.  The count goes by bare name, so no two modules may define the same
+public top-level name: one would count as a caller of the other.  A
+helper that only tests call belongs in those tests.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import coxquiver
 
 PACKAGE = Path(coxquiver.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _references(node: ast.AST) -> Counter:
@@ -36,14 +43,40 @@ def _public(nodes) -> list:
             and not node.name.startswith("_")]
 
 
-def unreferenced_public_helpers(package: Path) -> list[str]:
+def _modules(package: Path) -> list:
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(package.glob("*.py"))]
+
+
+def public_api_table(readme: Path) -> set[str]:
+    """The names in the first column of the "Public API" table of
+    ``readme``."""
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return {name for line in section.splitlines() if line.startswith("| `")
+            for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+
+
+def exported_names(package: Path) -> set[str]:
+    """The names ``__init__`` of ``package`` imports from its modules."""
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreferenced_public_helpers(package: Path, listed=frozenset()) -> list[str]:
     """``module.name`` of every public top-level function or class, and
     ``module.Class.name`` of every public method of a public class, in
     ``package`` that no module of the package refers to outside its own
-    definition."""
-    modules = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
-               for path in sorted(package.glob("*.py"))]
-    everywhere = sum((_references(tree) for _, tree in modules), Counter())
+    definition; ``__init__`` refers only to the names in ``listed``."""
+    modules = _modules(package)
+    everywhere: Counter = Counter()
+    for module, tree in modules:
+        references = _references(tree)
+        if module == "__init__":
+            references = Counter({name: count for name, count in references.items()
+                                  if name in listed})
+        everywhere += references
 
     def unused(node: ast.AST) -> bool:
         return everywhere[node.name] == _references(node)[node.name]
@@ -59,8 +92,30 @@ def unreferenced_public_helpers(package: Path) -> list[str]:
     return found
 
 
+def duplicate_public_names(package: Path) -> list[str]:
+    """``name: module, module, ...`` for every public top-level function or
+    class name that more than one module of ``package`` defines."""
+    defined: dict[str, list[str]] = {}
+    for module, tree in _modules(package):
+        for node in _public(tree.body):
+            defined.setdefault(node.name, []).append(module)
+    return sorted(f"{name}: {', '.join(modules)}"
+                  for name, modules in defined.items() if len(modules) > 1)
+
+
 def test_every_public_helper_has_a_caller_in_the_package():
-    assert unreferenced_public_helpers(PACKAGE) == []
+    assert unreferenced_public_helpers(PACKAGE, public_api_table(README)) == []
+
+
+def test_the_public_api_table_lists_exactly_the_exports():
+    listed, exported = public_api_table(README), exported_names(PACKAGE)
+    assert sorted(listed - exported) == [], "listed in the README, not exported"
+    assert sorted(exported - listed) == [], "exported, not listed in the README"
+    assert exported <= set(coxquiver.__all__)
+
+
+def test_no_two_modules_define_the_same_public_name():
+    assert duplicate_public_names(PACKAGE) == []
 
 
 def test_the_check_sees_an_uncalled_helper(tmp_path):
@@ -79,5 +134,36 @@ def test_the_check_sees_an_uncalled_helper(tmp_path):
         "    @classmethod\n    def build(cls):\n        return cls()\n\n"
         "def _private():\n    pass\n"
     )
-    assert unreferenced_public_helpers(tmp_path) == [
-        "a.dead", "a.Dead", "a.Shape.dead_method", "a.Shape.dead_property"]
+    dead = ["a.dead", "a.Dead", "a.Shape.dead_method", "a.Shape.dead_property"]
+    assert unreferenced_public_helpers(tmp_path, {"used"}) == dead
+    # a re-export that the table does not list is no caller
+    assert unreferenced_public_helpers(tmp_path) == ["a.used"] + dead
+
+
+def test_the_table_and_export_readers(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "# p\n\n## Public API\n\ntext with `ignored`\n\n"
+        "| names | consumer |\n| --- | --- |\n"
+        "| `one`, `two` | the `verb` verb |\n| `three` | a test |\n\n"
+        "## Next\n\n| `four` | not in the section |\n")
+    assert public_api_table(tmp_path / "README.md") == {"one", "two", "three"}
+    (tmp_path / "__init__.py").write_text(
+        "from .a import one, two as second\nfrom .b import (\n    three,\n)\n"
+        "import json\n")
+    assert exported_names(tmp_path) == {"one", "second", "three"}
+
+
+def test_the_check_sees_a_name_defined_in_two_modules(tmp_path):
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "a.py").write_text(
+        "def is_connected(q):\n    return True\n\nclass Shape:\n    pass\n\n"
+        "def _private():\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Shape\n\ndef is_connected(f):\n    return True\n\n"
+        "def _private():\n    pass\n")
+    (tmp_path / "c.py").write_text("class Shape:\n    pass\n")
+    assert duplicate_public_names(tmp_path) == ["Shape: a, c", "is_connected: a, b"]
+    # the bare-name count lets one definition stand in for the other
+    (tmp_path / "b.py").write_text(
+        "def is_connected(f):\n    return True\n\nOK = is_connected(0)\n")
+    assert "a.is_connected" not in unreferenced_public_helpers(tmp_path)

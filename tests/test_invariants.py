@@ -23,7 +23,6 @@ from coxquiver.invariants import (
     cycle_type_of_form,
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
-    verify_reduced_coxeter_number,
 )
 from coxquiver.linalg import char_poly, poly_mul, poly_pow, v_power_minus_one
 from coxquiver.partitions import Partition, part1c
@@ -33,7 +32,6 @@ from coxquiver.unitform import (
     UnitForm,
     corank,
     coxeter_matrix,
-    coxeter_polynomial_direct,
     form_of_quiver,
 )
 
@@ -108,7 +106,7 @@ def test_coxeter_polynomial_corank0_tree():
     poly = coxeter_polynomial(f)
     assert poly.unit_exponent == -1
     assert poly.expand() == (1, 1, 1)
-    assert poly.expand() == coxeter_polynomial_direct(f)
+    assert poly.expand() == char_poly(coxeter_matrix(f))
 
 
 def test_coxeter_polynomial_matches_direct_route():
@@ -121,7 +119,7 @@ def test_coxeter_polynomial_matches_direct_route():
         representative_form((2, 1, 1), 0),
     ]
     for f in forms:
-        assert coxeter_polynomial(f).expand() == coxeter_polynomial_direct(f)
+        assert coxeter_polynomial(f).expand() == char_poly(coxeter_matrix(f))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +146,18 @@ def test_coxeter_numbers_validation():
         CoxeterNumbers(None, 0)
 
 
+def violations(f, parts):
+    """The Coxeter-number laws of the cycle type ``parts`` that exact powers
+    of the Coxeter matrix of ``f`` break."""
+    phi = coxeter_matrix(f)
+    return coxeter_number_violations(phi, char_poly(phi), Partition(parts))
+
+
 def test_verify_reduced_coxeter_number():
-    assert verify_reduced_coxeter_number(KRONECKER_FORM)
-    assert verify_reduced_coxeter_number(tree_form(4))
-    assert verify_reduced_coxeter_number(representative_form((3, 1, 1), 0))
-    assert verify_reduced_coxeter_number(representative_form((3, 2, 2), 1))
-    assert verify_reduced_coxeter_number(representative_form((2, 2, 1), 1))
+    forms = [KRONECKER_FORM, tree_form(4), representative_form((3, 1, 1), 0),
+             representative_form((3, 2, 2), 1), representative_form((2, 2, 1), 1)]
+    for f in forms:
+        assert violations(f, cycle_type_of_form(f).parts) == []
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +165,6 @@ def test_verify_reduced_coxeter_number():
 # ---------------------------------------------------------------------------
 
 def test_coxeter_number_violations_name_each_broken_law():
-    def violations(f, parts):
-        phi = coxeter_matrix(f)
-        return coxeter_number_violations(phi, char_poly(phi), Partition(parts))
-
     line = tree_form(4)  # cycle type (4)
     assert violations(line, (4,)) == []
     assert violations(line, (2, 2)) == ["Id - Phi^lcm is not nilpotent"]
@@ -293,7 +293,7 @@ def test_enumerate_polys_are_realized():
             d = (c - (pi.length - 1)) // 2
             f = representative_form(pi.parts, d)
             assert f.n == n
-            assert coxeter_polynomial_direct(f) == poly.expand()
+            assert char_poly(coxeter_matrix(f)) == poly.expand()
 
 
 def test_coxeter_polynomial_of_cycle_type_matches_enumeration():

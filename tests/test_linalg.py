@@ -29,14 +29,13 @@ from coxquiver.linalg import (
     determinant,
     identity,
     is_nilpotent,
-    is_psd,
     mat_mul,
     mat_pow,
     permutation_matrix,
     poly_divmod,
     poly_mul,
     poly_normalize,
-    rational_rank,
+    psd_rank,
     transpose,
     unitriangular_inverse,
     v_power_minus_one,
@@ -160,6 +159,11 @@ def fraction_psd(m):
     return True
 
 
+def fraction_psd_rank(m):
+    """The rank of m if m is PSD, None if not: the oracle of psd_rank."""
+    return fraction_rank(m) if fraction_psd(m) else None
+
+
 def naive_char_poly(m):
     """det(v*Id - m) by cofactor expansion over polynomials."""
     n = len(m)
@@ -238,26 +242,28 @@ def test_unitriangular_inverse_matches_general():
 
 
 # ---------------------------------------------------------------------------
-# rank
+# rank of positive semidefinite matrices
 # ---------------------------------------------------------------------------
 
 def test_rational_rank_examples():
-    assert rational_rank(((2, 2), (2, 2))) == 1
-    assert rational_rank(identity(3)) == 3
-    assert rational_rank(((0, 0), (0, 0))) == 0
+    assert psd_rank(((2, 2), (2, 2))) == 1
+    assert psd_rank(identity(3)) == 3
+    assert psd_rank(((0, 0), (0, 0))) == 0
 
 
-@given(square_matrices(4))
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+    st.lists(small_entries, min_size=n, max_size=n), min_size=1, max_size=4)))
 @settings(max_examples=150)
-def test_rational_rank_against_fraction_oracle(m):
-    assert rational_rank(m) == fraction_rank(m)
+def test_rational_rank_against_fraction_oracle(b):
+    # B^T B for B of any shape is PSD, of the rank of B
+    assert psd_rank(mat_mul(transpose(b), b)) == fraction_rank(b)
 
 
 @given(square_matrices(4))
 @settings(max_examples=100)
 def test_rank_of_gram_square(m):
-    mt = transpose(m)
-    assert rational_rank(mat_mul(mt, m)) == rational_rank(m)
+    # M^T M is PSD, of the rank of M
+    assert psd_rank(mat_mul(transpose(m), m)) == fraction_rank(m)
 
 
 # ---------------------------------------------------------------------------
@@ -486,34 +492,34 @@ def test_char_poly_trace_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_is_psd_examples():
-    assert is_psd(((2, -1), (-1, 2))) is True
-    assert is_psd(((2, 2), (2, 2))) is True
-    assert is_psd(((0, 1), (1, 0))) is False
+    assert psd_rank(((2, -1), (-1, 2))) == 2
+    assert psd_rank(((2, 2), (2, 2))) == 1
+    assert psd_rank(((0, 1), (1, 0))) is None
 
 
 def test_is_psd_requires_symmetry():
     with pytest.raises(ValueError):
-        is_psd(((1, 2), (0, 1)))
+        psd_rank(((1, 2), (0, 1)))
 
 
 @given(symmetric_matrices(4))
 @settings(max_examples=200)
 def test_is_psd_against_fraction_oracle(m):
-    assert is_psd(m) == fraction_psd(m)
+    assert psd_rank(m) == fraction_psd_rank(m)
 
 
 @given(symmetric_matrices(4))
 @settings(max_examples=40, deadline=None)
 def test_is_psd_brute_force_necessary_condition(m):
     n = len(m)
-    if is_psd(m):
+    if psd_rank(m) is not None:
         for x in product(range(-3, 4), repeat=n):
             value = sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n))
             assert value >= 0
 
 
 # ---------------------------------------------------------------------------
-# lazy fraction-free elimination: determinant, rank and PSD
+# fraction-free elimination: the determinant and the PSD rank
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -550,7 +556,7 @@ def sparse_symmetric_matrices(draw, max_n=12):
 @example(((2, -1, 0, 1), (-1, 2, -1, 0), (0, -1, 2, -1), (1, 0, -1, 2)))
 @settings(max_examples=400, deadline=None)
 def test_is_psd_on_sparse_matrices_against_fraction_oracle(m):
-    assert is_psd(m) == fraction_psd(m)
+    assert psd_rank(m) == fraction_psd_rank(m)
 
 
 @given(square_matrices(5, min_n=0))
@@ -573,14 +579,11 @@ def test_determinant_examples():
 @settings(max_examples=200, deadline=None)
 def test_elimination_on_sparse_matrices_against_fraction_oracles(m):
     assert determinant(m) == fraction_det(m)
-    assert rational_rank(m) == fraction_rank(m)
     sym = symmetrize(m)
-    assert is_psd(sym) == fraction_psd(sym)
-    assert rational_rank(sym) == fraction_rank(sym)
-    # B^T B is PSD, with a zero pivot for each column dependent on earlier ones
-    gram = mat_mul(transpose(m), m)
-    assert is_psd(gram) is True
-    assert rational_rank(gram) == fraction_rank(m)
+    assert psd_rank(sym) == fraction_psd_rank(sym)
+    # B^T B is PSD, with a zero pivot for each column dependent on earlier
+    # ones, and of the rank of B
+    assert psd_rank(mat_mul(transpose(m), m)) == fraction_rank(m)
 
 
 def _arms(lengths):
@@ -634,8 +637,7 @@ def _gram_of(size, signed):
 @pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
 def test_tree_forms_are_psd_of_corank_at_most_one(family, n):
     gram, _, corank = _tree_form(family, n)
-    assert is_psd(gram) is True
-    assert rational_rank(gram) == len(gram) - corank
+    assert psd_rank(gram) == len(gram) - corank
 
 
 def closing_edge(size, signed, rng):
@@ -684,18 +686,17 @@ def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
     closed = _gram_of(size, {**signed, edge: extra})
     assert sum(y[i] * closed[i][j] * y[j]
                for i in range(size) for j in range(size)) == -2
-    assert is_psd(closed) is False
-    assert rational_rank(closed) == fraction_rank(closed)
+    assert psd_rank(closed) is None
 
 
 def _skew_dense(step, skew):
-    def skewed(a, since, k, col, prev):
+    def skewed(a, since, k, prev):
         # record scales that are not the minors the rows were brought to
         if skew == "pivot row":
             since[k] = 3
         else:
             since[k + 1:] = [7] * (len(since) - k - 1)
-        return step(a, since, k, col, prev)
+        return step(a, since, k, prev)
     return skewed
 
 
@@ -715,8 +716,7 @@ def _skew_sparse(step, skew):
 
 # the step each function eliminates with, and how to skew its scales
 STEPS = {determinant: ("_eliminate", _skew_dense),
-         rational_rank: ("_eliminate", _skew_dense),
-         is_psd: ("_eliminate_sparse", _skew_sparse)}
+         psd_rank: ("_eliminate_sparse", _skew_sparse)}
 
 
 @pytest.mark.parametrize("skew", ["pivot row", "rows below"])

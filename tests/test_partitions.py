@@ -23,7 +23,6 @@ from coxquiver.linalg import (
 from coxquiver.partitions import (
     FactoredCoxPoly,
     Partition,
-    char_poly_of_partition,
     cycle_type_of_permutation,
     part1c,
     partitions_by_length,
@@ -113,12 +112,12 @@ def test_partition_json_roundtrip():
 
 def test_char_poly_of_single_part():
     for m in range(1, 7):
-        assert char_poly_of_partition(Partition((m,))).expand() == \
+        assert FactoredCoxPoly(1, (m,)).expand() == \
             (-1,) + (0,) * (m - 1) + (1,)
 
 
 def test_char_poly_of_211():
-    got = char_poly_of_partition(Partition((2, 1, 1))).expand()
+    got = FactoredCoxPoly(3, (2, 1, 1)).expand()
     expected = poly_mul((-1, 0, 1), poly_pow((-1, 1), 2))  # (v^2-1)(v-1)^2
     assert got == expected
 
@@ -127,7 +126,7 @@ def test_char_poly_matches_permutation_matrix():
     pi = Partition((3, 2, 2))
     rho = permutation_of_partition(pi)
     assert cycle_type_of_permutation(rho) == pi
-    assert char_poly_of_partition(pi).expand() == char_poly(permutation_matrix(rho))
+    assert FactoredCoxPoly(pi.length, pi.parts).expand() == char_poly(permutation_matrix(rho))
 
 
 @given(st.integers(min_value=1, max_value=8))
@@ -135,7 +134,7 @@ def test_char_poly_matches_permutation_matrix():
 def test_char_poly_matches_permutation_matrix_all_partitions(m):
     for pi in brute_force_partitions(m):
         rho = permutation_of_partition(pi)
-        assert char_poly_of_partition(pi).expand() == \
+        assert FactoredCoxPoly(pi.length, pi.parts).expand() == \
             char_poly(permutation_matrix(rho))
 
 
@@ -144,24 +143,24 @@ def test_char_poly_matches_permutation_matrix_all_partitions(m):
 # ---------------------------------------------------------------------------
 
 def test_expand_single_factor():
-    f = FactoredCoxPoly.from_unit_exponent(0, (2,))
+    f = FactoredCoxPoly(1, (2,))
     assert f.expand() == (-1, 0, 1)
 
 
 def test_expand_with_unit_factor():
-    f = FactoredCoxPoly.from_unit_exponent(1, (4,))
+    f = FactoredCoxPoly(2, (4,))
     # (v-1)(v^4-1) = v^5 - v^4 - v + 1
     assert f.expand() == (1, -1, 0, 0, -1, 1)
 
 
 def test_expand_cubed_unit_factor():
-    f = FactoredCoxPoly.from_unit_exponent(3, (5,))
+    f = FactoredCoxPoly(4, (5,))
     expected = poly_mul((-1, 0, 0, 0, 0, 1), poly_pow((-1, 1), 3))
     assert f.expand() == expected
 
 
 def test_nu_form_and_unit_form_expansions_agree():
-    f = FactoredCoxPoly.from_unit_exponent(2, (3, 2, 2))
+    f = FactoredCoxPoly(5, (3, 2, 2))
     assert f.expand() == expand_unit_form(f)
 
 
@@ -171,7 +170,7 @@ def test_nu_form_and_unit_form_expansions_agree():
 )
 @settings(max_examples=80)
 def test_two_factorizations_agree(e, parts):
-    f = FactoredCoxPoly.from_unit_exponent(e, tuple(sorted(parts, reverse=True)))
+    f = FactoredCoxPoly(e + len(parts), tuple(sorted(parts, reverse=True)))
     assert f.expand() == expand_unit_form(f)
     assert degree(f) == len(f.expand()) - 1
 
@@ -185,12 +184,12 @@ def test_corank_zero_representation():
 
 
 def test_factored_to_json():
-    assert FactoredCoxPoly.from_unit_exponent(3, (5,)).to_json() == {
+    assert FactoredCoxPoly(4, (5,)).to_json() == {
         "unit_exponent": 3, "cycle_parts": [5],
         "dense": [1, -3, 3, -1, 0, -1, 3, -3, 1]}
     assert FactoredCoxPoly(0, (5,)).to_json() == {
         "unit_exponent": -1, "cycle_parts": [5], "dense": [1, 1, 1, 1, 1]}
-    assert json.dumps(FactoredCoxPoly.from_unit_exponent(0, (2, 1)).to_json()) == (
+    assert json.dumps(FactoredCoxPoly(2, (2, 1)).to_json()) == (
         '{"unit_exponent": 0, "cycle_parts": [2, 1], "dense": [1, -1, -1, 1]}')
 
 

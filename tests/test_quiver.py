@@ -23,18 +23,17 @@ from coxquiver.linalg import (
     mat_mul,
     mat_sub,
     permutation_matrix,
-    rational_rank,
+    psd_rank,
     transpose,
     unitriangular_inverse,
 )
 from coxquiver.partitions import Partition, cycle_type_of_permutation, part1c
 from coxquiver.quiver import (
     Quiver,
+    _coxeter_laplace,
     _prefix_products,
-    coxeter_laplace,
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
-    incidence_matrix,
     inverse_quiver,
     is_connected,
     iter_connected_quivers,
@@ -42,13 +41,14 @@ from coxquiver.quiver import (
     opposite,
     ordered_pairs,
     relabel_vertices,
-    remove_last_arrow,
     spanning_tree,
     triangular_gram,
     vertex_permutation,
 )
 from coxquiver.sweep import _phase1_units
-from coxquiver.unitform import UnitForm, is_connected as form_connected
+from coxquiver.unitform import UnitForm
+
+from dense import form_connected, incidence_matrix
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -56,6 +56,12 @@ KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 
 def linear_quiver(m):
     return Quiver(m, tuple((j, j + 1) for j in range(1, m)))
+
+
+def coxeter_laplace(q):
+    """The Coxeter-Laplace matrix of a connected quiver as the sweep builds
+    it, from the arrows of q and of its inverse quiver."""
+    return _coxeter_laplace(q.m, q.arrows, inverse_quiver(q).arrows)
 
 
 def mat_neg(a):
@@ -172,7 +178,7 @@ def test_laplace_examples():
 
 def test_laplace_rank_connected():
     for q in (A3, KRONECKER, linear_quiver(5)):
-        assert rational_rank(laplace(q)) == q.m - 1
+        assert psd_rank(laplace(q)) == q.m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +523,13 @@ def test_remove_last_arrow_transposition_identity():
         Quiver(5, ((1, 2), (2, 3), (4, 5), (3, 4))),
     ]
     for q in quivers:
-        smaller = remove_last_arrow(q)
+        smaller = Quiver(q.m, q.arrows[:-1])
         s, t = q.arrows[-1]
         tau = list(range(1, q.m + 1))
         tau[s - 1], tau[t - 1] = t, s
         xi_small = per_component_xi(smaller)
         composed = tuple(xi_small[tau[v] - 1] for v in range(q.m))
         assert vertex_permutation(q) == composed
-
-
-def test_remove_last_arrow_empty_errors():
-    with pytest.raises(ValueError):
-        remove_last_arrow(Quiver(1, ()))
 
 
 def test_relabel_preserves_gram():

@@ -12,12 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxquiver.errors import NotConnected, NotDynkinTypeA
-from coxquiver.linalg import determinant, is_psd, mat_mul, transpose
+from coxquiver.linalg import determinant, mat_mul, psd_rank, transpose
 from coxquiver.partitions import Partition, part1c
 from coxquiver.quiver import (
     Quiver,
     cycle_type_of_quiver,
-    incidence_matrix,
     inverse_quiver,
     is_connected as quiver_connected,
     iter_connected_quivers,
@@ -30,19 +29,16 @@ from coxquiver.realize import (
     realize_quiver,
     representative_quiver_A,
     representative_quiver_star,
-    weak_congruence_to_canonical,
 )
 from coxquiver.unitform import (
     UnitForm,
     corank,
     evaluate,
     form_of_quiver,
-    is_connected,
     is_non_negative,
-    symmetric_gram,
 )
 
-from dense import form_from_gram
+from dense import form_connected, form_from_gram, incidence_matrix, symmetric_gram
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def realize_backtracking(f: UnitForm) -> Quiver:
     symmetry; otherwise the search is exhaustive, so it proves or refutes
     type A on its own.  Exponential in n: for small forms only.
     """
-    if not is_connected(f):
+    if not form_connected(f):
         raise ValueError("realization requires a connected unit form")
     if not is_non_negative(f):
         raise ValueError("realization requires a non-negative unit form")
@@ -282,7 +278,7 @@ def realize_quiver_dense(f: UnitForm) -> Quiver:
             if _dense_fits(column, row, placed, arrows):
                 break
         else:
-            if not is_psd(g):
+            if psd_rank(g) is None:
                 raise ValueError("the form is indefinite: realization requires "
                                  "a non-negative unit form")
             raise NotDynkinTypeA(_dense_stuck(i, row, placed))
@@ -367,7 +363,7 @@ def assert_weak_congruence(f, b):
 
 def test_weak_congruence_canonical_input_is_signed_permutation():
     f = form_of_quiver(canonical_extension_quiver(3, 2))
-    b = weak_congruence_to_canonical(f)
+    b = realize(f).basis_change
     target = symmetric_gram(form_of_quiver(canonical_extension_quiver(3, 2)))
     assert mat_mul(mat_mul(transpose(b), symmetric_gram(f)), b) == target
     assert all(sum(1 for x in row if x != 0) == 1 for row in b)
@@ -375,31 +371,31 @@ def test_weak_congruence_canonical_input_is_signed_permutation():
 
 def test_weak_congruence_kronecker():
     f = UnitForm(2, [(1, 2, 2)])
-    assert_weak_congruence(f, weak_congruence_to_canonical(f))
+    assert_weak_congruence(f, realize(f).basis_change)
 
 
 def test_weak_congruence_path_form():
     f = UnitForm(2, [(1, 2, -1)])
-    assert_weak_congruence(f, weak_congruence_to_canonical(f))
+    assert_weak_congruence(f, realize(f).basis_change)
 
 
 def test_weak_congruence_clears_positive_units():
     # gram with a +1 entry
     f = UnitForm(2, [(1, 2, 1)])
-    assert_weak_congruence(f, weak_congruence_to_canonical(f))
+    assert_weak_congruence(f, realize(f).basis_change)
 
 
 def test_weak_congruence_failure_raises():
     d4 = UnitForm(4, [(1, 2, -1), (1, 3, -1), (1, 4, -1)])
     with pytest.raises(NotDynkinTypeA):
-        weak_congruence_to_canonical(d4)
+        realize(d4)
 
 
 def test_weak_congruence_of_two_isotropic_pairs():
     # two separate isotropic pairs: no signed permutation of the variables
     # carries this Gram matrix to the canonical one, a basis change does
     f = form_of_quiver(Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3))))
-    assert_weak_congruence(f, weak_congruence_to_canonical(f))
+    assert_weak_congruence(f, realize(f).basis_change)
 
 
 def test_basis_change_maps_incidence_to_canonical():
@@ -566,7 +562,7 @@ def test_realize_agrees_with_search_oracle(q, position, value):
         i, j = pairs[position % len(pairs)]
         rows[i][j] = value
     f = form_from_gram(rows)
-    assume(is_connected(f))
+    assume(form_connected(f))
     assert outcome(realize_quiver, f) == outcome(realize_backtracking, f)
 
 
@@ -577,7 +573,7 @@ def test_realize_agrees_with_search_oracle_on_every_form_with_4_variables():
     counts = {"realized": 0, "not type A": 0, "indefinite": 0}
     for values in itertools.product((-2, -1, 0, 1, 2), repeat=len(pairs)):
         f = UnitForm(4, [(i, j, v) for (i, j), v in zip(pairs, values) if v])
-        if is_connected(f):
+        if form_connected(f):
             got = outcome(realize_quiver, f)
             assert got == outcome(realize_backtracking, f), values
             counts[got] += 1

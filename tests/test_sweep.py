@@ -106,6 +106,9 @@ PHASE1_CORRUPTIONS = {
     "Laplace": (
         "laplace", lambda route: lambda q: _bump_corner(route(q)),
         {"matrix_identities", "laplace_kernel"}),
+    # the Laplace matrix itself stays right, so only its rank can fire
+    "Laplace rank": (
+        "psd_rank", lambda route: lambda m: route(m) + 1, {"laplace_kernel"}),
     "Coxeter-Laplace": (
         "_coxeter_laplace",
         lambda route: lambda m, arrows, inverse: _bump_corner(

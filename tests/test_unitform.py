@@ -14,7 +14,6 @@ from coxquiver.linalg import char_poly, identity
 from coxquiver.quiver import (
     Quiver,
     coxeter_matrix_of_quiver,
-    incidence_matrix,
     opposite,
     relabel_vertices,
 )
@@ -24,16 +23,19 @@ from coxquiver.unitform import (
     check_strong_congruence,
     corank,
     coxeter_matrix,
-    coxeter_polynomial_direct,
     evaluate,
     form_of_quiver,
-    is_connected,
     is_non_negative,
-    symmetric_gram,
 )
 
-from dense import form_from_gram
-from test_linalg import _tree, closing_edge
+from dense import (
+    form_connected,
+    form_from_gram,
+    incidence_matrix,
+    symmetric_gram,
+)
+from test_linalg import TREES, _tree, _tree_form, closing_edge, fraction_rank
+from test_realize import shuffled_connected_quivers
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -88,6 +90,38 @@ def test_corank_examples():
     assert corank(KRONECKER_FORM) == 1
     four = form_of_quiver(Quiver(2, ((1, 2), (2, 1), (1, 2), (2, 1))))
     assert corank(four) == 3
+
+
+@pytest.mark.parametrize("family, n", TREES, ids=[f"{f}_{n}" for f, n in TREES])
+def test_corank_of_tree_forms_against_the_dense_rank(family, n):
+    gram, signed, expected = _tree_form(family, n)
+    f = _form_of_edges(len(gram), signed)
+    assert corank(f) == f.n - fraction_rank(symmetric_gram(f)) == expected
+
+
+@given(shuffled_connected_quivers())
+@settings(max_examples=100, deadline=None)
+def test_corank_of_type_a_forms_is_arrows_minus_vertices_plus_one(q):
+    f = form_of_quiver(q)
+    assert corank(f) == f.n - realize_quiver(f).m + 1
+
+
+def test_corank_rejects_an_indefinite_form():
+    with pytest.raises(ValueError, match="indefinite"):
+        corank(UnitForm(2, [(1, 2, -3)]))
+
+
+def test_corank_works_on_the_entries_without_the_dense_matrix():
+    # a dense rank of G + G^T, with its row lists, takes about 62 MB at
+    # n = 2000
+    f = _form_of_edges(*_shuffled(_tree("D", 2000)[0], "D"))
+    tracemalloc.start()
+    try:
+        assert corank(f) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_is_non_negative():
@@ -163,11 +197,11 @@ def test_quiver_forms_are_non_negative():
 
 
 def test_is_connected():
-    assert is_connected(UnitForm(1, []))
-    assert is_connected(KRONECKER_FORM)
-    assert not is_connected(UnitForm(2, []))
+    assert form_connected(UnitForm(1, []))
+    assert form_connected(KRONECKER_FORM)
+    assert not form_connected(UnitForm(2, []))
     block = UnitForm(4, [(1, 2, -1), (3, 4, -1)])
-    assert not is_connected(block)
+    assert not form_connected(block)
 
 
 def test_form_of_quiver_matches_half_norm():
@@ -207,17 +241,18 @@ def test_coxeter_matrix_agrees_with_quiver_route():
 
 
 def test_coxeter_polynomial_direct_examples():
-    assert coxeter_polynomial_direct(UnitForm(1, [])) == (1, 1)
-    assert coxeter_polynomial_direct(KRONECKER_FORM) == (1, -2, 1)
+    assert char_poly(coxeter_matrix(UnitForm(1, []))) == (1, 1)
+    assert char_poly(coxeter_matrix(KRONECKER_FORM)) == (1, -2, 1)
     # linear quivers give nu_m
     for m in range(2, 7):
         q = Quiver(m, tuple((j, j + 1) for j in range(1, m)))
-        assert coxeter_polynomial_direct(form_of_quiver(q)) == (1,) * m
+        assert char_poly(coxeter_matrix(form_of_quiver(q))) == (1,) * m
 
 
 def test_coxeter_polynomial_direct_is_char_poly():
-    f = form_of_quiver(Quiver(3, ((2, 1), (1, 3), (3, 2))))
-    assert coxeter_polynomial_direct(f) == char_poly(coxeter_matrix(f))
+    q = Quiver(3, ((2, 1), (1, 3), (3, 2)))
+    assert char_poly(coxeter_matrix(form_of_quiver(q))) == \
+        char_poly(coxeter_matrix_of_quiver(q))
 
 
 def test_check_strong_congruence_identity():
@@ -248,7 +283,7 @@ def test_strong_congruence_preserves_coxeter_polynomial():
     b = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     g = form_from_gram(((1, 0, -1), (0, 1, 0), (0, 0, 1)))
     assert check_strong_congruence(f, g, b)
-    assert coxeter_polynomial_direct(f) == coxeter_polynomial_direct(g)
+    assert char_poly(coxeter_matrix(f)) == char_poly(coxeter_matrix(g))
 
 
 # ---------------------------------------------------------------------------

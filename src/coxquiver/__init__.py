@@ -16,7 +16,7 @@ from .invariants import (
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
 )
-from .linalg import determinant, psd_rank
+from .linalg import psd_rank
 from .partitions import (
     FactoredCoxPoly,
     Partition,

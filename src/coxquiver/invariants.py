@@ -14,7 +14,7 @@ from .linalg import (
     IntPoly,
     identity,
     is_nilpotent,
-    mat_pow,
+    mat_mul,
     mat_sub,
     poly_degree,
     poly_divmod,
@@ -109,7 +109,9 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
 
     Divides out (v-1)^{c-1} (multiplies by (v-1) once when c = 0), then
     repeatedly extracts the maximal t with (v^t - 1) dividing the remainder.
-    Raises ValueError when the polynomial is not of the admissible shape.
+    Raises ValueError when the polynomial is not of the admissible shape,
+    or when the recovered cycle type has a length l that corank c does not
+    admit.
     """
     if c < 0:
         raise ValueError("corank must be nonnegative")
@@ -152,6 +154,15 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
             f"not a type-A Coxeter polynomial for corank {c}: no admissible "
             "factorization"
         )
+    # the rule of part1c: a cycle type of length l occurs at corank c
+    # exactly when c - (l - 1) is even and non-negative
+    excess = c - (len(parts) - 1)
+    if excess < 0 or excess % 2:
+        raise ValueError(
+            f"not a type-A Coxeter polynomial for corank {c}: its cycle type "
+            f"has length {len(parts)}, and c - (l - 1) = {excess} is not even "
+            "and non-negative"
+        )
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
@@ -166,51 +177,35 @@ def enumerate_coxeter_polynomials(n: int, c: int) -> tuple[FactoredCoxPoly, ...]
                  for pi in part1c(c, n - c + 1))
 
 
-def _power_sums(coeffs_low: IntPoly, upto: int) -> list[int]:
-    """Traces of matrix powers 1..upto from the characteristic polynomial,
-    by Newton's identities (exact)."""
-    n = len(coeffs_low) - 1
-    c = [coeffs_low[n - i] for i in range(n + 1)]  # c[i] multiplies v^{n-i}
-    sums = [0] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = k * c[k] if k <= n else 0
-        for i in range(1, min(k, n + 1)):
-            acc += c[i] * sums[k - i]
-        sums[k] = -acc
-    return sums
-
-
-def coxeter_number_violations(phi: IntMatrix, poly: IntPoly,
-                              ct: Partition) -> list[str]:
-    """The Coxeter-number laws that the Coxeter matrix ``phi``, with
-    characteristic polynomial ``poly``, breaks for cycle type ``ct``; an
-    empty list when all hold.
+def coxeter_number_violations(phi: IntMatrix, ct: Partition) -> list[str]:
+    """The Coxeter-number laws that the Coxeter matrix ``phi`` breaks for
+    cycle type ``ct``; an empty list when all hold.
 
     The minimal k with Id - Phi^k nilpotent must be lcm(ct), and Phi^k = Id
     happens within that range exactly for cycle types with one part, first
-    at k = pi_1.  Traces of powers come from ``poly``: a trace other than n
-    rules out both Id - Phi^k nilpotent and Phi^k = Id, so exact matrix
-    powers are needed only where the trace is n.
+    at k = pi_1.  The powers Phi, Phi^2, ..., Phi^lcm come from one walk,
+    one product each.  A nilpotent matrix has trace 0, so a trace of Phi^k
+    other than n rules out both Id - Phi^k nilpotent and Phi^k = Id, and
+    the nilpotency test runs only where the trace is n.
     """
     n = len(phi)
     numbers = coxeter_numbers_of_cycle_type(ct)
     target = numbers.reduced_coxeter_number
-    sums = _power_sums(poly, target)
     ident = identity(n)
     problems = []
     first_identity = None
-    for k in range(1, target):
-        if sums[k] == n:
-            power = mat_pow(phi, k)
-            if is_nilpotent(mat_sub(ident, power)):
-                problems.append(f"Id - Phi^{k} nilpotent below lcm {target}")
-            if power == ident and first_identity is None:
-                first_identity = k
-    final_power = mat_pow(phi, target)
-    if not is_nilpotent(mat_sub(ident, final_power)):
+    power = phi
+    for k in range(1, target + 1):
+        if k > 1:
+            power = mat_mul(power, phi)
+        nilpotent = (sum(power[i][i] for i in range(n)) == n
+                     and is_nilpotent(mat_sub(ident, power)))
+        if nilpotent and k < target:
+            problems.append(f"Id - Phi^{k} nilpotent below lcm {target}")
+        if nilpotent and first_identity is None and power == ident:
+            first_identity = k
+    if not nilpotent:
         problems.append("Id - Phi^lcm is not nilpotent")
-    if first_identity is None and final_power == ident:
-        first_identity = target
     if numbers.coxeter_number is not None:
         if first_identity != numbers.coxeter_number:
             problems.append(

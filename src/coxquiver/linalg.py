@@ -65,31 +65,6 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
-def is_square(m: IntMatrix) -> bool:
-    return not m or len(m) == len(m[0])
-
-
-def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
-    """Exact k-th power of a square matrix, k >= 0, by repeated squaring;
-    the product starts from the lowest set bit of k, not from the
-    identity."""
-    if not is_square(m):
-        raise ValueError("matrix power requires a square matrix")
-    if k < 0:
-        raise ValueError("negative matrix power not supported")
-    if k == 0:
-        return identity(len(m))
-    result = None
-    base = m
-    while True:
-        if k & 1:
-            result = base if result is None else mat_mul(result, base)
-        k >>= 1
-        if not k:
-            return result
-        base = mat_mul(base, base)
-
-
 def is_nilpotent(m: IntMatrix) -> bool:
     """Whether m^n = 0 for the n x n matrix m, by repeated squaring that
     stops at the first zero power m^k (m^n = 0 for every nilpotent m)."""
@@ -104,64 +79,8 @@ def is_nilpotent(m: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinant / inverse
+# inverse
 # ---------------------------------------------------------------------------
-
-def _eliminate(a: list, since: list, k: int, prev: int) -> int:
-    """One lazy fraction-free (Bareiss) step: clear column k below row k,
-    whose entry there is nonzero, and return that pivot.
-
-    ``prev`` is the current leading minor, and row i is stored at the
-    scale of the minor ``since[i]`` it was last brought to.  Bareiss'
-    update of a row with a zero lead only scales it by pivot / prev, so
-    such rows are left alone: a row untouched since minor d_j holds its
-    stored values times d_k / d_j at minor d_k, and the quotient is exact
-    by Bareiss' theorem (the scaled values are minors of the input).  The
-    pivot row is brought to row_k * prev / since[k], and a row with a
-    nonzero lead to (pivot * row_i - lead * row_k) / since[i].
-    """
-    row_k = a[k]
-    if since[k] != prev:
-        _combine(row_k, prev, 0, row_k, since[k], k)
-        since[k] = prev
-    pivot = row_k[k]
-    for i in range(k + 1, len(a)):
-        row_i = a[i]
-        lead = row_i[k]
-        if lead:
-            _combine(row_i, pivot, lead, row_k, since[i], k + 1)
-            row_i[k] = 0
-            since[i] = pivot
-    return pivot
-
-
-def _combine(row: list, p: int, q: int, other: list, d: int, start: int) -> None:
-    """row <- (p * row - q * other) / d in place from column ``start`` on;
-    a remainder raises InvariantViolation."""
-    for j in range(start, len(row)):
-        quotient, r = divmod(p * row[j] - q * other[j], d)
-        if r:
-            raise InvariantViolation("fraction-free elimination lost exactness")
-        row[j] = quotient
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by lazy fraction-free elimination, swapping a row
-    with a nonzero entry into each zero pivot position."""
-    if not is_square(m):
-        raise ValueError("determinant requires a square matrix")
-    a, since, sign, prev = [list(row) for row in m], [1] * len(m), 1, 1
-    for k in range(len(m)):
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, len(m)) if a[i][k]), None)
-            if i is None:
-                return 0
-            a[k], a[i] = a[i], a[k]
-            since[k], since[i] = since[i], since[k]
-            sign = -sign
-        prev = _eliminate(a, since, k, prev)
-    return sign * prev
-
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of an upper triangular matrix with unit diagonal.
@@ -268,7 +187,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
     integers; a mismatch raises InvariantViolation.  A bound beyond the
     largest tabled prime raises ValueError.
     """
-    if not is_square(m):
+    if m and len(m) != len(m[0]):
         raise ValueError("characteristic polynomial requires a square matrix")
     n = len(m)
     p = _char_poly_modulus(m)

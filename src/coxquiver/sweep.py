@@ -22,8 +22,8 @@ It collects the distinct unit forms seen.
 Phase 2 runs the form-level checks (polynomial identities, Coxeter numbers,
 realization round trips, spectral multiplicities) once per distinct form,
 through the library's Coxeter matrix, Coxeter-number laws, spectral
-multiplicities and realizer, so a clean sweep vouches for the code that
-users call.
+multiplicities, realizer and ``form_of_quiver`` (the route of every
+``--quiver`` verb), so a clean sweep vouches for the code that users call.
 
 An exception raised while one quiver or one form is checked is recorded as
 a failure of the check that was running, labelled with that quiver or
@@ -69,7 +69,7 @@ from .quiver import (
     vertex_permutation,
 )
 from .realize import realize
-from .unitform import UnitForm, coxeter_matrix
+from .unitform import UnitForm, coxeter_matrix, form_of_quiver
 
 _SAMPLE_CAP = 20
 _SPLIT_THRESHOLD = 20000
@@ -399,7 +399,7 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                 f"{label()}: factored expansion != Coxeter characteristic polynomial")
 
         check = "coxeter_numbers"
-        for problem in coxeter_number_violations(phi, direct, ct):
+        for problem in coxeter_number_violations(phi, ct):
             rec("coxeter_numbers", f"{label()}: {problem}")
 
         # realization round trip, basis change to the canonical quiver included
@@ -410,7 +410,7 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
             rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
         else:
             report.realized_count += 1
-            if _encode_gram(triangular_gram(result.quiver)) != blob:
+            if form_of_quiver(result.quiver) != form:
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the Gram matrix")
             elif cycle_type_of_permutation(

@@ -10,7 +10,6 @@ from .linalg import (
     IntMatrix,
     _psd_rank_rows,
     coxeter_from_gram,
-    determinant,
     mat_mul,
     transpose,
     unitriangular_inverse,
@@ -168,13 +167,17 @@ def coxeter_matrix(f: UnitForm) -> IntMatrix:
 
 
 def check_strong_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:
-    """Whether b is unimodular and B^T G_f B = G_g exactly."""
+    """Whether b is unimodular and B^T G_f B = G_g exactly.
+
+    The product test alone decides both: G_f and G_g are upper triangular
+    with unit diagonal, so det G_f = det G_g = 1, and B^T G_f B = G_g gives
+    det(B)^2 = det(B^T G_f B) = 1.  So an integer B that passes has
+    determinant +-1 and is unimodular.
+    """
     if f.n != g.n:
         return False
     if len(b) != f.n or any(len(row) != f.n for row in b):
         raise ValueError("basis change matrix must be square of matching size")
-    if determinant(b) not in (1, -1):
-        return False
     bt = transpose(b)
     return mat_mul(mat_mul(bt, f.gram_upper), b) == g.gram_upper
 

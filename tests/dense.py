@@ -1,6 +1,7 @@
 """The tests' dense constructions of unit forms and quiver matrices, and
 the oracles built on them."""
 
+from fractions import Fraction
 from operator import add
 
 from coxquiver.quiver import spanning_tree
@@ -36,3 +37,23 @@ def form_connected(f: UnitForm) -> bool:
     """Connectivity of the graph on variables with edges at nonzero Gram
     entries."""
     return len(spanning_tree(f.n, ((i, j) for i, j, _ in f.upper))) == f.n - 1
+
+
+def fraction_det(m):
+    """Gaussian elimination over Fraction with row swaps, the determinant
+    oracle."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det

@@ -164,6 +164,16 @@ def test_from_poly_bad_polynomial_is_domain_error(capsys):
     assert "not a type-A Coxeter polynomial" in err
 
 
+@pytest.mark.parametrize("poly, c, length", [
+    ("1,-2,1", "0", 3), ("-1,0,1", "1", 1), ("-1,3,-3,1", "1", 3)])
+def test_from_poly_length_the_corank_does_not_admit_is_domain_error(
+        capsys, poly, c, length):
+    code, out, err = run_cli(capsys, "from-poly", f"--poly={poly}", "--c", c)
+    assert code == 1
+    assert out == ""
+    assert f"corank {c}: its cycle type has length {length}" in err
+
+
 def test_from_poly_huge_corank_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "from-poly", "--poly=-1,1", "--c", "1000000000")
     assert code == 1

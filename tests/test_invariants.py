@@ -5,6 +5,7 @@ cycle type inverse, and the enumeration of attainable polynomials."""
 import json
 import random
 import tracemalloc
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,22 @@ from coxquiver.invariants import (
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
 )
-from coxquiver.linalg import char_poly, poly_mul, poly_pow, v_power_minus_one
-from coxquiver.partitions import Partition, part1c
-from coxquiver.quiver import Quiver, cycle_type_of_quiver
+from coxquiver.linalg import (
+    char_poly,
+    identity,
+    mat_mul,
+    mat_sub,
+    poly_mul,
+    poly_pow,
+    v_power_minus_one,
+)
+from coxquiver.partitions import Partition, part1c, partitions_by_length
+from coxquiver.quiver import (
+    Quiver,
+    cycle_type_of_quiver,
+    iter_connected_quivers,
+    triangular_gram,
+)
 from coxquiver.realize import representative_quiver_A
 from coxquiver.unitform import (
     UnitForm,
@@ -149,8 +163,53 @@ def test_coxeter_numbers_validation():
 def violations(f, parts):
     """The Coxeter-number laws of the cycle type ``parts`` that exact powers
     of the Coxeter matrix of ``f`` break."""
-    phi = coxeter_matrix(f)
-    return coxeter_number_violations(phi, char_poly(phi), Partition(parts))
+    return coxeter_number_violations(coxeter_matrix(f), Partition(parts))
+
+
+def plain_violations(phi, parts):
+    """The oracle of coxeter_number_violations: every Phi^k for k = 1..lcm
+    by one more multiplication, with no trace shortcut, and Id - Phi^k
+    nilpotent exactly when its n-th power, n products, is zero."""
+    n = len(phi)
+    target = lcm(*parts)
+    ident = identity(n)
+    zero = ((0,) * n,) * n
+    problems, first_identity, power = [], None, ident
+    for k in range(1, target + 1):
+        power = mat_mul(power, phi)
+        shifted, nth = mat_sub(ident, power), ident
+        for _ in range(n):
+            nth = mat_mul(nth, shifted)
+        if nth == zero and k < target:
+            problems.append(f"Id - Phi^{k} nilpotent below lcm {target}")
+        if nth != zero and k == target:
+            problems.append("Id - Phi^lcm is not nilpotent")
+        if power == ident and first_identity is None:
+            first_identity = k
+    if len(parts) == 1:
+        if first_identity != parts[0]:
+            problems.append(f"Coxeter number {first_identity} != {parts[0]}")
+    elif first_identity is not None:
+        problems.append(f"Phi^{first_identity} = Id for a multi-part cycle type")
+    return problems
+
+
+def test_coxeter_number_violations_against_plain_powers():
+    # every form of a connected quiver with m <= 4 vertices and n <= 5
+    # arrows, against its own cycle type and every other partition of m
+    forms = {}
+    for m in range(2, 5):
+        for n in range(m - 1, 6):
+            for _, q in iter_connected_quivers(m, n):
+                forms.setdefault(triangular_gram(q), q)
+    for gram, q in forms.items():
+        phi = coxeter_matrix(form_of_quiver(q))
+        own = cycle_type_of_quiver(q)
+        assert coxeter_number_violations(phi, own) == [], gram
+        for length in range(1, q.m + 1):
+            for ct in partitions_by_length(q.m, length):
+                assert (coxeter_number_violations(phi, ct)
+                        == plain_violations(phi, ct.parts)), (gram, ct)
 
 
 def test_verify_reduced_coxeter_number():
@@ -225,6 +284,19 @@ def test_from_poly_rejects_bad_shape():
         cycle_type_from_cox_poly((1, 1), 1)  # v + 1 has no (v^t - 1) factor
     with pytest.raises(ValueError):
         cycle_type_from_cox_poly((-1, 1), 2)  # bare (v-1): no cycle factors left
+
+
+@pytest.mark.parametrize("poly, c, length", [
+    ((1, -2, 1), 0, 3),        # (v-1)^2: (1, 1, 1) at corank 0
+    ((-1, 0, 1), 1, 1),        # v^2 - 1: (2) at corank 1
+    ((-1, 3, -3, 1), 1, 3),    # (v-1)^3: (1, 1, 1) at corank 1
+])
+def test_from_poly_rejects_a_length_the_corank_does_not_admit(poly, c, length):
+    # part1c admits length l at corank c only when c - (l - 1) is even
+    # and non-negative
+    with pytest.raises(ValueError, match=rf"corank {c}: its cycle type has "
+                                         rf"length {length}, and c - \(l - 1\)"):
+        cycle_type_from_cox_poly(poly, c)
 
 
 def test_from_poly_huge_corank_fails_before_building_the_power():

@@ -1,8 +1,8 @@
 """Exact linear algebra kernel tests.
 
-Reference computations (rank, determinant, PSD, characteristic
-polynomials, nilpotency) are done with independent brute-force or
-Fraction-based oracles inside this module.
+Reference computations (rank, PSD, characteristic polynomials,
+nilpotency) are done with independent brute-force or Fraction-based
+oracles inside this module.
 The Faddeev-LeVerrier recurrence, exact over the integers, is the oracle
 for the modular Hessenberg reduction of char_poly at large entries and on
 sparse input; on Coxeter matrices of quivers the oracle is the factored
@@ -26,11 +26,9 @@ from coxquiver.linalg import (
     char_poly,
     coxeter_from_gram,
     cycle_decomposition,
-    determinant,
     identity,
     is_nilpotent,
     mat_mul,
-    mat_pow,
     permutation_matrix,
     poly_divmod,
     poly_mul,
@@ -119,26 +117,6 @@ def fraction_rank(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
-
-
-def fraction_det(m):
-    """Gaussian elimination over Fraction with row swaps, the determinant
-    oracle."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def fraction_psd(m):
@@ -519,7 +497,7 @@ def test_is_psd_brute_force_necessary_condition(m):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination: the determinant and the PSD rank
+# fraction-free elimination: the PSD rank
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -559,26 +537,12 @@ def test_is_psd_on_sparse_matrices_against_fraction_oracle(m):
     assert psd_rank(m) == fraction_psd_rank(m)
 
 
-@given(square_matrices(5, min_n=0))
-@settings(max_examples=150)
-def test_determinant_against_fraction_oracle(m):
-    assert determinant(m) == fraction_det(m)
-
-
-def test_determinant_examples():
-    assert determinant(()) == 1
-    assert determinant(((0, 1), (1, 0))) == -1
-    assert determinant(((0, 0), (1, 1))) == 0
-    assert determinant(((2, -1, 0), (-1, 2, -1), (0, -1, 2))) == 4
-
-
 @given(square_matrices(12, sparse_entries, min_n=0))
 @example(((1, 1, 0), (1, 1, 0), (0, 0, 1)))   # a zero pivot whose row vanishes
 @example(((1, 1, 1), (1, 1, 0), (1, 0, 1)))   # a zero pivot with a nonzero row
 @example(((0, 0, 1), (0, 2, 0), (1, 0, 0)))
 @settings(max_examples=200, deadline=None)
 def test_elimination_on_sparse_matrices_against_fraction_oracles(m):
-    assert determinant(m) == fraction_det(m)
     sym = symmetrize(m)
     assert psd_rank(sym) == fraction_psd_rank(sym)
     # B^T B is PSD, with a zero pivot for each column dependent on earlier
@@ -689,17 +653,6 @@ def test_tree_forms_with_a_cycle_closing_edge_are_indefinite(family, n):
     assert psd_rank(closed) is None
 
 
-def _skew_dense(step, skew):
-    def skewed(a, since, k, prev):
-        # record scales that are not the minors the rows were brought to
-        if skew == "pivot row":
-            since[k] = 3
-        else:
-            since[k + 1:] = [7] * (len(since) - k - 1)
-        return step(a, since, k, prev)
-    return skewed
-
-
 def _skew_sparse(step, skew):
     def skewed(rows, near, k):
         # record fragment determinants that are not the minors the rows
@@ -715,8 +668,7 @@ def _skew_sparse(step, skew):
 
 
 # the step each function eliminates with, and how to skew its scales
-STEPS = {determinant: ("_eliminate", _skew_dense),
-         psd_rank: ("_eliminate_sparse", _skew_sparse)}
+STEPS = {psd_rank: ("_eliminate_sparse", _skew_sparse)}
 
 
 @pytest.mark.parametrize("skew", ["pivot row", "rows below"])
@@ -787,22 +739,6 @@ def test_poly_divmod_remainder():
     q, r = poly_divmod((1, 1, 1), (-1, 1))  # v^2 + v + 1 by v - 1
     assert poly_normalize(r) == (3,)
     assert q == (2, 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_matrices(4, st.integers(min_value=-2, max_value=2), min_n=0))
-def test_mat_pow_matches_repeated_multiplication(m):
-    expected = identity(len(m))
-    for k in range(13):
-        assert mat_pow(m, k) == expected, k
-        expected = mat_mul(expected, m)
-
-
-def test_mat_pow_rejects_non_square_and_negative_powers():
-    with pytest.raises(ValueError, match="square"):
-        mat_pow(((1, 2, 3), (4, 5, 6)), 2)
-    with pytest.raises(ValueError, match="negative"):
-        mat_pow(identity(2), -1)
 
 
 @settings(max_examples=60, deadline=None)

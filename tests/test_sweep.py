@@ -11,6 +11,7 @@ from coxquiver.cli import main
 from coxquiver.partitions import FactoredCoxPoly, Partition
 from coxquiver.quiver import Quiver, triangular_gram
 from coxquiver.realize import RealizationResult
+from coxquiver.unitform import UnitForm
 from coxquiver.sweep import (
     SweepReport,
     _encode_gram,
@@ -174,6 +175,11 @@ def _with_repeated_arrow(result):
     return _with_quiver(result, Quiver(q.m, q.arrows + q.arrows[-1:]))
 
 
+def _with_extra_variable(form):
+    """The form with one more variable, on no entry: n + 1 variables."""
+    return UnitForm(form.n + 1, form.upper)
+
+
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
 # that must record a failure on every form)
 PHASE2_CORRUPTIONS = {
@@ -190,14 +196,17 @@ PHASE2_CORRUPTIONS = {
         {"polynomial_factorization"}),
     "Phi of the Coxeter-number laws": (
         "coxeter_number_violations",
-        lambda route: lambda phi, poly, ct: route(
-            _bump_first_diagonal_entry(phi), poly, ct),
+        lambda route: lambda phi, ct: route(_bump_first_diagonal_entry(phi), ct),
         {"coxeter_numbers"}),
     "realized quiver, vertices": (
         "realize", lambda route: lambda form: _with_isolated_vertex(route(form)),
         {"realization_roundtrip"}),
     "realized quiver, arrows": (
         "realize", lambda route: lambda form: _with_repeated_arrow(route(form)),
+        {"realization_roundtrip"}),
+    "form of the realized quiver": (
+        "form_of_quiver",
+        lambda route: lambda q: _with_extra_variable(route(q)),
         {"realization_roundtrip"}),
     "cycle type from the polynomial": (
         "cycle_type_from_cox_poly",

@@ -6,11 +6,11 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxquiver.errors import NotDynkinTypeA
-from coxquiver.linalg import char_poly, identity
+from coxquiver.linalg import char_poly, identity, mat_mul, transpose
 from coxquiver.quiver import (
     Quiver,
     coxeter_matrix_of_quiver,
@@ -31,6 +31,7 @@ from coxquiver.unitform import (
 from dense import (
     form_connected,
     form_from_gram,
+    fraction_det,
     incidence_matrix,
     symmetric_gram,
 )
@@ -267,6 +268,47 @@ def test_check_strong_congruence_negated_identity():
 
 def test_check_strong_congruence_rejects_non_unimodular():
     assert not check_strong_congruence(A3_FORM, A3_FORM, ((2, 0), (0, 1)))
+
+
+@st.composite
+def upper_unitriangular_congruences(draw, max_n=4):
+    """A unit form f on n <= max_n variables with entries in -2..2, and an
+    n x n integer B with entries in -2..2 for which B^T G_f B is upper
+    unitriangular.  Column i of B is drawn among all x in {-2..2}^n with
+    x^T G_f x = 1 and x^T G_f b = 0 for every earlier column b: the
+    conditions on entry (i, i) and on the entries left of it.  Nothing asks
+    for det B = +-1; a random B would almost never qualify at n >= 3."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(pairs),
+                           max_size=len(pairs)))
+    f = UnitForm(n, [(i, j, v) for (i, j), v in zip(pairs, values)])
+    gram = f.gram_upper
+
+    def bilinear(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    columns = []
+    for _ in range(n):
+        candidates = [x for x in product(range(-2, 3), repeat=n)
+                      if bilinear(x, x) == 1
+                      and all(bilinear(x, b) == 0 for b in columns)]
+        assume(candidates)
+        columns.append(draw(st.sampled_from(candidates)))
+    return f, transpose(tuple(columns))
+
+
+@given(upper_unitriangular_congruences())
+@example((A3_FORM, ((-1, 0), (0, -1))))
+@example((UnitForm(3, [(1, 2, -1)]), ((1, 0, 0), (0, 0, 1), (0, 1, 0))))
+@settings(max_examples=100, deadline=None)
+def test_an_upper_unitriangular_congruence_is_unimodular(witness):
+    # G_f and B^T G_f B are unitriangular, so det(B)^2 = 1: the product
+    # test of check_strong_congruence implies its unimodularity
+    f, b = witness
+    congruent = mat_mul(mat_mul(transpose(b), f.gram_upper), b)
+    assert fraction_det(b) in (1, -1)
+    assert check_strong_congruence(f, form_from_gram(congruent), b)
 
 
 def test_strong_congruence_from_relabeled_quivers():

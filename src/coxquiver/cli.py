@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from itertools import groupby
 
 from .errors import InvariantViolation, NotConnected
 from .invariants import (
@@ -130,36 +131,20 @@ def _parse_pi(text: str) -> Partition:
 
 def format_factored_poly(f: FactoredCoxPoly) -> str:
     """Factored rendering: (v^k-1) factors with a merged (v-1) power when the
-    unit exponent is nonnegative, the nu-form otherwise (corank 0)."""
+    unit exponent is nonnegative, the nu-form otherwise (corank 0).  The
+    parts are non-increasing, so one grouping gives each distinct part with
+    its multiplicity."""
+    groups = [(p, len(list(run))) for p, run in groupby(f.cycle_parts)]
+
+    def power(base: str, k: int) -> str:
+        return "" if k == 0 else base if k == 1 else f"{base}^{k}"
+
     if f.unit_exponent >= 0:
-        pieces = []
-        big_parts = [p for p in f.cycle_parts if p >= 2]
-        seen: list[int] = []
-        for p in big_parts:
-            if p in seen:
-                continue
-            seen.append(p)
-            mult = big_parts.count(p)
-            pieces.append(f"(v^{p}-1)" + (f"^{mult}" if mult > 1 else ""))
-        ones = f.unit_exponent + sum(1 for p in f.cycle_parts if p == 1)
-        if ones == 1:
-            pieces.append("(v-1)")
-        elif ones > 1:
-            pieces.append(f"(v-1)^{ones}")
-        return "".join(pieces) if pieces else "1"
-    pieces = []
-    if f.nu_exponent == 1:
-        pieces.append("(v-1)")
-    elif f.nu_exponent > 1:
-        pieces.append(f"(v-1)^{f.nu_exponent}")
-    seen = []
-    for p in f.cycle_parts:
-        if p in seen:
-            continue
-        seen.append(p)
-        mult = f.cycle_parts.count(p)
-        pieces.append(f"nu_{p}(v)" + (f"^{mult}" if mult > 1 else ""))
-    return "".join(pieces)
+        ones = f.unit_exponent + sum(k for p, k in groups if p == 1)
+        pieces = [power(f"(v^{p}-1)", k) for p, k in groups if p >= 2]
+        return "".join(pieces) + power("(v-1)", ones) or "1"
+    return power("(v-1)", f.nu_exponent) + "".join(
+        [power(f"nu_{p}(v)", k) for p, k in groups])
 
 
 def _format_coxeter_number(value: int | None) -> str:

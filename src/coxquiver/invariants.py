@@ -12,15 +12,11 @@ from ._record import FrozenRecord
 from .linalg import (
     IntMatrix,
     IntPoly,
+    divide_by_v_power_minus_one,
     identity,
     is_nilpotent,
     mat_mul,
     mat_sub,
-    poly_degree,
-    poly_divmod,
-    poly_normalize,
-    poly_pow,
-    v_power_minus_one,
 )
 from .partitions import FactoredCoxPoly, Partition, part1c
 from .quiver import cycle_type_of_quiver
@@ -108,47 +104,54 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
     """Recover the cycle type from a Coxeter polynomial of corank c.
 
     Divides out (v-1)^{c-1} (multiplies by (v-1) once when c = 0), then
-    repeatedly extracts the maximal t with (v^t - 1) dividing the remainder.
+    repeatedly extracts the maximal t with (v^t - 1) dividing the remainder,
+    each by :func:`linalg.divide_by_v_power_minus_one`.
+
+    * (v-1)^k divides a nonzero p of degree d only for k <= d, so at most
+      d + 1 divisions by v - 1 are tried, however large c is: when
+      c - 1 > d, the last of them fails.
+    * The scan for the next t starts at the previous part, not at the
+      degree: if (v^t - 1) divided the quotient after the largest t_0
+      dividing p was removed, (v^t - 1)(v^{t_0} - 1) would divide p, so
+      t <= t_0.  The parts come out non-increasing, as the maximal ones.
+
     Raises ValueError when the polynomial is not of the admissible shape,
-    or when the recovered cycle type has a length l that corank c does not
-    admit.
+    when the recovered cycle type has a length l that corank c does not
+    admit, or when it is (1), the cycle type of a single vertex, which has
+    no arrow and so realizes no unit form.
     """
     if c < 0:
         raise ValueError("corank must be nonnegative")
-    p = poly_normalize(p)
-    if poly_degree(p) < 1:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    p = tuple(p)
+    if len(p) < 2:
         raise ValueError("a Coxeter polynomial has positive degree")
     if c >= 1:
-        # (v-1)^{c-1} cannot divide a polynomial of smaller degree; checking
-        # that first keeps a huge c from building a huge power
-        divides = c - 1 <= poly_degree(p)
-        if divides:
-            quotient, rem = poly_divmod(p, poly_pow((-1, 1), c - 1))
-            divides = rem == (0,)
-        if not divides:
-            raise ValueError(
-                f"not a type-A Coxeter polynomial for corank {c}: "
-                f"(v-1)^{c - 1} does not divide it"
-            )
-        p = quotient
+        for _ in range(min(c - 1, len(p))):
+            p = divide_by_v_power_minus_one(p, 1)
+            if p is None:
+                raise ValueError(
+                    f"not a type-A Coxeter polynomial for corank {c}: "
+                    f"(v-1)^{c - 1} does not divide it"
+                )
     else:
-        p = poly_normalize(tuple(
-            a - b
-            for a, b in zip((0,) + p, p + (0,))
-        ))  # multiply by (v - 1): coefficients shift minus original
+        # multiply by (v - 1): coefficients shift minus original
+        p = tuple([a - b for a, b in zip((0,) + p, p + (0,))])
     parts: list[int] = []
-    while poly_degree(p) > 0:
-        for t in range(poly_degree(p), 0, -1):
-            quotient, rem = poly_divmod(p, v_power_minus_one(t))
-            if rem == (0,):
-                parts.append(t)
-                p = quotient
+    while len(p) > 1:
+        for t in range(min(parts[-1] if parts else len(p), len(p) - 1), 0, -1):
+            quotient = divide_by_v_power_minus_one(p, t)
+            if quotient is not None:
                 break
         else:
             raise ValueError(
                 f"not a type-A Coxeter polynomial for corank {c}: "
                 "no (v^t - 1) factor divides the remainder"
             )
+        parts.append(t)
+        p = quotient
     if p != (1,) or not parts:
         raise ValueError(
             f"not a type-A Coxeter polynomial for corank {c}: no admissible "
@@ -163,7 +166,12 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
             f"has length {len(parts)}, and c - (l - 1) = {excess} is not even "
             "and non-negative"
         )
-    return Partition(tuple(sorted(parts, reverse=True)))
+    if parts == [1]:
+        raise ValueError(
+            f"not a type-A Coxeter polynomial for corank {c}: its cycle type "
+            "(1) is that of a single vertex, which carries no arrow"
+        )
+    return Partition(tuple(parts))
 
 
 def enumerate_coxeter_polynomials(n: int, c: int) -> tuple[FactoredCoxPoly, ...]:

@@ -6,14 +6,16 @@ floating point is used anywhere in the package.  The characteristic
 polynomial does not use fraction-free elimination: it comes from reduction
 to Hessenberg form modulo the smallest tabled Mersenne prime that recovers
 every integer coefficient under the bound prod_i (1 + ceil(|row i|)), with
-sparse pivot rows chosen and only their nonzero columns updated.
+sparse pivot rows chosen and only their nonzero columns updated.  The one
+polynomial routine is exact division by v^t - 1, the only factor a type-A
+Coxeter polynomial (v-1)^(c-1) prod_a (v^pi_a - 1) is asked about.
 
 Conventions
 -----------
 * A matrix is a tuple of row tuples of Python ints (``IntMatrix``).  A matrix
   with zero rows is ``()``; its column count is contextual.
 * A polynomial is a tuple of int coefficients, lowest degree first
-  (``IntPoly``).  The zero polynomial is ``(0,)``.
+  (``IntPoly``).
 * A permutation of ``{1..m}`` is a tuple ``images`` of length ``m`` with
   ``images[v-1]`` the image of ``v`` (``PermutationMap``, 1-based values).
   Its permutation matrix ``P`` satisfies ``P e_v = e_{images[v-1]}``.
@@ -21,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import isqrt
 from operator import mul, sub
 
@@ -433,67 +434,24 @@ def cycle_decomposition(p: PermutationMap) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (lowest degree first)
+# exact division by v^t - 1
 # ---------------------------------------------------------------------------
 
-def poly_normalize(coeffs: Sequence[int]) -> IntPoly:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c) if c else (0,)
+def divide_by_v_power_minus_one(p: IntPoly, t: int) -> IntPoly | None:
+    """The quotient q with p = (v^t - 1) q, for t >= 1, or None when v^t - 1
+    does not divide p exactly.  q has s = max(len(p) - t, 0) coefficients,
+    trailing zeros of p carried over.
 
-
-def poly_degree(p: IntPoly) -> int:
-    """Degree, with the convention deg(0) = -1."""
-    p = poly_normalize(p)
-    return -1 if p == (0,) else len(p) - 1
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if a == (0,) or b == (0,):
-        return (0,)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_normalize(out)
-
-
-def poly_pow(a: IntPoly, k: int) -> IntPoly:
-    if k < 0:
-        raise ValueError("negative polynomial power")
-    result: IntPoly = (1,)
-    for _ in range(k):
-        result = poly_mul(result, a)
-    return result
-
-
-def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Long division by a polynomial with leading coefficient +-1."""
-    a = poly_normalize(a)
-    b = poly_normalize(b)
-    if b == (0,):
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    if lead not in (1, -1):
-        raise ValueError("division only supported for unit leading coefficient")
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 1)
-    while len(rem) - 1 >= db and any(rem):
-        shift = len(rem) - 1 - db
-        factor = rem[-1] * lead
-        quot[shift] = factor
-        for i, y in enumerate(b):
-            rem[shift + i] -= factor * y
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return poly_normalize(quot), poly_normalize(rem)
-
-
-def v_power_minus_one(t: int) -> IntPoly:
-    """The polynomial v^t - 1."""
-    if t < 1:
-        raise ValueError("exponent must be >= 1")
-    return (-1,) + (0,) * (t - 1) + (1,)
+    Any such q has degree deg p - t < s, so q_j = 0 outside 0 <= j < s, and
+    coefficient k of (v^t - 1) q is q_{k-t} - q_k.  Hence p = (v^t - 1) q
+    exactly when q_k = q_{k-t} - p_k for every k < s, which fixes q from
+    the bottom up, and p_k = q_{k-t} for each of the top coefficients
+    k >= s, where q_k is 0.  The division takes O(len(p) + t) additions.
+    """
+    size = max(len(p) - t, 0)
+    shifted = [0] * (t + size)  # v^t q: coefficient k is q_{k-t}
+    for k in range(size):
+        shifted[k + t] = shifted[k] - p[k]
+    if shifted[size:len(p)] != list(p[size:]):
+        return None
+    return tuple(shifted[t:])

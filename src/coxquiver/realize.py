@@ -19,7 +19,7 @@ from .errors import InvariantViolation, NotConnected, NotDynkinTypeA
 from .linalg import IntMatrix
 from .partitions import Partition
 from .quiver import Quiver, spanning_tree
-from .unitform import UnitForm, is_non_negative
+from .unitform import UnitForm, _symmetric_rows, is_non_negative
 
 
 class RealizationResult(FrozenRecord):
@@ -122,21 +122,12 @@ def canonical_extension_quiver(r: int, c: int) -> Quiver:
 # breadth-first realization
 # ---------------------------------------------------------------------------
 
-def _neighbours(f: UnitForm) -> list[dict[int, int]]:
-    """For each variable (0-based), its Gram neighbours with the entries of
-    G + G^T.  The form's entries are sorted, so every dict lists its
-    neighbours in ascending order."""
-    rows: list[dict[int, int]] = [{} for _ in range(f.n)]
-    for i, j, value in f.upper:
-        rows[i - 1][j - 1] = value
-        rows[j - 1][i - 1] = value
-    return rows
-
-
 def _breadth_first(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
     """Variables in breadth-first order of the Gram graph from variable 1,
     neighbours in ascending order, each paired with the neighbour it was
-    reached from (-1 for the root)."""
+    reached from (-1 for the root).  ``rows`` are those of
+    :func:`unitform._symmetric_rows`; the diagonal key of a row names its
+    own variable, reached before the row is walked, so it adds no edge."""
     n = len(rows)
     parent = [-2] * n
     parent[0] = -1
@@ -250,7 +241,7 @@ def realize_quiver(f: UnitForm) -> Quiver:
     every pair of columns was checked when the later one was placed.
     """
     n = f.n
-    rows = _neighbours(f)
+    rows = _symmetric_rows(f)
     order = _breadth_first(rows)
     arrows: list = [None] * n
     arrows[0] = (1, 2)
@@ -263,6 +254,10 @@ def realize_quiver(f: UnitForm) -> Quiver:
     m = 2
     for placed, (i, p) in enumerate(order[1:], start=1):
         row = rows[i]
+        # the row also holds its diagonal key i; variable i is not placed
+        # yet, so that key is not near, no vertex has an arrow i, and
+        # _candidate and _fits, which look the row up only at placed
+        # arrows, never read it
         near = [(j, value) for j, value in row.items() if arrows[j] is not None]
         a, b = arrows[p]
         entry = row[p]

@@ -49,10 +49,9 @@ from .linalg import (
     IntMatrix,
     char_poly,
     coxeter_from_gram,
+    divide_by_v_power_minus_one,
     permutation_matrix,
-    poly_divmod,
     psd_rank,
-    v_power_minus_one,
 )
 from .partitions import Partition, cycle_type_of_permutation, part1c
 from .quiver import (
@@ -447,14 +446,12 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                       for d in range(1, part + 1) if part % d == 0}
             for d in sorted(orders):
                 count = 0
-                current = direct
-                divisor = v_power_minus_one(d)
-                while True:
-                    quotient, rem = poly_divmod(current, divisor)
-                    if rem != (0,):
-                        break
+                current = divide_by_v_power_minus_one(direct, d)
+                # None ends the count, and so does the empty quotient a
+                # zero polynomial would reach
+                while current:
                     count += 1
-                    current = quotient
+                    current = divide_by_v_power_minus_one(current, d)
                 expected = min(spectral_multiplicity_of_cycle_type(ct, c, e)
                                for e in range(1, d + 1) if d % e == 0)
                 if count != expected:

@@ -113,7 +113,9 @@ def evaluate(f: UnitForm, x: Sequence[int]) -> int:
 
 def _symmetric_rows(f: UnitForm) -> list:
     """The rows of G + G^T as dicts {column: value} of their nonzero
-    entries, 0-based, built from the form's entries."""
+    entries, 0-based, built from the form's entries.  The entries are
+    sorted, so every row lists its diagonal first and then its neighbours
+    in ascending order."""
     rows = [{i: 2} for i in range(f.n)]
     for i, j, value in f.upper:
         rows[i - 1][j - 1] = rows[j - 1][i - 1] = value

@@ -1,9 +1,12 @@
-"""The tests' dense constructions of unit forms and quiver matrices, and
-the oracles built on them."""
+"""The tests' dense constructions of unit forms and quiver matrices, the
+oracles built on them, and a general integer polynomial ring with long
+division: the oracle for the package's one polynomial routine, exact
+division by v^t - 1."""
 
 from fractions import Fraction
 from operator import add
 
+from coxquiver.partitions import Partition
 from coxquiver.quiver import spanning_tree
 from coxquiver.unitform import UnitForm
 
@@ -57,3 +60,123 @@ def fraction_det(m):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials, lowest degree first; the zero polynomial is (0,)
+# ---------------------------------------------------------------------------
+
+def poly_normalize(coeffs):
+    c = list(coeffs)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c) if c else (0,)
+
+
+def poly_degree(p):
+    """Degree, with the convention deg(0) = -1."""
+    p = poly_normalize(p)
+    return -1 if p == (0,) else len(p) - 1
+
+
+def poly_mul(a, b):
+    if a == (0,) or b == (0,):
+        return (0,)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return poly_normalize(out)
+
+
+def poly_pow(a, k):
+    if k < 0:
+        raise ValueError("negative polynomial power")
+    result = (1,)
+    for _ in range(k):
+        result = poly_mul(result, a)
+    return result
+
+
+def poly_divmod(a, b):
+    """Long division by a polynomial with leading coefficient +-1."""
+    a = poly_normalize(a)
+    b = poly_normalize(b)
+    if b == (0,):
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = b[-1]
+    if lead not in (1, -1):
+        raise ValueError("division only supported for unit leading coefficient")
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 1)
+    while len(rem) - 1 >= db and any(rem):
+        shift = len(rem) - 1 - db
+        factor = rem[-1] * lead
+        quot[shift] = factor
+        for i, y in enumerate(b):
+            rem[shift + i] -= factor * y
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+    return poly_normalize(quot), poly_normalize(rem)
+
+
+def v_power_minus_one(t):
+    """The polynomial v^t - 1."""
+    if t < 1:
+        raise ValueError("exponent must be >= 1")
+    return (-1,) + (0,) * (t - 1) + (1,)
+
+
+def long_division_cycle_type(p, c):
+    """The cycle type of a Coxeter polynomial of corank c by long division:
+    (v-1)^{c-1} divided out as one power, then the maximal (v^t - 1)
+    extracted with t scanned down from the full degree for every part.
+    The oracle of :func:`invariants.cycle_type_from_cox_poly`, which
+    accepts and rejects the same polynomials with the same messages, and
+    rejects the cycle type (1) besides."""
+    if c < 0:
+        raise ValueError("corank must be nonnegative")
+    p = poly_normalize(p)
+    if poly_degree(p) < 1:
+        raise ValueError("a Coxeter polynomial has positive degree")
+    if c >= 1:
+        divides = c - 1 <= poly_degree(p)
+        if divides:
+            quotient, rem = poly_divmod(p, poly_pow((-1, 1), c - 1))
+            divides = rem == (0,)
+        if not divides:
+            raise ValueError(
+                f"not a type-A Coxeter polynomial for corank {c}: "
+                f"(v-1)^{c - 1} does not divide it"
+            )
+        p = quotient
+    else:
+        p = poly_normalize(tuple(a - b for a, b in zip((0,) + p, p + (0,))))
+    parts = []
+    while poly_degree(p) > 0:
+        for t in range(poly_degree(p), 0, -1):
+            quotient, rem = poly_divmod(p, v_power_minus_one(t))
+            if rem == (0,):
+                parts.append(t)
+                p = quotient
+                break
+        else:
+            raise ValueError(
+                f"not a type-A Coxeter polynomial for corank {c}: "
+                "no (v^t - 1) factor divides the remainder"
+            )
+    if p != (1,) or not parts:
+        raise ValueError(
+            f"not a type-A Coxeter polynomial for corank {c}: no admissible "
+            "factorization"
+        )
+    excess = c - (len(parts) - 1)
+    if excess < 0 or excess % 2:
+        raise ValueError(
+            f"not a type-A Coxeter polynomial for corank {c}: its cycle type "
+            f"has length {len(parts)}, and c - (l - 1) = {excess} is not even "
+            "and non-negative"
+        )
+    return Partition(tuple(sorted(parts, reverse=True)))

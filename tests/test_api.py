@@ -1,5 +1,5 @@
-"""The package's public surface: every helper has a caller, and every
-export is listed in the README's "Public API" table.
+"""The package's surface: every helper has a caller, and every export is
+listed in the README's "Public API" table.
 
 A public top-level function or class of ``src/coxquiver``, or a public
 method, property or classmethod of a public class, counts as used when some
@@ -8,7 +8,9 @@ as an attribute, or in an import.  A re-export in ``__init__`` counts only
 for the names of the README's "Public API" table, which lists each export
 with its consumer, and that table must list exactly the exports.  A
 method's siblings in its class count as callers; a class's own methods do
-not.  The count goes by bare name, so no two modules may define the same
+not.  A private top-level function or class (one leading underscore) needs
+a caller by the same count, so a helper whose job moved elsewhere does not
+linger.  The count goes by bare name, so no two modules may define the same
 public top-level name: one would count as a caller of the other.  A
 helper that only tests call belongs in those tests.
 """
@@ -43,6 +45,14 @@ def _public(nodes) -> list:
             and not node.name.startswith("_")]
 
 
+def _private(nodes) -> list:
+    """The functions and classes named with one leading underscore; a
+    dunder is the interpreter's to call."""
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
 def _modules(package: Path) -> list:
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))]
@@ -64,12 +74,10 @@ def exported_names(package: Path) -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def unreferenced_public_helpers(package: Path, listed=frozenset()) -> list[str]:
-    """``module.name`` of every public top-level function or class, and
-    ``module.Class.name`` of every public method of a public class, in
-    ``package`` that no module of the package refers to outside its own
-    definition; ``__init__`` refers only to the names in ``listed``."""
-    modules = _modules(package)
+def _unused(modules: list, listed):
+    """Whether a definition's name is referred to nowhere in ``modules``
+    but inside the definition itself; ``__init__`` refers only to the
+    names in ``listed``."""
     everywhere: Counter = Counter()
     for module, tree in modules:
         references = _references(tree)
@@ -77,10 +85,16 @@ def unreferenced_public_helpers(package: Path, listed=frozenset()) -> list[str]:
             references = Counter({name: count for name, count in references.items()
                                   if name in listed})
         everywhere += references
+    return lambda node: everywhere[node.name] == _references(node)[node.name]
 
-    def unused(node: ast.AST) -> bool:
-        return everywhere[node.name] == _references(node)[node.name]
 
+def unreferenced_public_helpers(package: Path, listed=frozenset()) -> list[str]:
+    """``module.name`` of every public top-level function or class, and
+    ``module.Class.name`` of every public method of a public class, in
+    ``package`` that no module of the package refers to outside its own
+    definition; ``__init__`` refers only to the names in ``listed``."""
+    modules = _modules(package)
+    unused = _unused(modules, listed)
     found = []
     for module, tree in modules:
         for node in _public(tree.body):
@@ -90,6 +104,16 @@ def unreferenced_public_helpers(package: Path, listed=frozenset()) -> list[str]:
                 found += [f"{module}.{node.name}.{member.name}"
                           for member in _public(node.body) if unused(member)]
     return found
+
+
+def unreferenced_private_helpers(package: Path) -> list[str]:
+    """``module.name`` of every private top-level function or class in
+    ``package`` that no module of the package refers to outside its own
+    definition; ``__init__`` counts for none of them."""
+    modules = _modules(package)
+    unused = _unused(modules, frozenset())
+    return [f"{module}.{node.name}" for module, tree in modules
+            for node in _private(tree.body) if unused(node)]
 
 
 def duplicate_public_names(package: Path) -> list[str]:
@@ -105,6 +129,10 @@ def duplicate_public_names(package: Path) -> list[str]:
 
 def test_every_public_helper_has_a_caller_in_the_package():
     assert unreferenced_public_helpers(PACKAGE, public_api_table(README)) == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    assert unreferenced_private_helpers(PACKAGE) == []
 
 
 def test_the_public_api_table_lists_exactly_the_exports():
@@ -138,6 +166,21 @@ def test_the_check_sees_an_uncalled_helper(tmp_path):
     assert unreferenced_public_helpers(tmp_path, {"used"}) == dead
     # a re-export that the table does not list is no caller
     assert unreferenced_public_helpers(tmp_path) == ["a.used"] + dead
+
+
+def test_the_check_sees_an_uncalled_private_helper(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used, _dead\n")
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return _helper() + _Shape().size\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def _shared():\n    return 2\n\n"
+        "def _dead():\n    return _dead()\n\n"
+        "class _Dead:\n    pass\n\n"
+        "class _Shape:\n    size = 1\n\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n")
+    (tmp_path / "b.py").write_text("from .a import _shared\n\nX = _shared()\n")
+    # a recursive call, or an import in __init__, is no caller
+    assert unreferenced_private_helpers(tmp_path) == ["a._dead", "a._Dead"]
 
 
 def test_the_table_and_export_readers(tmp_path):

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -178,6 +180,29 @@ def test_from_poly_huge_corank_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "from-poly", "--poly=-1,1", "--c", "1000000000")
     assert code == 1
     assert "(v-1)^999999999 does not divide it" in err
+
+
+@pytest.mark.parametrize("poly, c", [("1,-2,1", "2"), ("1,-4,6,-4,1", "4")])
+def test_from_poly_one_vertex_cycle_type_is_domain_error(capsys, poly, c):
+    # (v-1)^c at even c recovers the cycle type (1): one vertex, no arrow
+    code, out, err = run_cli(capsys, "from-poly", f"--poly={poly}", "--c", c)
+    assert code == 1
+    assert out == ""
+    assert f"corank {c}: its cycle type (1) is that of a single vertex" in err
+
+
+def test_from_poly_rejects_a_long_power_of_v_minus_one_quickly(capsys):
+    # (v-1)^400 at corank 0 factors fully, as 401 parts 1, before its length
+    # is rejected: a scan from the full degree for every part, by long
+    # division, took minutes
+    n = 400
+    poly = ",".join(str((-1) ** (n - k) * comb(n, k)) for k in range(n + 1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "from-poly", f"--poly={poly}", "--c", "0")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert "its cycle type has length 401, and c - (l - 1) = -400" in err
 
 
 # ---------------------------------------------------------------------------

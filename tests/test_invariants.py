@@ -25,16 +25,8 @@ from coxquiver.invariants import (
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
 )
-from coxquiver.linalg import (
-    char_poly,
-    identity,
-    mat_mul,
-    mat_sub,
-    poly_mul,
-    poly_pow,
-    v_power_minus_one,
-)
-from coxquiver.partitions import Partition, part1c, partitions_by_length
+from coxquiver.linalg import char_poly, identity, mat_mul, mat_sub
+from coxquiver.partitions import FactoredCoxPoly, Partition, part1c, partitions_by_length
 from coxquiver.quiver import (
     Quiver,
     cycle_type_of_quiver,
@@ -48,6 +40,7 @@ from coxquiver.unitform import (
     coxeter_matrix,
     form_of_quiver,
 )
+from dense import long_division_cycle_type, poly_mul, poly_pow, v_power_minus_one
 
 KRONECKER_FORM = form_of_quiver(Quiver(2, ((1, 2), (1, 2))))
 
@@ -301,9 +294,55 @@ def test_from_poly_rejects_a_length_the_corank_does_not_admit(poly, c, length):
 
 def test_from_poly_huge_corank_fails_before_building_the_power():
     # (v-1)^{c-1} has degree c - 1 > 1, so it cannot divide v - 1; the
-    # power itself would take far too long to build
+    # second of at most deg + 1 = 2 divisions by v - 1 fails, where c - 1
+    # divisions would take far too long
     with pytest.raises(ValueError, match=r"\(v-1\)\^999999999 does not divide it"):
         cycle_type_from_cox_poly((-1, 1), 10**9)
+
+
+@pytest.mark.parametrize("c", [2, 4, 6])
+def test_from_poly_rejects_the_cycle_type_of_one_vertex(c):
+    # (v-1)^c = (v-1)^{c-1} (v^1 - 1) at even c: the cycle type (1), of a
+    # quiver on one vertex, which has no arrow
+    with pytest.raises(ValueError, match=rf"corank {c}: its cycle type \(1\) "
+                                         "is that of a single vertex"):
+        cycle_type_from_cox_poly(poly_pow((-1, 1), c), c)
+
+
+def _outcome(recover, poly, c):
+    try:
+        return recover(poly, c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_poly_against_long_division():
+    # every factored polynomial (v-1)^nu prod_a nu_{pi_a}(v) with m <= 6 and
+    # nu <= 8, so each (v-1) exponent around c - 1, at every c <= 7, and
+    # four perturbations of each: a bumped coefficient, a factor v + 1, a
+    # factor v^2 + 1 and a trailing zero
+    rng = random.Random(1)
+    outcomes = {"accepted": 0, "rejected": 0, "one vertex": 0}
+    for m in range(1, 7):
+        for parts in (pi.parts for l in range(1, m + 1)
+                      for pi in partitions_by_length(m, l)):
+            for nu in range(9):
+                base = FactoredCoxPoly(nu, parts).expand()
+                bumped = list(base)
+                bumped[rng.randrange(len(base))] += rng.choice((-1, 1))
+                for poly in (base, tuple(bumped), poly_mul(base, (1, 1)),
+                             poly_mul(base, (1, 0, 1)), base + (0,)):
+                    for c in range(8):
+                        old = _outcome(long_division_cycle_type, poly, c)
+                        new = _outcome(cycle_type_from_cox_poly, poly, c)
+                        if old == Partition((1,)):
+                            outcomes["one vertex"] += 1
+                            assert "(1) is that of a single vertex" in new
+                        else:
+                            outcomes["accepted" if isinstance(old, Partition)
+                                     else "rejected"] += 1
+                            assert new == old, (poly, c)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_from_poly_roundtrip_representatives():

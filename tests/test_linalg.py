@@ -7,6 +7,8 @@ The Faddeev-LeVerrier recurrence, exact over the integers, is the oracle
 for the modular Hessenberg reduction of char_poly at large entries and on
 sparse input; on Coxeter matrices of quivers the oracle is the factored
 Coxeter polynomial of the cycle type the walks of ``test_quiver`` give.
+Long division in the polynomial ring of ``dense`` is the oracle for the
+exact division by v^t - 1.
 """
 
 import random
@@ -26,20 +28,18 @@ from coxquiver.linalg import (
     char_poly,
     coxeter_from_gram,
     cycle_decomposition,
+    divide_by_v_power_minus_one,
     identity,
     is_nilpotent,
     mat_mul,
     permutation_matrix,
-    poly_divmod,
-    poly_mul,
-    poly_normalize,
     psd_rank,
     transpose,
     unitriangular_inverse,
-    v_power_minus_one,
 )
 from coxquiver.partitions import cycle_type_of_permutation
 from coxquiver.quiver import Quiver, coxeter_matrix_of_quiver
+from dense import poly_divmod, poly_mul, poly_normalize, v_power_minus_one
 from test_quiver import walk_permutation
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -725,20 +725,45 @@ def test_permutation_matrix_action(images):
 
 
 # ---------------------------------------------------------------------------
-# polynomial division
+# exact division by v^t - 1
 # ---------------------------------------------------------------------------
 
-def test_poly_divmod_exact():
+def test_divide_by_v_power_minus_one_examples():
     product_poly = poly_mul(v_power_minus_one(4), (-1, 1))
-    q, r = poly_divmod(product_poly, (-1, 1))
-    assert r == (0,)
-    assert q == v_power_minus_one(4)
+    assert divide_by_v_power_minus_one(product_poly, 1) == v_power_minus_one(4)
+    assert divide_by_v_power_minus_one(product_poly, 4) == (-1, 1)
+    assert divide_by_v_power_minus_one((1, 1, 1), 1) is None  # remainder 3
+    assert divide_by_v_power_minus_one((-1, 0, 0, 0, 1), 2) == (1, 0, 1)
+    assert divide_by_v_power_minus_one((1,), 1) is None  # a nonzero constant
+    assert divide_by_v_power_minus_one((-1, 1), 3) is None  # degree below t
+    # trailing zeros carry over to the quotient; zero divides to zero
+    assert divide_by_v_power_minus_one((-1, 1, 0), 1) == (1, 0)
+    assert divide_by_v_power_minus_one((0, 0), 3) == ()
 
 
-def test_poly_divmod_remainder():
-    q, r = poly_divmod((1, 1, 1), (-1, 1))  # v^2 + v + 1 by v - 1
-    assert poly_normalize(r) == (3,)
-    assert q == (2, 1)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=4),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=7), st.booleans(),
+       st.integers(min_value=0, max_value=20), st.integers(min_value=-2, max_value=2))
+def test_divide_by_v_power_minus_one_against_long_division(
+        factors, cofactor, t, with_t, at, bump):
+    # a product of v^t - 1 factors, v^t - 1 itself among them or not, times
+    # a small polynomial, with one coefficient bumped
+    p = poly_normalize(cofactor)
+    for f in factors + [t] * with_t:
+        p = poly_mul(p, v_power_minus_one(f))
+    p = list(p)
+    if at < len(p):
+        p[at] += bump
+    p = poly_normalize(p)
+    quotient, rem = poly_divmod(p, v_power_minus_one(t))
+    got = divide_by_v_power_minus_one(p, t)
+    if rem != (0,):
+        assert got is None
+    else:
+        assert got is not None and len(got) == max(len(p) - t, 0)
+        assert poly_normalize(got) == quotient
 
 
 @settings(max_examples=60, deadline=None)

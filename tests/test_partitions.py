@@ -13,13 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxquiver.linalg import (
-    char_poly,
-    permutation_matrix,
-    poly_mul,
-    poly_pow,
-    v_power_minus_one,
-)
+from coxquiver.linalg import char_poly, permutation_matrix
 from coxquiver.partitions import (
     FactoredCoxPoly,
     Partition,
@@ -27,6 +21,7 @@ from coxquiver.partitions import (
     part1c,
     partitions_by_length,
 )
+from dense import poly_mul, poly_pow, v_power_minus_one
 
 
 def brute_force_partitions(m):

@@ -16,7 +16,7 @@ from .invariants import (
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
 )
-from .linalg import psd_rank
+from .linalg import char_poly, psd_rank
 from .partitions import (
     FactoredCoxPoly,
     Partition,

@@ -185,20 +185,34 @@ def enumerate_coxeter_polynomials(n: int, c: int) -> tuple[FactoredCoxPoly, ...]
                  for pi in part1c(c, n - c + 1))
 
 
-def coxeter_number_violations(phi: IntMatrix, ct: Partition) -> list[str]:
-    """The Coxeter-number laws that the Coxeter matrix ``phi`` breaks for
-    cycle type ``ct``; an empty list when all hold.
+def coxeter_matrix_violations(phi: IntMatrix,
+                              poly: FactoredCoxPoly) -> tuple[list[str], list[str]]:
+    """What the Coxeter matrix ``phi`` breaks of the claimed Coxeter
+    polynomial ``poly`` and of the Coxeter-number laws of its cycle type,
+    as two lists of problems, each empty when all holds, from one walk
+    Phi, Phi^2, ..., Phi^L, one product each, for L the lcm of the parts.
 
-    The minimal k with Id - Phi^k nilpotent must be lcm(ct), and Phi^k = Id
-    happens within that range exactly for cycle types with one part, first
-    at k = pi_1.  The powers Phi, Phi^2, ..., Phi^lcm come from one walk,
-    one product each.  A nilpotent matrix has trace 0, so a trace of Phi^k
-    other than n rules out both Id - Phi^k nilpotent and Phi^k = Id, and
-    the nilpotency test runs only where the trace is n.
+    The polynomial, by traces.  Let u be the unit exponent of P = poly.
+    Every root of P is an L-th root of unity, its degree is u + sum_a pi_a,
+    and the k-th power sum of its roots is p_k = u + sum_{pi_a | k} pi_a.
+    If Id - Phi^L is nilpotent, every eigenvalue of Phi is an L-th root of
+    unity, and tr Phi^k for k = 0 .. L - 1 is the discrete Fourier
+    transform of the eigenvalue multiplicities over the L-th roots of
+    unity, which is invertible.  So char Phi = P exactly when deg P = n,
+    tr Phi^k = p_k for 1 <= k < L and Id - Phi^L is nilpotent; conversely
+    char Phi = P makes Id - Phi^L nilpotent.  No higher power is needed.
+
+    The laws.  The minimal k with Id - Phi^k nilpotent must be L, and
+    Phi^k = Id happens within that range exactly for cycle types with one
+    part, first at k = pi_1.  A nilpotent matrix has trace 0, so a trace of
+    Phi^k other than n rules out both Id - Phi^k nilpotent and Phi^k = Id,
+    and the nilpotency test runs only where the trace is n.
     """
     n = len(phi)
-    numbers = coxeter_numbers_of_cycle_type(ct)
+    parts, u = poly.cycle_parts, poly.unit_exponent
+    numbers = coxeter_numbers_of_cycle_type(poly.partition())
     target = numbers.reduced_coxeter_number
+    matches = u + sum(parts) == n
     ident = identity(n)
     problems = []
     first_identity = None
@@ -206,8 +220,10 @@ def coxeter_number_violations(phi: IntMatrix, ct: Partition) -> list[str]:
     for k in range(1, target + 1):
         if k > 1:
             power = mat_mul(power, phi)
-        nilpotent = (sum(power[i][i] for i in range(n)) == n
-                     and is_nilpotent(mat_sub(ident, power)))
+        trace = sum(power[i][i] for i in range(n))
+        if k < target and trace != u + sum(p for p in parts if k % p == 0):
+            matches = False
+        nilpotent = trace == n and is_nilpotent(mat_sub(ident, power))
         if nilpotent and k < target:
             problems.append(f"Id - Phi^{k} nilpotent below lcm {target}")
         if nilpotent and first_identity is None and power == ident:
@@ -220,4 +236,6 @@ def coxeter_number_violations(phi: IntMatrix, ct: Partition) -> list[str]:
                 f"Coxeter number {first_identity} != {numbers.coxeter_number}")
     elif first_identity is not None:
         problems.append(f"Phi^{first_identity} = Id for a multi-part cycle type")
-    return problems
+    polynomial = ([] if matches and nilpotent else
+                  ["factored expansion != Coxeter characteristic polynomial"])
+    return polynomial, problems

@@ -6,9 +6,10 @@ floating point is used anywhere in the package.  The characteristic
 polynomial does not use fraction-free elimination: it comes from reduction
 to Hessenberg form modulo the smallest tabled Mersenne prime that recovers
 every integer coefficient under the bound prod_i (1 + ceil(|row i|)), with
-sparse pivot rows chosen and only their nonzero columns updated.  The one
-polynomial routine is exact division by v^t - 1, the only factor a type-A
-Coxeter polynomial (v-1)^(c-1) prod_a (v^pi_a - 1) is asked about.
+sparse pivot rows chosen and only their nonzero columns updated.  No
+matrix inverse is formed.  The one polynomial routine is exact division by
+v^t - 1, the only factor a type-A Coxeter polynomial
+(v-1)^(c-1) prod_a (v^pi_a - 1) is asked about.
 
 Conventions
 -----------
@@ -77,53 +78,6 @@ def is_nilpotent(m: IntMatrix) -> bool:
         power = mat_mul(power, power)
         k *= 2
     return True
-
-
-# ---------------------------------------------------------------------------
-# inverse
-# ---------------------------------------------------------------------------
-
-def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of an upper triangular matrix with unit diagonal.
-
-    Back substitution by rows, from the last up: row i of the inverse is
-    e_i minus m[i][k] times row k for every k > i with m[i][k] nonzero.
-    """
-    n = len(m)
-    rows: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = [0] * n
-        row[i] = 1
-        for k in range(i + 1, n):
-            c = m[i][k]
-            if c:
-                row_k = rows[k]
-                for j in range(k, n):
-                    row[j] -= c * row_k[j]
-        rows[i] = tuple(row)
-    return tuple(rows)
-
-
-def coxeter_from_gram(gram: IntMatrix, gram_inv: IntMatrix) -> IntMatrix:
-    """The Coxeter matrix -G^T G^{-1}, given an upper triangular G and its
-    inverse.
-
-    -G^T G^{-1} = -sum_k (row k of G)^T (row k of G^{-1}), so row i of the
-    product is minus the rows k of G^{-1} weighted by g_ki.  G is upper
-    triangular, so only k <= i with g_ki nonzero contribute.
-    """
-    n = len(gram)
-    rows = []
-    for i, g_col in enumerate(zip(*gram)):
-        row = [0] * n
-        for k in range(i + 1):
-            c = g_col[k]
-            if c == 1:
-                row = list(map(sub, row, gram_inv[k]))
-            elif c:
-                row = [x - c * y for x, y in zip(row, gram_inv[k])]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,19 @@ library routes users call run and are compared entry by entry with them:
 * the prefix-product inverse arrows against the columns of I(Q) G^{-1};
 * the Coxeter-Laplace builder against the permutation matrix of the
   prefix-product vertex permutation xi;
-* the Coxeter matrix builder Id - I(Q)^T I(Q^{-1}) against -G^T G^{-1}
-  (``coxeter_from_gram``);
+* the Coxeter matrix builder Id - I(Q)^T I(Q^{-1}) against Phi G = -G^T,
+  whose one solution is -G^T G^{-1};
 * the cycle type of xi against the admissible ones for the corank.
 
 It collects the distinct unit forms seen.
-Phase 2 runs the form-level checks (polynomial identities, Coxeter numbers,
-realization round trips, spectral multiplicities) once per distinct form,
-through the library's Coxeter matrix, Coxeter-number laws, spectral
-multiplicities, realizer and ``form_of_quiver`` (the route of every
-``--quiver`` verb), so a clean sweep vouches for the code that users call.
+Phase 2 runs the form-level checks once per distinct form, through the
+library's Coxeter matrix, realizer and ``form_of_quiver`` (the route of
+every ``--quiver`` verb), so a clean sweep vouches for the code that users
+call.  One walk of the powers of the Coxeter matrix checks the factored
+polynomial by traces and the Coxeter-number laws
+(``coxeter_matrix_violations``); the polynomial round trip and the spectral
+multiplicities depend on the cycle type and corank alone and are checked
+once per such class, on the expansion of its factored polynomial.
 
 An exception raised while one quiver or one form is checked is recorded as
 a failure of the check that was running, labelled with that quiver or
@@ -40,16 +43,15 @@ from math import comb, isqrt
 from ._record import Record
 from .errors import InvariantViolation
 from .invariants import (
-    coxeter_number_violations,
+    coxeter_matrix_violations,
     coxeter_polynomial_of_cycle_type,
     cycle_type_from_cox_poly,
     spectral_multiplicity_of_cycle_type,
 )
 from .linalg import (
     IntMatrix,
-    char_poly,
-    coxeter_from_gram,
     divide_by_v_power_minus_one,
+    mat_mul,
     permutation_matrix,
     psd_rank,
 )
@@ -298,10 +300,11 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         # matrix of the vertex permutation
         if _coxeter_laplace(m, q.arrows, inverse_arrows) != xi_matrix:
             rec(check, f"{label()}: Coxeter-Laplace matrix != walk permutation matrix")
-        # Coxeter matrix Id - I^T I(Q^-1) against -G^T G^-1
-        gram_inv = tuple(zip(*prefixes.inv_cols))
+        # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T, whose one
+        # solution is -G^T G^-1
         phi = _coxeter_matrix(q.arrows, inverse_arrows)
-        if phi != coxeter_from_gram(gram, gram_inv):
+        if mat_mul(phi, gram) != tuple(
+                [tuple([-x for x in col]) for col in prefixes.gram_cols]):
             rec(check, f"{label()}: the two Coxeter matrix formulas disagree")
 
         check = "cycle_type_membership"
@@ -374,7 +377,7 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
 # ---------------------------------------------------------------------------
 
 def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
-                roundtrip_memo: dict, multiplicity_memo: dict) -> None:
+                class_memo: dict) -> None:
     rec = report.record
     n = isqrt(len(blob))
     ct = Partition(ct_parts)
@@ -385,20 +388,15 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
         gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
         return f"n={n} c={c} gram={gram_tri}"
     try:
+        # the factored polynomial from the cycle type against the Coxeter
+        # matrix, and the Coxeter-number laws, from one walk of its powers
         check = "polynomial_factorization"
         form = UnitForm(n, _decode_gram(blob))
-        phi = coxeter_matrix(form)
-        direct = char_poly(phi)
-
-        # factored polynomial from the cycle type against the characteristic
-        # polynomial of the Coxeter matrix
-        dense = coxeter_polynomial_of_cycle_type(ct, c).expand()
-        if dense != direct:
-            rec("polynomial_factorization",
-                f"{label()}: factored expansion != Coxeter characteristic polynomial")
-
-        check = "coxeter_numbers"
-        for problem in coxeter_number_violations(phi, ct):
+        poly = coxeter_polynomial_of_cycle_type(ct, c)
+        polynomial, laws = coxeter_matrix_violations(coxeter_matrix(form), poly)
+        for problem in polynomial:
+            rec("polynomial_factorization", f"{label()}: {problem}")
+        for problem in laws:
             rec("coxeter_numbers", f"{label()}: {problem}")
 
         # realization round trip, basis change to the canonical quiver included
@@ -418,35 +416,28 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the cycle type")
 
-        # polynomial -> cycle type round trip (memoized per cycle type/corank)
-        check = "polynomial_roundtrip"
+        # the polynomial -> cycle type round trip and the spectral
+        # multiplicities by exact division depend on the class (ct, c) alone:
+        # (check, problem) pairs from its expansion, memoized per class
         key = (ct_parts, c)
-        if key not in roundtrip_memo:
+        if key not in class_memo:
+            check = "polynomial_roundtrip"
+            dense = poly.expand()
+            problems: list[tuple[str, str]] = []
             try:
                 recovered = cycle_type_from_cox_poly(dense, c)
             except ValueError as exc:
-                roundtrip_memo[key] = str(exc)
+                problems.append((check, str(exc)))
             else:
-                roundtrip_memo[key] = (
-                    None if recovered.parts == ct_parts
-                    else f"recovered {recovered} from the Coxeter polynomial"
-                )
-        if roundtrip_memo[key] is not None:
-            rec("polynomial_roundtrip", f"{label()}: {roundtrip_memo[key]}")
-
-        # spectral multiplicities of the Coxeter matrix by exact division
-        # (memoized per cycle type and characteristic polynomial)
-        check = "spectral_multiplicities"
-        spectrum = (ct_parts, direct)
-        if spectrum not in multiplicity_memo:
-            problems: list[str] = []
-            if len(direct) - 1 != n:
-                problems.append(f"degree {len(direct) - 1} != {n}")
+                if recovered.parts != ct_parts:
+                    problems.append(
+                        (check, f"recovered {recovered} from the Coxeter polynomial"))
+            check = "spectral_multiplicities"
             orders = {d for part in ct_parts
                       for d in range(1, part + 1) if part % d == 0}
             for d in sorted(orders):
                 count = 0
-                current = divide_by_v_power_minus_one(direct, d)
+                current = divide_by_v_power_minus_one(dense, d)
                 # None ends the count, and so does the empty quotient a
                 # zero polynomial would reach
                 while current:
@@ -456,10 +447,10 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                                for e in range(1, d + 1) if d % e == 0)
                 if count != expected:
                     problems.append(
-                        f"(v^{d}-1) divides {count} times, expected {expected}")
-            multiplicity_memo[spectrum] = problems
-        for problem in multiplicity_memo[spectrum]:
-            rec("spectral_multiplicities", f"{label()}: {problem}")
+                        (check, f"(v^{d}-1) divides {count} times, expected {expected}"))
+            class_memo[key] = problems
+        for name, problem in class_memo[key]:
+            rec(name, f"{label()}: {problem}")
     except Exception as exc:  # one form's fault must not end the sweep
         rec(check, f"{label()}: raised {exc!r}")
 
@@ -467,10 +458,9 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
 def _phase2_worker(args: tuple) -> SweepReport:
     max_vertices, max_arrows, items = args
     report = SweepReport(max_vertices, max_arrows, form_count=len(items))
-    roundtrip_memo: dict = {}
-    multiplicity_memo: dict = {}
+    class_memo: dict = {}
     for blob, ct_parts in items:
-        _check_form(report, blob, ct_parts, roundtrip_memo, multiplicity_memo)
+        _check_form(report, blob, ct_parts, class_memo)
     return report
 
 

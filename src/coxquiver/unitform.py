@@ -6,14 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import FrozenRecord
 from .errors import NotConnected
-from .linalg import (
-    IntMatrix,
-    _psd_rank_rows,
-    coxeter_from_gram,
-    mat_mul,
-    transpose,
-    unitriangular_inverse,
-)
+from .linalg import IntMatrix, _psd_rank_rows, mat_mul, transpose
 from .quiver import Quiver
 
 _TRIPLES = "'upper' must be a list of [i, j, value] triples"
@@ -163,9 +156,29 @@ def form_of_quiver(q: Quiver) -> UnitForm:
 
 
 def coxeter_matrix(f: UnitForm) -> IntMatrix:
-    """-G^T G^{-1}, using the exact unitriangular inverse."""
-    g = f.gram_upper
-    return coxeter_from_gram(g, unitriangular_inverse(g))
+    """The Coxeter matrix Phi = -G^T G^{-1}, the one solution of
+    Phi G = -G^T, by forward substitution on the form's entries.
+
+    Row i of Phi is the x with x G = -(column i of G)^T.  G is upper
+    triangular with unit diagonal, so x_j = -G_ji - sum_{k<j} x_k G_kj over
+    the entries above the diagonal in column j, fixed for j = 1, 2, ...
+    in turn.  That costs O(n (n + entries)), and no inverse is formed.
+    """
+    n = f.n
+    above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, value in f.upper:
+        above[j - 1].append((i - 1, value))
+    rows = []
+    for i in range(n):
+        x = [0] * n
+        x[i] = -1
+        for k, value in above[i]:
+            x[k] = -value
+        for j, column in enumerate(above):
+            if column:
+                x[j] -= sum([x[k] * value for k, value in column])
+        rows.append(tuple(x))
+    return tuple(rows)
 
 
 def check_strong_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:

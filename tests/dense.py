@@ -1,10 +1,12 @@
 """The tests' dense constructions of unit forms and quiver matrices, the
 oracles built on them, and a general integer polynomial ring with long
 division: the oracle for the package's one polynomial routine, exact
-division by v^t - 1."""
+division by v^t - 1.  The Coxeter matrix -G^T G^{-1} from the unitriangular
+inverse is the oracle for ``unitform.coxeter_matrix``, which forms no
+inverse."""
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from coxquiver.partitions import Partition
 from coxquiver.quiver import spanning_tree
@@ -40,6 +42,49 @@ def form_connected(f: UnitForm) -> bool:
     """Connectivity of the graph on variables with edges at nonzero Gram
     entries."""
     return len(spanning_tree(f.n, ((i, j) for i, j, _ in f.upper))) == f.n - 1
+
+
+def unitriangular_inverse(m):
+    """Inverse of an upper triangular matrix with unit diagonal.
+
+    Back substitution by rows, from the last up: row i of the inverse is
+    e_i minus m[i][k] times row k for every k > i with m[i][k] nonzero.
+    """
+    n = len(m)
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [0] * n
+        row[i] = 1
+        for k in range(i + 1, n):
+            c = m[i][k]
+            if c:
+                row_k = rows[k]
+                for j in range(k, n):
+                    row[j] -= c * row_k[j]
+        rows[i] = tuple(row)
+    return tuple(rows)
+
+
+def coxeter_from_gram(gram, gram_inv):
+    """The Coxeter matrix -G^T G^{-1}, given an upper triangular G and its
+    inverse.
+
+    -G^T G^{-1} = -sum_k (row k of G)^T (row k of G^{-1}), so row i of the
+    product is minus the rows k of G^{-1} weighted by g_ki.  G is upper
+    triangular, so only k <= i with g_ki nonzero contribute.
+    """
+    n = len(gram)
+    rows = []
+    for i, g_col in enumerate(zip(*gram)):
+        row = [0] * n
+        for k in range(i + 1):
+            c = g_col[k]
+            if c == 1:
+                row = list(map(sub, row, gram_inv[k]))
+            elif c:
+                row = [x - c * y for x, y in zip(row, gram_inv[k])]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def fraction_det(m):

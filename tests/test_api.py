@@ -12,7 +12,9 @@ not.  A private top-level function or class (one leading underscore) needs
 a caller by the same count, so a helper whose job moved elsewhere does not
 linger.  The count goes by bare name, so no two modules may define the same
 public top-level name: one would count as a caller of the other.  A
-helper that only tests call belongs in those tests.
+helper that only tests call belongs in those tests.  Since an import
+counts as a caller, no module but ``__init__`` may import a name that its
+body never uses.
 """
 
 import ast
@@ -127,6 +129,28 @@ def duplicate_public_names(package: Path) -> list[str]:
                   for name, modules in defined.items() if len(modules) > 1)
 
 
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` of every name that a module of ``package`` other
+    than ``__init__`` imports, at the top or inside a function, and that no
+    ``Name`` node of the module reads.  ``from __future__`` binds no name.
+    Annotations are parsed as expressions even when their evaluation is
+    postponed, so a name used in one alone counts as used."""
+    found = []
+    for module, tree in _modules(package):
+        if module == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    # ``import a.b`` binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{module}.{name}")
+    return found
+
+
 def test_every_public_helper_has_a_caller_in_the_package():
     assert unreferenced_public_helpers(PACKAGE, public_api_table(README)) == []
 
@@ -210,3 +234,22 @@ def test_the_check_sees_a_name_defined_in_two_modules(tmp_path):
     (tmp_path / "b.py").write_text(
         "def is_connected(f):\n    return True\n\nOK = is_connected(0)\n")
     assert "a.is_connected" not in unreferenced_public_helpers(tmp_path)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used, unused\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from math import gcd, isqrt, lcm as least\n"
+        "from .b import Shape, Size\n\n"
+        "def used(x: Shape) -> int:\n"
+        "    from heapq import heapify, heappop, heappush\n"
+        "    heapify(x)\n"
+        "    return least(os.path.sep, isqrt(heappop(x)))\n")
+    # an annotation is a use; re-exports in __init__ are not looked at
+    assert unused_imports(tmp_path) == ["a.gcd", "a.Size", "a.heappush"]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from coxquiver.errors import NotDynkinTypeA
 from coxquiver.invariants import (
     CoxeterNumbers,
-    coxeter_number_violations,
+    coxeter_matrix_violations,
     coxeter_numbers,
     coxeter_numbers_of_cycle_type,
     coxeter_polynomial,
@@ -25,7 +25,7 @@ from coxquiver.invariants import (
     enumerate_coxeter_polynomials,
     spectral_multiplicity,
 )
-from coxquiver.linalg import char_poly, identity, mat_mul, mat_sub
+from coxquiver.linalg import char_poly, identity, is_nilpotent, mat_mul, mat_sub
 from coxquiver.partitions import FactoredCoxPoly, Partition, part1c, partitions_by_length
 from coxquiver.quiver import (
     Quiver,
@@ -153,16 +153,24 @@ def test_coxeter_numbers_validation():
         CoxeterNumbers(None, 0)
 
 
+def laws(phi, parts, c=0):
+    """The Coxeter-number laws of the cycle type ``parts`` that exact powers
+    of ``phi`` break; the corank ``c`` only sets the claimed polynomial,
+    whose verdict the laws do not read."""
+    poly = coxeter_polynomial_of_cycle_type(Partition(parts), c)
+    return coxeter_matrix_violations(phi, poly)[1]
+
+
 def violations(f, parts):
     """The Coxeter-number laws of the cycle type ``parts`` that exact powers
     of the Coxeter matrix of ``f`` break."""
-    return coxeter_number_violations(coxeter_matrix(f), Partition(parts))
+    return laws(coxeter_matrix(f), parts)
 
 
 def plain_violations(phi, parts):
-    """The oracle of coxeter_number_violations: every Phi^k for k = 1..lcm
-    by one more multiplication, with no trace shortcut, and Id - Phi^k
-    nilpotent exactly when its n-th power, n products, is zero."""
+    """The oracle of the laws of coxeter_matrix_violations: every Phi^k for
+    k = 1..lcm by one more multiplication, with no trace shortcut, and
+    Id - Phi^k nilpotent exactly when its n-th power, n products, is zero."""
     n = len(phi)
     target = lcm(*parts)
     ident = identity(n)
@@ -198,11 +206,68 @@ def test_coxeter_number_violations_against_plain_powers():
     for gram, q in forms.items():
         phi = coxeter_matrix(form_of_quiver(q))
         own = cycle_type_of_quiver(q)
-        assert coxeter_number_violations(phi, own) == [], gram
+        c = q.n - q.m + 1
+        assert coxeter_matrix_violations(
+            phi, coxeter_polynomial_of_cycle_type(own, c)) == ([], []), gram
         for length in range(1, q.m + 1):
             for ct in partitions_by_length(q.m, length):
-                assert (coxeter_number_violations(phi, ct)
+                assert (laws(phi, ct.parts, c)
                         == plain_violations(phi, ct.parts)), (gram, ct)
+
+
+def _bump_one_entry(phi, rng):
+    """``phi`` with one random entry moved by a random nonzero amount."""
+    n = len(phi)
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows = [list(row) for row in phi]
+    rows[i][j] += rng.choice((-2, -1, 1, 2))
+    return tuple(map(tuple, rows))
+
+
+def test_polynomial_verdict_of_the_walk_against_char_poly():
+    # every form of a connected quiver with m <= 3 vertices and n <= 5
+    # arrows, its Coxeter matrix and two seeded one-entry corruptions of it,
+    # against the polynomial of every cycle type of m at the same corank
+    # and against the own polynomial times v - 1, one degree too many
+    rng = random.Random(27)
+    forms = {}
+    for m in range(2, 4):
+        for n in range(m - 1, 6):
+            for _, q in iter_connected_quivers(m, n):
+                forms.setdefault(triangular_gram(q), q)
+    flagged = checked = 0
+    for q in forms.values():
+        phi = coxeter_matrix(form_of_quiver(q))
+        c = q.n - q.m + 1
+        polys = [coxeter_polynomial_of_cycle_type(ct, c)
+                 for length in range(1, q.m + 1)
+                 for ct in partitions_by_length(q.m, length)]
+        own = coxeter_polynomial_of_cycle_type(cycle_type_of_quiver(q), c)
+        polys.append(FactoredCoxPoly(own.nu_exponent + 1, own.cycle_parts))
+        for matrix in (phi, _bump_one_entry(phi, rng), _bump_one_entry(phi, rng)):
+            direct = char_poly(matrix)
+            for poly in polys:
+                polynomial, _ = coxeter_matrix_violations(matrix, poly)
+                assert (polynomial == []) == (direct == poly.expand()), (q, matrix, poly)
+                flagged += polynomial != []
+                checked += 1
+    assert 0 < flagged < checked
+
+
+def test_polynomial_check_fires_on_the_trace_alone():
+    # Phi of cycle type (2, 2) at corank 1 against (v - 1)^2 (v^2 - 1):
+    # both have degree 4 and lcm 2, and Id - Phi^2 is nilpotent, so only
+    # tr Phi = 0, where the power sum is 2, tells them apart
+    phi = coxeter_matrix(representative_form((2, 2), 0))
+    claimed = FactoredCoxPoly(3, (2,))
+    assert len(phi) == 4 == claimed.unit_exponent + sum(claimed.cycle_parts)
+    assert is_nilpotent(mat_sub(identity(4), mat_mul(phi, phi)))
+    assert sum(phi[i][i] for i in range(4)) == 0
+    polynomial, _ = coxeter_matrix_violations(phi, claimed)
+    assert polynomial == ["factored expansion != Coxeter characteristic polynomial"]
+    assert char_poly(phi) != claimed.expand()
+    own = coxeter_polynomial_of_cycle_type(Partition((2, 2)), 1)
+    assert coxeter_matrix_violations(phi, own) == ([], [])
 
 
 def test_verify_reduced_coxeter_number():

@@ -8,7 +8,9 @@ for the modular Hessenberg reduction of char_poly at large entries and on
 sparse input; on Coxeter matrices of quivers the oracle is the factored
 Coxeter polynomial of the cycle type the walks of ``test_quiver`` give.
 Long division in the polynomial ring of ``dense`` is the oracle for the
-exact division by v^t - 1.
+exact division by v^t - 1.  The unitriangular inverse and the Coxeter
+matrix from it, oracles of ``dense`` too, are checked here against their
+definitions.
 """
 
 import random
@@ -26,7 +28,6 @@ from coxquiver.invariants import coxeter_polynomial_of_cycle_type
 from coxquiver.linalg import (
     _char_poly_modulus,
     char_poly,
-    coxeter_from_gram,
     cycle_decomposition,
     divide_by_v_power_minus_one,
     identity,
@@ -35,11 +36,17 @@ from coxquiver.linalg import (
     permutation_matrix,
     psd_rank,
     transpose,
-    unitriangular_inverse,
 )
 from coxquiver.partitions import cycle_type_of_permutation
 from coxquiver.quiver import Quiver, coxeter_matrix_of_quiver
-from dense import poly_divmod, poly_mul, poly_normalize, v_power_minus_one
+from dense import (
+    coxeter_from_gram,
+    poly_divmod,
+    poly_mul,
+    poly_normalize,
+    unitriangular_inverse,
+    v_power_minus_one,
+)
 from test_quiver import walk_permutation
 
 small_entries = st.integers(min_value=-4, max_value=4)

@@ -25,7 +25,6 @@ from coxquiver.linalg import (
     permutation_matrix,
     psd_rank,
     transpose,
-    unitriangular_inverse,
 )
 from coxquiver.partitions import Partition, cycle_type_of_permutation, part1c
 from coxquiver.quiver import (
@@ -48,7 +47,7 @@ from coxquiver.quiver import (
 from coxquiver.sweep import _phase1_units
 from coxquiver.unitform import UnitForm
 
-from dense import form_connected, incidence_matrix
+from dense import form_connected, incidence_matrix, unitriangular_inverse
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))

@@ -35,9 +35,10 @@ def test_form_checks_fire_on_a_wrong_cycle_type():
     right = _phase2_worker((4, 3, [(blob, (4,))]))
     assert right.ok()
     assert right.form_count == 1
+    # the spectral check reads the expansion of the class's own factored
+    # polynomial, which the polynomial check ties to the Coxeter matrix
     wrong = _phase2_worker((4, 3, [(blob, (2, 2))]))
-    for check in ("polynomial_factorization", "coxeter_numbers",
-                  "spectral_multiplicities"):
+    for check in ("polynomial_factorization", "coxeter_numbers"):
         assert wrong.failure_counts[check] >= 1, check
         assert all(s.startswith("n=3 c=0 ") for s in wrong.failure_samples[check])
 
@@ -140,10 +141,6 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert all(s.startswith("m=") for s in report.failure_samples[check])
 
 
-def _bump_constant_term(poly):
-    return (poly[0] + 1,) + poly[1:]
-
-
 def _bump_first_diagonal_entry(matrix):
     """``matrix`` with 1 added to its (1, 1) entry, which moves its trace
     and so the v^(n-1) coefficient of its characteristic polynomial."""
@@ -183,9 +180,6 @@ def _with_extra_variable(form):
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
 # that must record a failure on every form)
 PHASE2_CORRUPTIONS = {
-    "char_poly": (
-        "char_poly", lambda route: lambda m: _bump_constant_term(route(m)),
-        {"polynomial_factorization"}),
     "Coxeter matrix": (
         "coxeter_matrix",
         lambda route: lambda form: _bump_first_diagonal_entry(route(form)),
@@ -195,8 +189,8 @@ PHASE2_CORRUPTIONS = {
         lambda route: lambda ct, c: _times_v_minus_one(route(ct, c)),
         {"polynomial_factorization"}),
     "Phi of the Coxeter-number laws": (
-        "coxeter_number_violations",
-        lambda route: lambda phi, ct: route(_bump_first_diagonal_entry(phi), ct),
+        "coxeter_matrix_violations",
+        lambda route: lambda phi, poly: route(_bump_first_diagonal_entry(phi), poly),
         {"coxeter_numbers"}),
     "realized quiver, vertices": (
         "realize", lambda route: lambda form: _with_isolated_vertex(route(form)),
@@ -315,9 +309,10 @@ def test_a_form_check_that_raises_is_recorded_against_that_check(monkeypatch):
     def boom(*args):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(sweep, "coxeter_number_violations", boom)
+    # the walk checks the polynomial first, so its raise counts against that
+    monkeypatch.setattr(sweep, "coxeter_matrix_violations", boom)
     gram = triangular_gram(Quiver(4, ((1, 2), (2, 3), (3, 4))))
     report = _phase2_worker((4, 3, [(_encode_gram(gram), (4,))]))
-    assert report.failure_samples["coxeter_numbers"] == [
+    assert report.failure_samples["polynomial_factorization"] == [
         f"n=3 c=0 gram={gram}: raised RuntimeError('injected fault')"]
     assert report.total_failures == 1

@@ -29,11 +29,13 @@ from coxquiver.unitform import (
 )
 
 from dense import (
+    coxeter_from_gram,
     form_connected,
     form_from_gram,
     fraction_det,
     incidence_matrix,
     symmetric_gram,
+    unitriangular_inverse,
 )
 from test_linalg import TREES, _tree, _tree_form, closing_edge, fraction_rank
 from test_realize import shuffled_connected_quivers
@@ -239,6 +241,29 @@ def test_coxeter_matrix_agrees_with_quiver_route():
                Quiver(3, ((2, 1), (1, 3), (3, 2), (2, 3)))]
     for q in quivers:
         assert coxeter_matrix(form_of_quiver(q)) == coxeter_matrix_of_quiver(q)
+
+
+def _form_of_triples(n, triples):
+    """The form with the last value drawn at each position (i, j) off the
+    diagonal, taken above it."""
+    entries = {(min(i, j), max(i, j)): value for i, j, value in triples if i != j}
+    return UnitForm(n, [(i, j, value) for (i, j), value in entries.items()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                 st.integers(-3, 3)), max_size=4 * n).map(
+        lambda triples: _form_of_triples(n, triples))))
+@example(UnitForm(3, [(1, 2, 3), (1, 3, -3), (2, 3, 3)]))  # indefinite
+@example(UnitForm(4, [(1, 2, -1), (3, 4, 2)]))  # disconnected
+def test_coxeter_matrix_solves_phi_g_equals_minus_g_transpose(f):
+    # any unit form, indefinite or disconnected ones included, against the
+    # dense product -G^T G^{-1} with the unitriangular inverse
+    g = f.gram_upper
+    phi = coxeter_matrix(f)
+    assert phi == coxeter_from_gram(g, unitriangular_inverse(g))
+    assert mat_mul(phi, g) == tuple(tuple(-x for x in col) for col in zip(*g))
 
 
 def test_coxeter_polynomial_direct_examples():

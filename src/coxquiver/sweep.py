@@ -3,15 +3,16 @@
 Phase 1 walks every connected loop-less quiver in range once, depth first
 over sorted arrow multisets (``quiver.iter_connected_quivers``).  Along the
 walk it keeps, per arrow prefix, independent routes to the matrices of the
-paper's identities: the columns of G and G^{-1} and of I(Q) G^{-1}, from
-sparse products with the incidence columns, and the Laplace matrix I I^T as
-a sum of rank-one terms.  Quivers next to each other in the walk share
-these entries below the first arrow that changed.  On every quiver the
-library routes users call run and are compared entry by entry with them:
+paper's identities: the columns of G, from sparse products with the
+incidence columns, and the Laplace matrix I I^T as a sum of rank-one terms.
+Quivers next to each other in the walk share these entries below the first
+arrow that changed.  On every quiver the library routes users call run and
+are compared entry by entry with them:
 
 * ``triangular_gram`` against the G of I(Q)^T I(Q) = G + G^T;
 * ``laplace`` against I I^T, then its kernel and rank;
-* the prefix-product inverse arrows against the columns of I(Q) G^{-1};
+* the prefix-product inverse arrows against I(Q^{-1}) G = I(Q), whose one
+  solution is I(Q) G^{-1};
 * the Coxeter-Laplace builder against the permutation matrix of the
   prefix-product vertex permutation xi;
 * the Coxeter matrix builder Id - I(Q)^T I(Q^{-1}) against Phi G = -G^T,
@@ -170,26 +171,21 @@ class _Prefixes:
     """The independent routes of phase 1, kept per arrow prefix of the
     depth-first walk over one (m, n) unit.
 
-    For arrow j (from 0) of the current quiver this holds column j of G, of
-    G^{-1} and of I(Q) G^{-1}, and the Laplace matrix of arrows 0..j.  Each
-    depends on those arrows alone, so consecutive quivers of the walk share
-    every entry below the first arrow that changed, and a new arrow costs
-    one column of each and a rank-one update.
+    For arrow j (from 0) of the current quiver this holds column j of G and
+    the Laplace matrix of arrows 0..j.  Each depends on those arrows alone,
+    so consecutive quivers of the walk share every entry below the first
+    arrow that changed, and a new arrow costs one column of G and a rank-one
+    update.
     """
 
     def __init__(self, m: int, n: int) -> None:
-        self.m, self.n = m, n
+        self.n = n
         # incidence rows: (arrow index, sign) for each arrow at each vertex
         self.incident: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
         self.gram_cols: list[tuple[int, ...]] = [()] * n
-        self.inv_cols: list[tuple[int, ...]] = [()] * n
-        # column j of I(Q) G^{-1} as the arrow (a, b) when it is e_a - e_b,
-        # else None
-        self.inverse_arrows: list[tuple[int, int] | None] = [None] * n
         self.laplace: list[IntMatrix] = [()] * n
         self.built = 0
         self._zero = ((0,) * m,) * m
-        self._arrow_shape = [-1] + [0] * (m - 2) + [1]
 
     def rebuild(self, arrows, shared: int) -> None:
         """Bring the state to ``arrows``, which share their first ``shared``
@@ -219,28 +215,6 @@ class _Prefixes:
             col[k] -= sign
         col[j] //= 2
         self.gram_cols[j] = tuple(col)
-
-        # column j of G^{-1}: G x = e_j, so x above the diagonal is minus the
-        # columns l < j of G^{-1} weighted by g_lj
-        inv = [0] * n
-        inv[j] = 1
-        for l in range(j):
-            g = col[l]
-            if g:
-                for k, x in enumerate(self.inv_cols[l][:l + 1]):
-                    inv[k] -= g * x
-        self.inv_cols[j] = tuple(inv)
-
-        # column j of I(Q) G^{-1}, the incidence columns weighted by x
-        y = [0] * (self.m + 1)
-        for k in range(j + 1):
-            x = inv[k]
-            if x:
-                sk, tk = arrows[k]
-                y[sk] += x
-                y[tk] -= x
-        self.inverse_arrows[j] = (
-            (y.index(1), y.index(-1)) if sorted(y[1:]) == self._arrow_shape else None)
 
         # I I^T as the sum of the outer products of the incidence columns
         rows = list(self.laplace[j - 1] if j else self._zero)
@@ -291,8 +265,25 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         check = "matrix_identities"
         images, inverse_arrows = _prefix_products(q)
         xi = tuple(images[1:])
-        if inverse_arrows != prefixes.inverse_arrows:
-            rec(check, f"{label()}: I(Q^-1) != I(Q) G^-1")
+        # G is upper unitriangular, so X G = I(Q) has the one solution
+        # X = I(Q) G^-1: the inverse arrows solve it exactly when they are
+        # those of the paper's I(Q^-1) = I(Q) G^-1.  Column j of I(Q^-1) G
+        # is the sum over l <= j of G_lj (e_s'l - e_t'l).
+        # The guard fails a list that is not n arrows on the vertices 1..m,
+        # as a list comparison would, and keeps a vertex 0 or -1 from
+        # indexing y without an error.
+        vertices = range(1, m + 1)
+        solved = len(inverse_arrows) == n and all(
+            s2 in vertices and t2 in vertices for s2, t2 in inverse_arrows)
+        for (s, t), col in zip(q.arrows, prefixes.gram_cols if solved else ()):
+            y = [0] * (m + 1)
+            y[s], y[t] = -1, 1
+            for (s2, t2), g in zip(inverse_arrows, col):
+                y[s2] += g
+                y[t2] -= g
+            solved = solved and not any(y)
+        if not solved:
+            rec(check, f"{label()}: I(Q^-1) G != I(Q)")
         if xi not in memo:
             memo[xi] = permutation_matrix(xi), cycle_type_of_permutation(xi)
         xi_matrix, ct = memo[xi]

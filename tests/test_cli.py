@@ -1,5 +1,6 @@
 """CLI surface tests: verbs, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -263,6 +264,24 @@ def test_verify_json(capsys):
     data = json.loads(out)
     assert data["quiver_count"] > 0
     assert all(v == 0 for v in data["failure_counts"].values())
+
+
+VERIFY_4_6_SHA256 = "e4d8f6f3b7130702bc5be1e8e5a3b3db22d91d48812143ee2b77000f888ab42c"
+
+
+@pytest.mark.parametrize("jobs", [
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="one CPU admits --jobs 1 only"))])
+def test_verify_4_6_report_is_pinned(capsys, jobs):
+    """The sweep gate: the sha256 of ``verify --max-vertices 4
+    --max-arrows 6 --format json`` is the pinned one, with one worker and
+    with two.  A change that alters this report on purpose, such as adding
+    timings to it, updates the hash and gives the reason in CHANGES.md."""
+    code, out, _ = run_cli(capsys, "verify", "--max-vertices", "4",
+                           "--max-arrows", "6", "--format", "json",
+                           "--jobs", str(jobs))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_4_6_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 from itertools import combinations_with_replacement
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from coxquiver.sweep import _phase1_units
 from coxquiver.unitform import UnitForm
 
 from dense import form_connected, incidence_matrix, unitriangular_inverse
+from test_acceptance import EXPECTED_QUIVERS
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -742,3 +744,45 @@ def test_walk_enumerates_the_filtered_combinations_of_every_sweep_unit():
                     common += 1
                 assert shared == common, (m, n, first_pair, q.arrows)
                 previous = q.arrows
+
+
+def _connected_quiver_counts(max_vertices, max_arrows):
+    """counts[m][n], the number of connected loop-less quivers on the
+    vertices 1..m with a multiset of n arrows, for m <= max_vertices and
+    n <= max_arrows, from generating functions.
+
+    All such quivers on m vertices, connected or not, are counted by
+    A_m(x) = (1 - x)^(-m(m-1)), the multisets of the m(m - 1) ordered
+    pairs.  Splitting off the component of vertex 1, on k vertices, gives
+    C_m = A_m - sum_{k<m} binom(m-1, k-1) C_k A_{m-k}, with C_1 = 1."""
+    def all_quivers(m):
+        pairs = m * (m - 1)
+        return [comb(pairs + n - 1, n) if pairs else int(n == 0)
+                for n in range(max_arrows + 1)]
+
+    counts = {}
+    for m in range(1, max_vertices + 1):
+        c = all_quivers(m)
+        for k in range(1, m):
+            rest = all_quivers(m - k)
+            for n in range(max_arrows + 1):
+                c[n] -= comb(m - 1, k - 1) * sum(
+                    counts[k][i] * rest[n - i] for i in range(n + 1))
+        counts[m] = c
+    return counts
+
+
+def test_walk_counts_match_the_closed_form():
+    counts = _connected_quiver_counts(5, 8)
+    for m in range(1, 6):
+        for n in range(8):
+            if counts[m][n] < 20000:
+                walked = sum(1 for _ in iter_connected_quivers(m, n))
+                assert walked == counts[m][n], (m, n)
+
+    def sweep_total(max_vertices, max_arrows):  # the sweep starts at m = 2
+        return sum(counts[m][n] for m in range(2, max_vertices + 1)
+                   for n in range(max_arrows + 1))
+    assert [sweep_total(3, 4), sweep_total(4, 6), sweep_total(5, 7),
+            sweep_total(5, 8)] == [181, 15437, 658429, 2537710]
+    assert sweep_total(5, 7) == EXPECTED_QUIVERS

@@ -86,6 +86,17 @@ def _reverse_last_inverse_arrow(products):
     return images, inverse_arrows[:-1] + [inverse_arrows[-1][::-1]]
 
 
+def _move_first_inverse_arrow(products):
+    """Inverse arrow 0 with its head moved to a vertex it does not touch, so
+    it stays loop-less; at m >= 3 only, where there is such a vertex."""
+    images, inverse_arrows = products
+    if len(images) < 4:
+        return products
+    s, t = inverse_arrows[0]
+    moved = min({1, 2, 3} - {s, t})
+    return images, [(s, moved)] + inverse_arrows[1:]
+
+
 def _swap_first_images(products):
     images, inverse_arrows = products
     return [images[0], images[2], images[1]] + images[3:], inverse_arrows
@@ -100,6 +111,10 @@ PHASE1_CORRUPTIONS = {
     "inverse arrows": (
         "_prefix_products",
         lambda route: lambda q: _reverse_last_inverse_arrow(route(q)),
+        {"matrix_identities"}),
+    "inverse arrow moved": (
+        "_prefix_products",
+        lambda route: lambda q: _move_first_inverse_arrow(route(q)),
         {"matrix_identities"}),
     "Phi builder": (
         "_coxeter_matrix",
@@ -139,6 +154,46 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     assert expected <= fired, (route, report.failure_counts)
     for check in fired:
         assert all(s.startswith("m=") for s in report.failure_samples[check])
+
+
+A3_ARROWS = ((1, 2), (2, 3))  # its inverse arrows are (1, 2) and (1, 3)
+INVERSE_IDENTITY_FAILURE = f"m=3 arrows={A3_ARROWS}: I(Q^-1) G != I(Q)"
+
+
+def _inverse_arrows_of_a3(inverse_arrows):
+    """``_prefix_products`` with the inverse arrows of the quiver
+    ``A3_ARROWS`` replaced by ``inverse_arrows``."""
+    route = sweep._prefix_products
+
+    def wrapped(q):
+        images, right = route(q)
+        return images, inverse_arrows if q.arrows == A3_ARROWS else right
+    return wrapped
+
+
+def test_a_moved_inverse_arrow_fails_the_inverse_identity(monkeypatch):
+    monkeypatch.setattr(sweep, "_prefix_products",
+                        _inverse_arrows_of_a3([(1, 3), (1, 3)]))
+    report, _ = _phase1_worker((3, 2, -1, None))
+    samples = report.failure_samples["matrix_identities"]
+    # the inverse identity is checked before the builders that read the
+    # inverse arrows, which fail too
+    assert samples[0] == INVERSE_IDENTITY_FAILURE
+    assert all(s.startswith(f"m=3 arrows={A3_ARROWS}: ") for s in samples)
+
+
+@pytest.mark.parametrize("inverse_arrows", [
+    [(1, 2)],                  # one arrow short
+    [(1, 2), (1, 3), (2, 3)],  # one arrow too many
+    [(1, 2), (0, 3)],          # an endpoint 0
+    [(1, 2), (1, -1)],         # -1, which would index the entry of vertex 3
+], ids=["short", "long", "vertex 0", "vertex -1"])
+def test_a_malformed_inverse_arrow_list_fails_the_inverse_identity(
+        monkeypatch, inverse_arrows):
+    monkeypatch.setattr(sweep, "_prefix_products",
+                        _inverse_arrows_of_a3(inverse_arrows))
+    report, _ = _phase1_worker((3, 2, -1, None))
+    assert INVERSE_IDENTITY_FAILURE in report.failure_samples["matrix_identities"]
 
 
 def _bump_first_diagonal_entry(matrix):

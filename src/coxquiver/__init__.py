@@ -49,7 +49,6 @@ from .unitform import (
     UnitForm,
     check_strong_congruence,
     corank,
-    coxeter_matrix,
     evaluate,
     form_of_quiver,
     is_non_negative,

@@ -21,9 +21,10 @@ are compared entry by entry with them:
 
 It collects the distinct unit forms seen.
 Phase 2 runs the form-level checks once per distinct form, through the
-library's Coxeter matrix, realizer and ``form_of_quiver`` (the route of
-every ``--quiver`` verb), so a clean sweep vouches for the code that users
-call.  One walk of the powers of the Coxeter matrix checks the factored
+library's realizer and ``form_of_quiver`` (the route of every ``--quiver``
+verb), so a clean sweep vouches for the code that users call.  On a
+quiver that realizes the form, the Coxeter matrix builder of phase 1 gives
+the form's Coxeter matrix, and one walk of its powers checks the factored
 polynomial by traces and the Coxeter-number laws
 (``coxeter_matrix_violations``); the polynomial round trip and the spectral
 multiplicities depend on the cycle type and corank alone and are checked
@@ -71,7 +72,7 @@ from .quiver import (
     vertex_permutation,
 )
 from .realize import realize
-from .unitform import UnitForm, coxeter_matrix, form_of_quiver
+from .unitform import UnitForm, form_of_quiver
 
 _SAMPLE_CAP = 20
 _SPLIT_THRESHOLD = 20000
@@ -379,33 +380,37 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
         gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
         return f"n={n} c={c} gram={gram_tri}"
     try:
-        # the factored polynomial from the cycle type against the Coxeter
-        # matrix, and the Coxeter-number laws, from one walk of its powers
         check = "polynomial_factorization"
-        form = UnitForm(n, _decode_gram(blob))
         poly = coxeter_polynomial_of_cycle_type(ct, c)
-        polynomial, laws = coxeter_matrix_violations(coxeter_matrix(form), poly)
-        for problem in polynomial:
-            rec("polynomial_factorization", f"{label()}: {problem}")
-        for problem in laws:
-            rec("coxeter_numbers", f"{label()}: {problem}")
 
         # realization round trip, basis change to the canonical quiver included
         check = "realization_roundtrip"
+        form = UnitForm(n, _decode_gram(blob))
         try:
-            result = realize(form)
+            q = realize(form).quiver
         except (ValueError, InvariantViolation) as exc:
             rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
         else:
             report.realized_count += 1
-            if form_of_quiver(result.quiver) != form:
+            if form_of_quiver(q) != form:
                 rec("realization_roundtrip",
                     f"{label()}: realization changed the Gram matrix")
-            elif cycle_type_of_permutation(
-                tuple(_prefix_products(result.quiver)[0][1:])
-            ).parts != ct_parts:
-                rec("realization_roundtrip",
-                    f"{label()}: realization changed the cycle type")
+            else:
+                images, inverse_arrows = _prefix_products(q)
+                if cycle_type_of_permutation(tuple(images[1:])).parts != ct_parts:
+                    rec("realization_roundtrip",
+                        f"{label()}: realization changed the cycle type")
+                # q realizes the form, so Id - I(Q)^T I(Q^-1) is the form's
+                # Coxeter matrix -G^T G^-1 (proof in quiver._coxeter_matrix);
+                # one walk of its powers checks the factored polynomial from
+                # the cycle type and the Coxeter-number laws
+                check = "polynomial_factorization"
+                polynomial, laws = coxeter_matrix_violations(
+                    _coxeter_matrix(q.arrows, inverse_arrows), poly)
+                for problem in polynomial:
+                    rec("polynomial_factorization", f"{label()}: {problem}")
+                for problem in laws:
+                    rec("coxeter_numbers", f"{label()}: {problem}")
 
         # the polynomial -> cycle type round trip and the spectral
         # multiplicities by exact division depend on the class (ct, c) alone:
@@ -500,7 +505,7 @@ def run_sweep(max_vertices: int, max_arrows: int, *,
     aggregation.
     """
     if max_vertices < 1 or max_arrows < 0:
-        raise ValueError("sweep bounds must be positive")
+        raise ValueError("sweep bounds need max_vertices >= 1 and max_arrows >= 0")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     report = SweepReport(max_vertices, max_arrows)

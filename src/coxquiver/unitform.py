@@ -155,32 +155,6 @@ def form_of_quiver(q: Quiver) -> UnitForm:
     return UnitForm(q.n, [(i, j, value) for (i, j), value in entries.items()])
 
 
-def coxeter_matrix(f: UnitForm) -> IntMatrix:
-    """The Coxeter matrix Phi = -G^T G^{-1}, the one solution of
-    Phi G = -G^T, by forward substitution on the form's entries.
-
-    Row i of Phi is the x with x G = -(column i of G)^T.  G is upper
-    triangular with unit diagonal, so x_j = -G_ji - sum_{k<j} x_k G_kj over
-    the entries above the diagonal in column j, fixed for j = 1, 2, ...
-    in turn.  That costs O(n (n + entries)), and no inverse is formed.
-    """
-    n = f.n
-    above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j, value in f.upper:
-        above[j - 1].append((i - 1, value))
-    rows = []
-    for i in range(n):
-        x = [0] * n
-        x[i] = -1
-        for k, value in above[i]:
-            x[k] = -value
-        for j, column in enumerate(above):
-            if column:
-                x[j] -= sum([x[k] * value for k, value in column])
-        rows.append(tuple(x))
-    return tuple(rows)
-
-
 def check_strong_congruence(f: UnitForm, g: UnitForm, b: IntMatrix) -> bool:
     """Whether b is unimodular and B^T G_f B = G_g exactly.
 

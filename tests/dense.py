@@ -2,8 +2,9 @@
 oracles built on them, and a general integer polynomial ring with long
 division: the oracle for the package's one polynomial routine, exact
 division by v^t - 1.  The Coxeter matrix -G^T G^{-1} from the unitriangular
-inverse is the oracle for ``unitform.coxeter_matrix``, which forms no
-inverse."""
+inverse is the oracle for ``quiver._coxeter_matrix``, which builds it from
+the arrows of a quiver and its inverse, and the Coxeter matrix of any unit
+form, connected or not, that the tests need."""
 
 from fractions import Fraction
 from operator import add, sub
@@ -85,6 +86,11 @@ def coxeter_from_gram(gram, gram_inv):
                 row = [x - c * y for x, y in zip(row, gram_inv[k])]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def dense_coxeter_matrix(f: UnitForm):
+    """The Coxeter matrix -G^T G^{-1} of ``f``, from its dense Gram matrix."""
+    return coxeter_from_gram(f.gram_upper, unitriangular_inverse(f.gram_upper))
 
 
 def fraction_det(m):

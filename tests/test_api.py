@@ -14,7 +14,8 @@ linger.  The count goes by bare name, so no two modules may define the same
 public top-level name: one would count as a caller of the other.  A
 helper that only tests call belongs in those tests.  Since an import
 counts as a caller, no module but ``__init__`` may import a name that its
-body never uses.
+body never uses.  By the same count, every top-level function of the
+tests' ``dense.py`` oracles needs a caller among the tests.
 """
 
 import ast
@@ -26,6 +27,7 @@ import coxquiver
 
 PACKAGE = Path(coxquiver.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def _references(node: ast.AST) -> Counter:
@@ -151,6 +153,17 @@ def unused_imports(package: Path) -> list[str]:
     return found
 
 
+def uncalled_oracles(tests: Path) -> list[str]:
+    """``dense.name`` of every top-level function of ``dense.py`` in
+    ``tests`` that no module there refers to outside its own definition:
+    an oracle whose subject left ``src/`` goes with it."""
+    modules = _modules(tests)
+    unused = _unused(modules, frozenset())
+    dense = dict(modules)["dense"]
+    return [f"dense.{node.name}" for node in dense.body
+            if isinstance(node, ast.FunctionDef) and unused(node)]
+
+
 def test_every_public_helper_has_a_caller_in_the_package():
     assert unreferenced_public_helpers(PACKAGE, public_api_table(README)) == []
 
@@ -234,6 +247,26 @@ def test_the_check_sees_a_name_defined_in_two_modules(tmp_path):
     (tmp_path / "b.py").write_text(
         "def is_connected(f):\n    return True\n\nOK = is_connected(0)\n")
     assert "a.is_connected" not in unreferenced_public_helpers(tmp_path)
+
+
+def test_every_dense_oracle_has_a_caller_in_the_tests():
+    assert uncalled_oracles(TESTS) == []
+
+
+def test_the_check_sees_an_uncalled_oracle(tmp_path):
+    (tmp_path / "dense.py").write_text(
+        "def used():\n    return _inner()\n\n"
+        "def _inner():\n    return 1\n\n"
+        "def dead():\n    return dead()\n\n"
+        "def _dead():\n    pass\n\n"
+        "class Shape:\n    pass\n")
+    (tmp_path / "test_a.py").write_text(
+        "from dense import used\n\n"
+        "def test_used():\n    assert used() == 1\n\n"
+        "def dead():\n    pass\n")
+    # a recursive call, or a same-named definition elsewhere, is no caller;
+    # classes are not oracles
+    assert uncalled_oracles(tmp_path) == ["dense.dead", "dense._dead"]
 
 
 def test_no_module_imports_a_name_it_never_uses():

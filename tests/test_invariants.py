@@ -37,10 +37,15 @@ from coxquiver.realize import representative_quiver_A
 from coxquiver.unitform import (
     UnitForm,
     corank,
-    coxeter_matrix,
     form_of_quiver,
 )
-from dense import long_division_cycle_type, poly_mul, poly_pow, v_power_minus_one
+from dense import (
+    dense_coxeter_matrix,
+    long_division_cycle_type,
+    poly_mul,
+    poly_pow,
+    v_power_minus_one,
+)
 
 KRONECKER_FORM = form_of_quiver(Quiver(2, ((1, 2), (1, 2))))
 
@@ -113,7 +118,7 @@ def test_coxeter_polynomial_corank0_tree():
     poly = coxeter_polynomial(f)
     assert poly.unit_exponent == -1
     assert poly.expand() == (1, 1, 1)
-    assert poly.expand() == char_poly(coxeter_matrix(f))
+    assert poly.expand() == char_poly(dense_coxeter_matrix(f))
 
 
 def test_coxeter_polynomial_matches_direct_route():
@@ -126,7 +131,7 @@ def test_coxeter_polynomial_matches_direct_route():
         representative_form((2, 1, 1), 0),
     ]
     for f in forms:
-        assert coxeter_polynomial(f).expand() == char_poly(coxeter_matrix(f))
+        assert coxeter_polynomial(f).expand() == char_poly(dense_coxeter_matrix(f))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def laws(phi, parts, c=0):
 def violations(f, parts):
     """The Coxeter-number laws of the cycle type ``parts`` that exact powers
     of the Coxeter matrix of ``f`` break."""
-    return laws(coxeter_matrix(f), parts)
+    return laws(dense_coxeter_matrix(f), parts)
 
 
 def plain_violations(phi, parts):
@@ -204,7 +209,7 @@ def test_coxeter_number_violations_against_plain_powers():
             for _, q in iter_connected_quivers(m, n):
                 forms.setdefault(triangular_gram(q), q)
     for gram, q in forms.items():
-        phi = coxeter_matrix(form_of_quiver(q))
+        phi = dense_coxeter_matrix(form_of_quiver(q))
         own = cycle_type_of_quiver(q)
         c = q.n - q.m + 1
         assert coxeter_matrix_violations(
@@ -237,7 +242,7 @@ def test_polynomial_verdict_of_the_walk_against_char_poly():
                 forms.setdefault(triangular_gram(q), q)
     flagged = checked = 0
     for q in forms.values():
-        phi = coxeter_matrix(form_of_quiver(q))
+        phi = dense_coxeter_matrix(form_of_quiver(q))
         c = q.n - q.m + 1
         polys = [coxeter_polynomial_of_cycle_type(ct, c)
                  for length in range(1, q.m + 1)
@@ -258,7 +263,7 @@ def test_polynomial_check_fires_on_the_trace_alone():
     # Phi of cycle type (2, 2) at corank 1 against (v - 1)^2 (v^2 - 1):
     # both have degree 4 and lcm 2, and Id - Phi^2 is nilpotent, so only
     # tr Phi = 0, where the power sum is 2, tells them apart
-    phi = coxeter_matrix(representative_form((2, 2), 0))
+    phi = dense_coxeter_matrix(representative_form((2, 2), 0))
     claimed = FactoredCoxPoly(3, (2,))
     assert len(phi) == 4 == claimed.unit_exponent + sum(claimed.cycle_parts)
     assert is_nilpotent(mat_sub(identity(4), mat_mul(phi, phi)))
@@ -469,7 +474,7 @@ def test_enumerate_polys_are_realized():
             d = (c - (pi.length - 1)) // 2
             f = representative_form(pi.parts, d)
             assert f.n == n
-            assert char_poly(coxeter_matrix(f)) == poly.expand()
+            assert char_poly(dense_coxeter_matrix(f)) == poly.expand()
 
 
 def test_coxeter_polynomial_of_cycle_type_matches_enumeration():
@@ -519,7 +524,7 @@ def test_cycle_type_from_characteristic_polynomial_matches_realization(q):
     # the Coxeter matrix's characteristic polynomial knows nothing of the
     # realizer, yet determines the same cycle type
     f = form_of_quiver(q)
-    poly = char_poly(coxeter_matrix(f))
+    poly = char_poly(dense_coxeter_matrix(f))
     assert cycle_type_from_cox_poly(poly, corank(f)) == cycle_type_of_form(f)
 
 

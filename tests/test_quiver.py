@@ -48,7 +48,12 @@ from coxquiver.quiver import (
 from coxquiver.sweep import _phase1_units
 from coxquiver.unitform import UnitForm
 
-from dense import form_connected, incidence_matrix, unitriangular_inverse
+from dense import (
+    coxeter_from_gram,
+    form_connected,
+    incidence_matrix,
+    unitriangular_inverse,
+)
 from test_acceptance import EXPECTED_QUIVERS
 
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -503,6 +508,16 @@ def test_coxeter_matrix_single_arrow():
 
 def test_coxeter_matrix_kronecker():
     assert coxeter_matrix_of_quiver(KRONECKER) == ((-1, 2), (-2, 3))
+
+
+@given(quivers_in_any_order().filter(lambda case: case[1]))
+@settings(max_examples=100, deadline=None)
+def test_coxeter_matrix_of_quiver_is_the_dense_product(case):
+    # arrows in any order, as the sweep's phase 2 takes them from the
+    # realizer, against -G^T G^-1 with the unitriangular inverse
+    q, _ = case
+    g = triangular_gram(q)
+    assert coxeter_matrix_of_quiver(q) == coxeter_from_gram(g, unitriangular_inverse(g))
 
 
 # ---------------------------------------------------------------------------

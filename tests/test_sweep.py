@@ -236,8 +236,9 @@ def _with_extra_variable(form):
 # that must record a failure on every form)
 PHASE2_CORRUPTIONS = {
     "Coxeter matrix": (
-        "coxeter_matrix",
-        lambda route: lambda form: _bump_first_diagonal_entry(route(form)),
+        "_coxeter_matrix",
+        lambda route: lambda arrows, inverse: _bump_first_diagonal_entry(
+            route(arrows, inverse)),
         {"polynomial_factorization"}),
     "factored polynomial": (
         "coxeter_polynomial_of_cycle_type",
@@ -335,17 +336,20 @@ FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))
 
 
 def _raise_on_one_quiver(route):
-    def wrapped(arrows, inverse_arrows):
+    def wrapped(m, arrows, inverse_arrows):
         if arrows == FAULTY_ARROWS:
             raise RuntimeError("injected fault")
-        return route(arrows, inverse_arrows)
+        return route(m, arrows, inverse_arrows)
     return wrapped
 
 
 def test_a_route_that_raises_on_one_quiver_is_recorded_not_fatal(monkeypatch, capsys):
     clean = run_sweep(3, 4, seed=5)
-    monkeypatch.setattr(sweep, "_coxeter_matrix",
-                        _raise_on_one_quiver(sweep._coxeter_matrix))
+    # the Coxeter-Laplace builder runs in phase 1 alone; phase 2 realizes a
+    # form of (3, 4) as the quiver FAULTY_ARROWS and builds its Coxeter
+    # matrix, so a fault there would count twice
+    monkeypatch.setattr(sweep, "_coxeter_laplace",
+                        _raise_on_one_quiver(sweep._coxeter_laplace))
     faulty = run_sweep(3, 4, seed=5)
     assert faulty.quiver_count == clean.quiver_count
     assert faulty.failure_samples["matrix_identities"] == [
@@ -371,3 +375,69 @@ def test_a_form_check_that_raises_is_recorded_against_that_check(monkeypatch):
     assert report.failure_samples["polynomial_factorization"] == [
         f"n=3 c=0 gram={gram}: raised RuntimeError('injected fault')"]
     assert report.total_failures == 1
+
+
+@pytest.mark.parametrize("bounds, jobs, message", [
+    ((0, 3), 1, "max_vertices >= 1"),
+    ((2, -1), 1, "max_arrows >= 0"),
+    ((2, 1), 0, "jobs must be >= 1"),
+], ids=["no vertex", "negative arrows", "no worker"])
+def test_run_sweep_rejects_bounds_it_cannot_walk(bounds, jobs, message):
+    with pytest.raises(ValueError, match=message):
+        run_sweep(*bounds, jobs=jobs)
+
+
+def _reverse_first_arrow(q):
+    """``q`` with its first arrow reversed: another Gram matrix whenever
+    that arrow shares a vertex with another."""
+    return Quiver(q.m, (q.arrows[0][::-1],) + q.arrows[1:])
+
+
+@pytest.mark.parametrize("route", [None, "relabel_vertices", "opposite"],
+                         ids=["clean", "relabel_vertices", "opposite"])
+def test_congruence_checks_run_on_every_quiver_at_rate_one(monkeypatch, route):
+    # no work unit of (3, 4) reaches the default rate, so without the patch
+    # not one congruence check would run
+    monkeypatch.setattr(sweep, "_CONGRUENCE_SAMPLE_RATE", 1)
+    if route is not None:
+        wrapped = getattr(sweep, route)
+        monkeypatch.setattr(sweep, route,
+                            lambda q, *args: _reverse_first_arrow(wrapped(q, *args)))
+    report = run_sweep(3, 4, seed=5)
+    if route is None:
+        assert report.ok(), report.failure_counts
+    else:
+        failures = report.failure_counts["congruence_invariance"]
+        assert report.total_failures == failures > 0
+        assert all(s.startswith("m=")
+                   for s in report.failure_samples["congruence_invariance"])
+
+
+def test_splitting_units_by_first_pair_keeps_the_report(monkeypatch):
+    whole = run_sweep(3, 4, seed=5).to_json()
+    monkeypatch.setattr(sweep, "_SPLIT_THRESHOLD", 10)
+    # (2, n) stays whole, each (3, n) splits into its 6 first pairs
+    assert len(_phase1_units(3, 4, None)) == 4 + 3 * 6
+    assert run_sweep(3, 4, seed=5).to_json() == whole
+
+
+def test_equal_forms_with_different_cycle_types_across_units_are_recorded(monkeypatch):
+    monkeypatch.setattr(sweep, "_SPLIT_THRESHOLD", 10)
+    worker = sweep._phase1_worker
+    # the quivers of (3, 4) whose first arrow is (3, 1) give three forms,
+    # each of which an earlier unit reports first; the last unit, first
+    # arrow (3, 2), has no connected quiver
+    misreported = (3, 4, 4, None)
+
+    def misreporting(unit):
+        report, forms = worker(unit)
+        if unit == misreported:
+            forms = {key: parts + (1,) for key, parts in forms.items()}
+        return report, forms
+
+    monkeypatch.setattr(sweep, "_phase1_worker", misreporting)
+    report = run_sweep(3, 4)
+    assert report.failure_samples["cycle_type_membership"] == [
+        "equal forms with different cycle types across units"] * 3
+    # phase 2 checks the cycle type reported first, which is right
+    assert report.total_failures == 3

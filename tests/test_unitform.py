@@ -22,20 +22,18 @@ from coxquiver.unitform import (
     UnitForm,
     check_strong_congruence,
     corank,
-    coxeter_matrix,
     evaluate,
     form_of_quiver,
     is_non_negative,
 )
 
 from dense import (
-    coxeter_from_gram,
+    dense_coxeter_matrix,
     form_connected,
     form_from_gram,
     fraction_det,
     incidence_matrix,
     symmetric_gram,
-    unitriangular_inverse,
 )
 from test_linalg import TREES, _tree, _tree_form, closing_edge, fraction_rank
 from test_realize import shuffled_connected_quivers
@@ -232,15 +230,8 @@ def test_form_of_quiver_invariance():
 
 
 def test_coxeter_matrix_examples():
-    assert coxeter_matrix(UnitForm(1, [])) == ((-1,),)
-    assert coxeter_matrix(KRONECKER_FORM) == ((-1, 2), (-2, 3))
-
-
-def test_coxeter_matrix_agrees_with_quiver_route():
-    quivers = [A3, KRONECKER, Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4))),
-               Quiver(3, ((2, 1), (1, 3), (3, 2), (2, 3)))]
-    for q in quivers:
-        assert coxeter_matrix(form_of_quiver(q)) == coxeter_matrix_of_quiver(q)
+    assert dense_coxeter_matrix(UnitForm(1, [])) == ((-1,),)
+    assert dense_coxeter_matrix(KRONECKER_FORM) == ((-1, 2), (-2, 3))
 
 
 def _form_of_triples(n, triples):
@@ -258,26 +249,25 @@ def _form_of_triples(n, triples):
 @example(UnitForm(3, [(1, 2, 3), (1, 3, -3), (2, 3, 3)]))  # indefinite
 @example(UnitForm(4, [(1, 2, -1), (3, 4, 2)]))  # disconnected
 def test_coxeter_matrix_solves_phi_g_equals_minus_g_transpose(f):
-    # any unit form, indefinite or disconnected ones included, against the
-    # dense product -G^T G^{-1} with the unitriangular inverse
+    # the dense oracle on any unit form, indefinite or disconnected ones
+    # included, against the identity that defines Phi
     g = f.gram_upper
-    phi = coxeter_matrix(f)
-    assert phi == coxeter_from_gram(g, unitriangular_inverse(g))
+    phi = dense_coxeter_matrix(f)
     assert mat_mul(phi, g) == tuple(tuple(-x for x in col) for col in zip(*g))
 
 
 def test_coxeter_polynomial_direct_examples():
-    assert char_poly(coxeter_matrix(UnitForm(1, []))) == (1, 1)
-    assert char_poly(coxeter_matrix(KRONECKER_FORM)) == (1, -2, 1)
+    assert char_poly(dense_coxeter_matrix(UnitForm(1, []))) == (1, 1)
+    assert char_poly(dense_coxeter_matrix(KRONECKER_FORM)) == (1, -2, 1)
     # linear quivers give nu_m
     for m in range(2, 7):
         q = Quiver(m, tuple((j, j + 1) for j in range(1, m)))
-        assert char_poly(coxeter_matrix(form_of_quiver(q))) == (1,) * m
+        assert char_poly(dense_coxeter_matrix(form_of_quiver(q))) == (1,) * m
 
 
 def test_coxeter_polynomial_direct_is_char_poly():
     q = Quiver(3, ((2, 1), (1, 3), (3, 2)))
-    assert char_poly(coxeter_matrix(form_of_quiver(q))) == \
+    assert char_poly(dense_coxeter_matrix(form_of_quiver(q))) == \
         char_poly(coxeter_matrix_of_quiver(q))
 
 
@@ -350,7 +340,7 @@ def test_strong_congruence_preserves_coxeter_polynomial():
     b = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     g = form_from_gram(((1, 0, -1), (0, 1, 0), (0, 0, 1)))
     assert check_strong_congruence(f, g, b)
-    assert char_poly(coxeter_matrix(f)) == char_poly(coxeter_matrix(g))
+    assert char_poly(dense_coxeter_matrix(f)) == char_poly(dense_coxeter_matrix(g))
 
 
 # ---------------------------------------------------------------------------

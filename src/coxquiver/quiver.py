@@ -229,7 +229,10 @@ def _coxeter_matrix(arrows, inverse_arrows) -> IntMatrix:
 
     Proof that this is -G^T G^{-1}.  I(Q^{-1}) = I(Q) G^{-1} and
     I(Q)^T I(Q) = G + G^T give
-    Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.
+    Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.  With
+    Id - I(Q^{-1}) I(Q)^T = P(xi) (:func:`_coxeter_laplace`) it gives
+    Phi I(Q)^T = I(Q)^T - I(Q)^T I(Q^{-1}) I(Q)^T = I(Q)^T P(xi): Phi acts
+    on the image of I(Q)^T as P(xi) acts on R^m.
 
     The column of arrow i of Q is e_{s_i} - e_{t_i}, so its inner product
     with a column of Q^{-1} is that column's entry at s_i minus its entry

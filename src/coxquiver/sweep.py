@@ -17,18 +17,19 @@ are compared entry by entry with them:
   prefix-product vertex permutation xi;
 * the Coxeter matrix builder Id - I(Q)^T I(Q^{-1}) against Phi G = -G^T,
   whose one solution is -G^T G^{-1};
-* the cycle type of xi against the admissible ones for the corank.
+* the length of the cycle type of xi against those the corank admits.
 
 It collects the distinct unit forms seen.
 Phase 2 runs the form-level checks once per distinct form, through the
 library's realizer and ``form_of_quiver`` (the route of every ``--quiver``
-verb), so a clean sweep vouches for the code that users call.  On a
-quiver that realizes the form, the Coxeter matrix builder of phase 1 gives
-the form's Coxeter matrix, and one walk of its powers checks the factored
-polynomial by traces and the Coxeter-number laws
-(``coxeter_matrix_violations``); the polynomial round trip and the spectral
-multiplicities depend on the cycle type and corank alone and are checked
-once per such class, on the expansion of its factored polynomial.
+verb), so a clean sweep vouches for the code that users call.  Per form:
+the realization round trip, and on the realized quiver the two identities
+of phase 1 that tie the inverse arrows to G and to xi, which prove the
+form's factored polynomial and Coxeter-number laws.  Per (cycle type,
+corank) class and work unit: one walk of the powers of a realized form's
+Coxeter matrix checks both numerically (``coxeter_matrix_violations``),
+and the polynomial round trip and the spectral multiplicities are checked
+on the expansion of the factored polynomial.
 
 An exception raised while one quiver or one form is checked is recorded as
 a failure of the check that was running, labelled with that quiver or
@@ -57,7 +58,7 @@ from .linalg import (
     permutation_matrix,
     psd_rank,
 )
-from .partitions import Partition, cycle_type_of_permutation, part1c
+from .partitions import Partition, admissible_lengths, cycle_type_of_permutation
 from .quiver import (
     Quiver,
     _coxeter_laplace,
@@ -228,8 +229,67 @@ class _Prefixes:
         self.laplace[j] = tuple(rows)
 
 
+def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
+                             xi_matrix: IntMatrix) -> list[str]:
+    """What the quiver Q with ``arrows`` on the vertices 1..m and the
+    ``inverse_arrows`` break of I(Q^-1) G = I(Q), for the G with columns
+    ``gram_cols``, and of Id - I(Q^-1) I(Q)^T = P(xi), for the permutation
+    matrix ``xi_matrix``: a list of problems, empty when both hold.
+
+    Proof that, for a connected Q with I(Q)^T I(Q) = G + G^T, the two give
+    the invariants of the form f with triangular Gram matrix G.  Write
+    A = I(Q), B = I(Q^-1), P = P(xi), c = n - m + 1 and L = lcm pi for the
+    cycle type pi of xi, of length l.
+
+    * G is upper unitriangular, so B = A G^-1 is the one solution of the
+      first identity, and Phi_f = -G^T G^-1 = Id - (G + G^T) G^-1
+      = Id - A^T B.  The second gives B A^T = Id - P, so
+      Phi_f A^T = A^T - A^T B A^T = A^T P.
+    * G is unimodular, so im B = im A, the vectors with sum 0: Q^-1 is
+      connected, and ker A^T, ker B^T are the constants.
+    * The polynomial.  Phi_f keeps W = im A^T, of dimension m - 1, and acts
+      there as P acts on R^m modulo the constants.  Phi_f - Id = -A^T B maps
+      into W, so Phi_f is the identity on R^n / W, of dimension c.  Hence
+      char Phi_f = (v - 1)^c prod_a (v^{pi_a} - 1) / (v - 1).
+    * The Coxeter-number laws.  By induction Phi_f^k = Id - A^T S_k B with
+      S_k = Id + P + ... + P^{k-1}.  P^L = Id, so S_L (Id - P) = 0, and
+      N = Phi_f^L - Id has N^2 = A^T S_L (Id - P) S_L B = 0.  The roots of the
+      polynomial are roots of unity of the orders dividing the parts, a
+      primitive one of order pi_a among them for every pi_a > 1, so
+      Id - Phi_f^k is nilpotent exactly when L divides k: the minimal
+      nilpotency index is L, and Phi_f^{jL} = Id + jN.  On a xi-cycle S_L
+      is a positive multiple of the sum over that cycle, so N = 0 exactly
+      when every inverse arrow joins two vertices of one xi-cycle, which
+      for a connected Q^-1 means l = 1.  So Phi_f^k = Id for some k >= 1
+      exactly when l = 1, first at k = pi_1.
+    """
+    # G is upper unitriangular, so X G = I(Q) has the one solution
+    # X = I(Q) G^-1: the inverse arrows solve it exactly when they are
+    # those of the paper's I(Q^-1) = I(Q) G^-1.  Column j of I(Q^-1) G
+    # is the sum over l <= j of G_lj (e_s'l - e_t'l).
+    # The guard fails a list that is not n arrows on the vertices 1..m,
+    # as a list comparison would, and keeps a vertex 0 or -1 from
+    # indexing y without an error.
+    vertices = range(1, m + 1)
+    solved = len(inverse_arrows) == len(arrows) and all(
+        s2 in vertices and t2 in vertices for s2, t2 in inverse_arrows)
+    for (s, t), col in zip(arrows, gram_cols if solved else ()):
+        y = [0] * (m + 1)
+        y[s], y[t] = -1, 1
+        for (s2, t2), g in zip(inverse_arrows, col):
+            y[s2] += g
+            y[t2] -= g
+        solved = solved and not any(y)
+    problems = [] if solved else ["I(Q^-1) G != I(Q)"]
+    # Coxeter-Laplace matrix Id - I(Q^-1) I^T against the permutation
+    # matrix of the vertex permutation
+    if _coxeter_laplace(m, arrows, inverse_arrows) != xi_matrix:
+        problems.append("Coxeter-Laplace matrix != walk permutation matrix")
+    return problems
+
+
 def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
-                  admissible: frozenset, memo: dict) -> tuple | None:
+                  admissible: tuple[int, ...], memo: dict) -> tuple | None:
     """All matrix identities for one connected quiver, each library route
     against the independent route in ``prefixes``.  Returns the pair
     (triangular Gram, cycle type parts), or None when a route raised; the
@@ -266,32 +326,12 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         check = "matrix_identities"
         images, inverse_arrows = _prefix_products(q)
         xi = tuple(images[1:])
-        # G is upper unitriangular, so X G = I(Q) has the one solution
-        # X = I(Q) G^-1: the inverse arrows solve it exactly when they are
-        # those of the paper's I(Q^-1) = I(Q) G^-1.  Column j of I(Q^-1) G
-        # is the sum over l <= j of G_lj (e_s'l - e_t'l).
-        # The guard fails a list that is not n arrows on the vertices 1..m,
-        # as a list comparison would, and keeps a vertex 0 or -1 from
-        # indexing y without an error.
-        vertices = range(1, m + 1)
-        solved = len(inverse_arrows) == n and all(
-            s2 in vertices and t2 in vertices for s2, t2 in inverse_arrows)
-        for (s, t), col in zip(q.arrows, prefixes.gram_cols if solved else ()):
-            y = [0] * (m + 1)
-            y[s], y[t] = -1, 1
-            for (s2, t2), g in zip(inverse_arrows, col):
-                y[s2] += g
-                y[t2] -= g
-            solved = solved and not any(y)
-        if not solved:
-            rec(check, f"{label()}: I(Q^-1) G != I(Q)")
         if xi not in memo:
             memo[xi] = permutation_matrix(xi), cycle_type_of_permutation(xi)
         xi_matrix, ct = memo[xi]
-        # Coxeter-Laplace matrix Id - I(Q^-1) I^T against the permutation
-        # matrix of the vertex permutation
-        if _coxeter_laplace(m, q.arrows, inverse_arrows) != xi_matrix:
-            rec(check, f"{label()}: Coxeter-Laplace matrix != walk permutation matrix")
+        for problem in _inverse_and_xi_problems(
+                m, q.arrows, inverse_arrows, prefixes.gram_cols, xi_matrix):
+            rec(check, f"{label()}: {problem}")
         # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T, whose one
         # solution is -G^T G^-1
         phi = _coxeter_matrix(q.arrows, inverse_arrows)
@@ -300,7 +340,7 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
             rec(check, f"{label()}: the two Coxeter matrix formulas disagree")
 
         check = "cycle_type_membership"
-        if ct not in admissible:
+        if ct.length not in admissible:
             rec(check, f"{label()}: {ct} not admissible for corank {n - m + 1}")
         return gram_tri, ct.parts
     except Exception as exc:  # one quiver's fault must not end the sweep
@@ -332,7 +372,9 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     m, n, pair_index, seed = args
     report = SweepReport(m, n)
     rec = report.record
-    admissible = frozenset(part1c(n - m + 1, m))
+    # xi permutes m vertices, so its cycle type is a partition of m, and it
+    # is admissible exactly when its length is
+    admissible = admissible_lengths(n - m + 1, m)
     first_pair = None if pair_index < 0 else ordered_pairs(m)[pair_index]
     rng = None
     if seed is not None:
@@ -390,36 +432,39 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
             q = realize(form).quiver
         except (ValueError, InvariantViolation) as exc:
             rec("realization_roundtrip", f"{label()}: realization failed: {exc}")
-        else:
-            report.realized_count += 1
-            if form_of_quiver(q) != form:
-                rec("realization_roundtrip",
-                    f"{label()}: realization changed the Gram matrix")
-            else:
-                images, inverse_arrows = _prefix_products(q)
-                if cycle_type_of_permutation(tuple(images[1:])).parts != ct_parts:
-                    rec("realization_roundtrip",
-                        f"{label()}: realization changed the cycle type")
-                # q realizes the form, so Id - I(Q)^T I(Q^-1) is the form's
-                # Coxeter matrix -G^T G^-1 (proof in quiver._coxeter_matrix);
-                # one walk of its powers checks the factored polynomial from
-                # the cycle type and the Coxeter-number laws
-                check = "polynomial_factorization"
-                polynomial, laws = coxeter_matrix_violations(
-                    _coxeter_matrix(q.arrows, inverse_arrows), poly)
-                for problem in polynomial:
-                    rec("polynomial_factorization", f"{label()}: {problem}")
-                for problem in laws:
-                    rec("coxeter_numbers", f"{label()}: {problem}")
+            return
+        report.realized_count += 1
+        if form_of_quiver(q) != form:
+            rec("realization_roundtrip",
+                f"{label()}: realization changed the Gram matrix")
+            return
+        images, inverse_arrows = _prefix_products(q)
+        xi = tuple(images[1:])
+        if cycle_type_of_permutation(xi).parts != ct_parts:
+            rec("realization_roundtrip",
+                f"{label()}: realization changed the cycle type")
+        # q realizes the form, so the two identities prove its factored
+        # polynomial and Coxeter-number laws (proof in
+        # _inverse_and_xi_problems); column j of G is blob[j::n]
+        check = "polynomial_factorization"
+        gram_cols = [tuple([x - 2 for x in blob[j::n]]) for j in range(n)]
+        for problem in _inverse_and_xi_problems(
+                q.m, q.arrows, inverse_arrows, gram_cols, permutation_matrix(xi)):
+            rec(check, f"{label()}: {problem}")
 
-        # the polynomial -> cycle type round trip and the spectral
-        # multiplicities by exact division depend on the class (ct, c) alone:
-        # (check, problem) pairs from its expansion, memoized per class
+        # what depends on the class (ct, c) alone, as (check, problem) pairs
+        # memoized per class, from its first form realized with its G: the
+        # walk of the powers of that form's Coxeter matrix, a numeric check
+        # of the proof, then the polynomial -> cycle type round trip and the
+        # spectral multiplicities by exact division, from the expansion
         key = (ct_parts, c)
         if key not in class_memo:
+            polynomial, laws = coxeter_matrix_violations(
+                _coxeter_matrix(q.arrows, inverse_arrows), poly)
+            problems = [(check, problem) for problem in polynomial]
+            problems += [("coxeter_numbers", problem) for problem in laws]
             check = "polynomial_roundtrip"
             dense = poly.expand()
-            problems: list[tuple[str, str]] = []
             try:
                 recovered = cycle_type_from_cox_poly(dense, c)
             except ValueError as exc:

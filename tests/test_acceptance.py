@@ -102,12 +102,18 @@ def test_criterion_3_matrix_identities(sweep_report):
 
 
 def test_criterion_4_polynomial_factorization(sweep_report):
+    """Per form, the realized quiver satisfies I(Q^-1) G = I(Q) and
+    Id - I(Q^-1) I(Q)^T = P(xi), which prove the factored polynomial of
+    that form; per (cycle type, corank) class, the traces of one walk of
+    the powers of the Coxeter matrix confirm it.  Every cycle type of
+    phase 1 has a length its corank admits."""
     report, _ = sweep_report
     failures = (report.failure_counts["polynomial_factorization"]
                 + report.failure_counts["cycle_type_membership"])
     ok = failures == 0 and report.form_count == EXPECTED_FORMS
-    _report(4, "factored Coxeter polynomials match the characteristic "
-               "polynomial route and cycle types are admissible",
+    _report(4, "each form's inverse-arrow identities prove its factored "
+               "Coxeter polynomial, one walk per class confirms it by traces, "
+               "and cycle types have admissible lengths",
             ok, f"{report.form_count} forms, {failures} failures")
 
 
@@ -134,11 +140,16 @@ def test_criterion_5_surjectivity():
 
 
 def test_criterion_6_coxeter_numbers(sweep_report):
+    """The per-form identities of criterion 4 prove the Coxeter-number laws
+    of each form; per (cycle type, corank) class, one walk of the powers of
+    the Coxeter matrix checks them numerically, and its failures count
+    here."""
     report, _ = sweep_report
     failures = report.failure_counts["coxeter_numbers"]
     ok = failures == 0
-    _report(6, "minimal nilpotency index equals lcm(ct) and matrix powers "
-               "reach the identity exactly for one-part cycle types",
+    _report(6, "one walk per class finds the minimal nilpotency index "
+               "lcm(ct) and powers reaching the identity exactly for "
+               "one-part cycle types, as each form's identities prove",
             ok, f"{failures} failures")
 
 

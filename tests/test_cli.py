@@ -13,7 +13,11 @@ import pytest
 from coxquiver import cli
 from coxquiver.cli import main
 from coxquiver.errors import InvariantViolation
+from coxquiver.linalg import char_poly
 from coxquiver.sweep import CHECKS
+from coxquiver.unitform import UnitForm, corank, is_non_negative
+
+from dense import dense_coxeter_matrix
 
 KRONECKER_QUIVER = {"vertices": 2, "arrows": [[1, 2], [1, 2]]}
 A3_FORM = {"n": 2, "upper": [[1, 2, -1]]}
@@ -204,6 +208,30 @@ def test_from_poly_rejects_a_long_power_of_v_minus_one_quickly(capsys):
     assert code == 1
     assert out == ""
     assert "its cycle type has length 401, and c - (l - 1) = -400" in err
+
+
+# non-negative of corank 1 and rank 4, and not of Dynkin type A
+D4_CORANK_1_FORM = {"n": 5, "upper": [
+    [1, 2, -1], [1, 3, -1], [1, 4, -1], [1, 5, -1], [2, 3, -1], [2, 5, 1],
+    [3, 4, 1], [4, 5, 1]]}
+
+
+def test_from_poly_answers_under_the_type_a_premise_only(capsys, tmp_path):
+    """A form of another Dynkin type can share the Coxeter polynomial and
+    the corank of a type-A class; ``from-poly`` then names that class."""
+    form = UnitForm.from_json(D4_CORANK_1_FORM)
+    assert is_non_negative(form) and corank(form) == 1
+    path = tmp_path / "d4_corank_1.json"
+    path.write_text(json.dumps(D4_CORANK_1_FORM), encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariants", "--form", str(path))
+    assert code == 1 and out == ""
+    assert "not Dynkin type A" in err
+    # (v^4 - 1)(v - 1), the polynomial of the type-A class ((4, 1), c = 1)
+    assert char_poly(dense_coxeter_matrix(form)) == (1, -1, 0, 0, -1, 1)
+    code, out, _ = run_cli(capsys, "from-poly", "--poly", "1,-1,0,0,-1,1",
+                           "--c", "1")
+    assert code == 0
+    assert json.loads(out) == [4, 1]
 
 
 # ---------------------------------------------------------------------------

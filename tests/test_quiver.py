@@ -19,6 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxquiver.invariants import (
+    coxeter_matrix_violations,
+    coxeter_polynomial_of_cycle_type,
+    cycle_type_and_corank,
+)
 from coxquiver.linalg import (
     identity,
     mat_mul,
@@ -31,6 +36,7 @@ from coxquiver.partitions import Partition, cycle_type_of_permutation, part1c
 from coxquiver.quiver import (
     Quiver,
     _coxeter_laplace,
+    _coxeter_matrix,
     _prefix_products,
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
@@ -45,8 +51,8 @@ from coxquiver.quiver import (
     triangular_gram,
     vertex_permutation,
 )
-from coxquiver.sweep import _phase1_units
-from coxquiver.unitform import UnitForm
+from coxquiver.sweep import _inverse_and_xi_problems, _phase1_units
+from coxquiver.unitform import UnitForm, form_of_quiver
 
 from dense import (
     coxeter_from_gram,
@@ -426,11 +432,12 @@ def test_inverse_gram_is_inverse():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def quivers_in_any_order(draw):
-    """(quiver, connected): up to 40 vertices and 3m arrows in random order.
-    A connected quiver contains a random spanning tree; a disconnected one
-    keeps its arrows inside the two parts of a random vertex split."""
-    m = draw(st.integers(min_value=2, max_value=40))
+def quivers_in_any_order(draw, max_vertices=40):
+    """(quiver, connected): up to ``max_vertices`` vertices and 3m arrows in
+    random order.  A connected quiver contains a random spanning tree; a
+    disconnected one keeps its arrows inside the two parts of a random
+    vertex split."""
+    m = draw(st.integers(min_value=2, max_value=max_vertices))
     connected = draw(st.booleans())
     rng = draw(st.randoms(use_true_random=False))
     vertices = list(range(1, m + 1))
@@ -470,6 +477,14 @@ def test_transposition_products_match_the_walk_oracle(case):
             identity(q.n), mat_mul(transpose(inc), inc_inverse))
         assert coxeter_laplace(q) == mat_sub(
             identity(q.m), mat_mul(inc_inverse, transpose(inc)))
+        # Gram inversion: Q^-1 inverts xi, is an involution, and its form
+        # has the cycle type and corank of the form of Q
+        inverse = inverse_quiver(q)
+        xi_inverse = vertex_permutation(inverse)
+        assert all(xi_inverse[xi[v] - 1] == v + 1 for v in range(q.m))
+        assert inverse_quiver(inverse) == q
+        assert cycle_type_and_corank(form_of_quiver(inverse)) == \
+            cycle_type_and_corank(form_of_quiver(q))
     else:
         with pytest.raises(ValueError, match="connected"):
             inverse_quiver(q)
@@ -479,6 +494,25 @@ def test_transposition_products_match_the_walk_oracle(case):
     # the inverse quiver's permutation tau_n o ... o tau_1 is xi^-1
     xi_of_inverse = per_component_xi(Quiver(q.m, expected))
     assert all(xi_of_inverse[xi[v] - 1] == v + 1 for v in range(q.m))
+
+
+@given(quivers_in_any_order(max_vertices=12).filter(lambda case: case[1]))
+@settings(max_examples=150, deadline=None)
+def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case):
+    """Beyond the sweep's range, arrows in any order: the two identities
+    that prove the polynomial and the Coxeter-number laws hold on the
+    quiver's own G, and the walk of the powers of its Coxeter matrix finds
+    the polynomial and the laws that the proof gives."""
+    q, _ = case
+    images, inverse_arrows = _prefix_products(q)
+    xi = tuple(images[1:])
+    gram_cols = tuple(zip(*triangular_gram(q)))
+    assert _inverse_and_xi_problems(
+        q.m, q.arrows, inverse_arrows, gram_cols, permutation_matrix(xi)) == []
+    poly = coxeter_polynomial_of_cycle_type(
+        cycle_type_of_permutation(xi), q.n - q.m + 1)
+    assert coxeter_matrix_violations(
+        _coxeter_matrix(q.arrows, inverse_arrows), poly) == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 checks that record a failure when they are fed a wrong answer."""
 
 import json
+from math import isqrt
 
 import pytest
 
@@ -156,6 +157,19 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert all(s.startswith("m=") for s in report.failure_samples[check])
 
 
+def test_a_cycle_type_of_the_wrong_length_fails_membership_on_every_quiver(monkeypatch):
+    # one more part 1 flips the parity of the length, which the corank then
+    # does not admit
+    route = sweep.cycle_type_of_permutation
+    monkeypatch.setattr(sweep, "cycle_type_of_permutation",
+                        lambda p: Partition(route(p).parts + (1,)))
+    report = _phase1_report(3, 4)
+    assert report.failure_counts["cycle_type_membership"] == report.quiver_count > 0
+    assert report.total_failures == report.quiver_count
+    assert all(s.startswith("m=") and " not admissible for corank " in s
+               for s in report.failure_samples["cycle_type_membership"])
+
+
 A3_ARROWS = ((1, 2), (2, 3))  # its inverse arrows are (1, 2) and (1, 3)
 INVERSE_IDENTITY_FAILURE = f"m=3 arrows={A3_ARROWS}: I(Q^-1) G != I(Q)"
 
@@ -266,6 +280,15 @@ PHASE2_CORRUPTIONS = {
         "spectral_multiplicity_of_cycle_type",
         lambda route: lambda ct, c, d: route(ct, c, d) + 1,
         {"spectral_multiplicities"}),
+    "inverse arrows of the realized quiver": (
+        "_prefix_products",
+        lambda route: lambda q: _reverse_last_inverse_arrow(route(q)),
+        {"polynomial_factorization"}),
+    "Coxeter-Laplace of the realized quiver": (
+        "_coxeter_laplace",
+        lambda route: lambda m, arrows, inverse: _bump_corner(
+            route(m, arrows, inverse)),
+        {"polynomial_factorization"}),
 }
 
 
@@ -295,6 +318,56 @@ def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert expected <= fired, (route, item, report.failure_counts)
         for check in fired:
             assert all(s.startswith("n=") for s in report.failure_samples[check])
+
+
+def _class_of(item):
+    blob, ct_parts = item
+    return ct_parts, isqrt(len(blob)) - sum(ct_parts) + 1
+
+
+def test_phase2_walks_the_powers_once_per_class(monkeypatch):
+    items = _phase2_items(3, 4)
+    calls = []
+    route = sweep.coxeter_matrix_violations
+
+    def counted(phi, poly):
+        calls.append(poly)
+        return route(phi, poly)
+
+    monkeypatch.setattr(sweep, "coxeter_matrix_violations", counted)
+    report = _phase2_worker((3, 4, items))
+    assert report.ok(), report.failure_counts
+    classes = {_class_of(item) for item in items}
+    assert len(calls) == len(classes) < len(items)
+
+
+def test_a_fault_in_one_form_after_the_first_of_its_class_is_its_own(monkeypatch):
+    """The per-form identities see a fault in the inverse arrows of a form
+    whose class an earlier form has walked already, and record it for that
+    form alone."""
+    items = _phase2_items(3, 4)
+    seen = set()
+    for blob, ct_parts in items:
+        if _class_of((blob, ct_parts)) in seen:
+            break
+        seen.add(_class_of((blob, ct_parts)))
+    route = sweep._prefix_products
+
+    def faulty(q):
+        products = route(q)
+        if _encode_gram(triangular_gram(q)) == blob:
+            return _reverse_last_inverse_arrow(products)
+        return products
+
+    monkeypatch.setattr(sweep, "_prefix_products", faulty)
+    report = _phase2_worker((3, 4, items))
+    samples = report.failure_samples["polynomial_factorization"]
+    assert report.total_failures == len(samples) > 0, report.failure_counts
+    n = isqrt(len(blob))
+    gram = tuple(tuple(x - 2 for x in blob[i:i + n]) for i in range(0, n * n, n))
+    label = f"n={n} c={_class_of((blob, ct_parts))[1]} gram={gram}"
+    assert f"{label}: I(Q^-1) G != I(Q)" in samples
+    assert all(s.startswith(f"{label}: ") for s in samples), samples
 
 
 def test_phase2_round_trip_reads_the_cycle_type_of_an_extra_isolated_vertex(monkeypatch):
@@ -336,20 +409,19 @@ FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))
 
 
 def _raise_on_one_quiver(route):
-    def wrapped(m, arrows, inverse_arrows):
-        if arrows == FAULTY_ARROWS:
+    def wrapped(q):
+        if q.arrows == FAULTY_ARROWS:
             raise RuntimeError("injected fault")
-        return route(m, arrows, inverse_arrows)
+        return route(q)
     return wrapped
 
 
 def test_a_route_that_raises_on_one_quiver_is_recorded_not_fatal(monkeypatch, capsys):
     clean = run_sweep(3, 4, seed=5)
-    # the Coxeter-Laplace builder runs in phase 1 alone; phase 2 realizes a
-    # form of (3, 4) as the quiver FAULTY_ARROWS and builds its Coxeter
-    # matrix, so a fault there would count twice
-    monkeypatch.setattr(sweep, "_coxeter_laplace",
-                        _raise_on_one_quiver(sweep._coxeter_laplace))
+    # ``laplace`` runs in phase 1 alone; phase 2 realizes a form of (3, 4) as
+    # the quiver FAULTY_ARROWS and runs the inverse-arrow identities on it,
+    # so a fault in their builders would count twice
+    monkeypatch.setattr(sweep, "laplace", _raise_on_one_quiver(sweep.laplace))
     faulty = run_sweep(3, 4, seed=5)
     assert faulty.quiver_count == clean.quiver_count
     assert faulty.failure_samples["matrix_identities"] == [

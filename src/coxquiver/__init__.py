@@ -29,10 +29,8 @@ from .quiver import (
     coxeter_matrix_of_quiver,
     cycle_type_of_quiver,
     inverse_quiver,
-    laplace,
     opposite,
     relabel_vertices,
-    triangular_gram,
     vertex_permutation,
 )
 # realize() itself stays in its module to avoid shadowing the submodule name

@@ -18,7 +18,7 @@ from .linalg import (
     mat_mul,
     mat_sub,
 )
-from .partitions import FactoredCoxPoly, Partition, part1c
+from .partitions import FactoredCoxPoly, Partition, admits_length, part1c
 from .quiver import cycle_type_of_quiver
 from .realize import realize_quiver
 from .unitform import UnitForm
@@ -117,8 +117,9 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
 
     Raises ValueError when the polynomial is not of the admissible shape,
     when the recovered cycle type has a length l that corank c does not
-    admit, or when it is (1), the cycle type of a single vertex, which has
-    no arrow and so realizes no unit form.
+    admit (:func:`partitions.admits_length`), or when it is (1), the cycle
+    type of a single vertex, which has no arrow and so realizes no unit
+    form.
     """
     if c < 0:
         raise ValueError("corank must be nonnegative")
@@ -157,14 +158,11 @@ def cycle_type_from_cox_poly(p: IntPoly, c: int) -> Partition:
             f"not a type-A Coxeter polynomial for corank {c}: no admissible "
             "factorization"
         )
-    # the rule of part1c: a cycle type of length l occurs at corank c
-    # exactly when c - (l - 1) is even and non-negative
-    excess = c - (len(parts) - 1)
-    if excess < 0 or excess % 2:
+    if not admits_length(c, len(parts)):
         raise ValueError(
             f"not a type-A Coxeter polynomial for corank {c}: its cycle type "
-            f"has length {len(parts)}, and c - (l - 1) = {excess} is not even "
-            "and non-negative"
+            f"has length {len(parts)}, and c - (l - 1) = {c - len(parts) + 1} "
+            "is not even and non-negative"
         )
     if parts == [1]:
         raise ValueError(

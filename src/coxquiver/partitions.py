@@ -150,22 +150,23 @@ def partitions_by_length(m: int, l: int) -> tuple[Partition, ...]:
             rest -= parts[j]
 
 
+def admits_length(c: int, l: int) -> bool:
+    """Whether corank c admits a cycle type of length l: c - (l - 1) is even
+    and non-negative."""
+    excess = c - (l - 1)
+    return excess >= 0 and excess % 2 == 0
+
+
 def admissible_lengths(c: int, m: int) -> tuple[int, ...]:
-    """Lengths l >= 1 with 0 <= c - (l - 1) even, capped at m, descending."""
+    """Lengths 1 <= l <= m that corank c admits, descending."""
     if m < 1 or c < 0:
         raise ValueError("admissible_lengths requires m >= 1 and c >= 0")
-    lengths = []
-    l = c + 1
-    while l >= 1:
-        if l <= m:
-            lengths.append(l)
-        l -= 2
-    return tuple(lengths)
+    return tuple([l for l in range(min(c + 1, m), 0, -1) if admits_length(c, l)])
 
 
 def part1c(c: int, m: int) -> tuple[Partition, ...]:
-    """Partitions of m whose number of parts l satisfies
-    0 <= c - (l - 1) = 0 mod 2, ordered lexicographically descending."""
+    """Partitions of m of a length that corank c admits, ordered
+    lexicographically descending."""
     out: list[Partition] = []
     for l in admissible_lengths(c, m):
         out.extend(partitions_by_length(m, l))

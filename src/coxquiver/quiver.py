@@ -104,46 +104,6 @@ def is_connected(q: Quiver) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrices attached to a quiver
-# ---------------------------------------------------------------------------
-
-def _column_dot(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Inner product of incidence columns given as endpoint pairs."""
-    return (
-        (a[0] == b[0]) + (a[1] == b[1]) - (a[0] == b[1]) - (a[1] == b[0])
-    )
-
-
-def triangular_gram(q: Quiver) -> IntMatrix:
-    """The unique upper triangular G with G + G^T = I(Q)^T I(Q).
-
-    Unit diagonal because the quiver has no loops.
-    """
-    n = q.n
-    arrows = q.arrows
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        ai = arrows[i]
-        for j in range(i + 1, n):
-            row[j] = _column_dot(ai, arrows[j])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def laplace(q: Quiver) -> IntMatrix:
-    """Degree matrix minus symmetric adjacency of the underlying graph."""
-    rows = [[0] * q.m for _ in range(q.m)]
-    for s, t in q.arrows:
-        rows[s - 1][s - 1] += 1
-        rows[t - 1][t - 1] += 1
-        rows[s - 1][t - 1] -= 1
-        rows[t - 1][s - 1] -= 1
-    return tuple(tuple(row) for row in rows)
-
-
-# ---------------------------------------------------------------------------
 # the vertex permutation and the inverse quiver
 # ---------------------------------------------------------------------------
 

@@ -2,34 +2,39 @@
 
 Phase 1 walks every connected loop-less quiver in range once, depth first
 over sorted arrow multisets (``quiver.iter_connected_quivers``).  Along the
-walk it keeps, per arrow prefix, independent routes to the matrices of the
-paper's identities: the columns of G, from sparse products with the
-incidence columns, and the Laplace matrix I I^T as a sum of rank-one terms.
-Quivers next to each other in the walk share these entries below the first
-arrow that changed.  On every quiver the library routes users call run and
-are compared entry by entry with them:
+walk it keeps, per arrow prefix, the columns of the triangular Gram matrix
+G, from sparse products with the incidence columns, and the Laplace matrix
+I I^T as a sum of rank-one terms.  Quivers next to each other in the walk
+share these entries below the first arrow that changed.  This G keys the
+distinct unit forms it collects, and on every quiver the library routes
+are checked against these matrices:
 
-* ``triangular_gram`` against the G of I(Q)^T I(Q) = G + G^T;
-* ``laplace`` against I I^T, then its kernel and rank;
-* the prefix-product inverse arrows against I(Q^{-1}) G = I(Q), whose one
+* the Laplace matrix by its kernel and its rank;
+* the prefix-product inverse arrows by I(Q^{-1}) G = I(Q), whose one
   solution is I(Q) G^{-1};
 * the Coxeter-Laplace builder against the permutation matrix of the
   prefix-product vertex permutation xi;
-* the Coxeter matrix builder Id - I(Q)^T I(Q^{-1}) against Phi G = -G^T,
-  whose one solution is -G^T G^{-1};
+* the Coxeter matrix builder Phi = Id - I(Q)^T I(Q^{-1}), which reads the
+  arrows alone, by Phi G = -G^T, whose one solution is -G^T G^{-1};
 * the length of the cycle type of xi against those the corank admits.
 
-It collects the distinct unit forms seen.
+The inverse-arrow identity and Phi G = -G^T together check G itself: with
+I(Q^{-1}) G = I(Q), Phi G = G - I(Q)^T I(Q^{-1}) G = G - I(Q)^T I(Q), so
+Phi G = -G^T says G + G^T = I(Q)^T I(Q), which one upper triangular G
+solves.
+
 Phase 2 runs the form-level checks once per distinct form, through the
 library's realizer and ``form_of_quiver`` (the route of every ``--quiver``
 verb), so a clean sweep vouches for the code that users call.  Per form:
-the realization round trip, and on the realized quiver the two identities
-of phase 1 that tie the inverse arrows to G and to xi, which prove the
-form's factored polynomial and Coxeter-number laws.  Per (cycle type,
-corank) class and work unit: one walk of the powers of a realized form's
-Coxeter matrix checks both numerically (``coxeter_matrix_violations``),
-and the polynomial round trip and the spectral multiplicities are checked
-on the expansion of the factored polynomial.
+the realization round trip, whose ``form_of_quiver`` comparison ties the
+realized quiver to the G phase 1 keyed, and on the realized quiver the
+two identities of phase 1 that tie the inverse arrows to G and to xi,
+which prove the form's factored polynomial and Coxeter-number laws.  Per
+(cycle type, corank) class and work unit: one walk of the powers of a
+realized form's Coxeter matrix checks both numerically
+(``coxeter_matrix_violations``), and the polynomial round trip and the
+spectral multiplicities are checked on the expansion of the factored
+polynomial.
 
 An exception raised while one quiver or one form is checked is recorded as
 a failure of the check that was running, labelled with that quiver or
@@ -58,18 +63,16 @@ from .linalg import (
     permutation_matrix,
     psd_rank,
 )
-from .partitions import Partition, admissible_lengths, cycle_type_of_permutation
+from .partitions import Partition, admits_length, cycle_type_of_permutation
 from .quiver import (
     Quiver,
     _coxeter_laplace,
     _coxeter_matrix,
     _prefix_products,
     iter_connected_quivers,
-    laplace,
     opposite,
     ordered_pairs,
     relabel_vertices,
-    triangular_gram,
     vertex_permutation,
 )
 from .realize import realize
@@ -157,20 +160,12 @@ def _encode_gram(gram_tri) -> bytes:
     return bytes(x + 2 for row in gram_tri for x in row)
 
 
-def _decode_gram(blob: bytes) -> list:
-    """The nonzero strictly upper entries (1-based) of the triangular Gram
-    matrix in ``blob``, as a unit form takes them."""
-    n = isqrt(len(blob))
-    return [(i + 1, j + 1, blob[i * n + j] - 2)
-            for i in range(n) for j in range(i + 1, n) if blob[i * n + j] != 2]
-
-
 # ---------------------------------------------------------------------------
 # phase 1: per-quiver identities
 # ---------------------------------------------------------------------------
 
 class _Prefixes:
-    """The independent routes of phase 1, kept per arrow prefix of the
+    """Phase 1's G and Laplace matrix, kept per arrow prefix of the
     depth-first walk over one (m, n) unit.
 
     For arrow j (from 0) of the current quiver this holds column j of G and
@@ -289,9 +284,9 @@ def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
 
 
 def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
-                  admissible: tuple[int, ...], memo: dict) -> tuple | None:
+                  memo: dict) -> tuple | None:
     """All matrix identities for one connected quiver, each library route
-    against the independent route in ``prefixes``.  Returns the pair
+    against the G and the Laplace matrix in ``prefixes``.  Returns the pair
     (triangular Gram, cycle type parts), or None when a route raised; the
     exception is recorded as a failure of the check that was running.
 
@@ -304,14 +299,8 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
     check = "matrix_identities"
     try:
         prefixes.rebuild(q.arrows, shared)
-        gram_tri = triangular_gram(q)
-        gram = tuple(zip(*prefixes.gram_cols))
-        if gram_tri != gram:
-            rec(check, f"{label()}: I^T I != G + G^T")
-
-        lap = laplace(q)
-        if lap != prefixes.laplace[-1]:
-            rec(check, f"{label()}: I I^T != Laplace matrix")
+        gram_cols = prefixes.gram_cols
+        lap = prefixes.laplace[-1]
         check = "laplace_kernel"
         if lap not in memo:
             problems = []
@@ -330,19 +319,20 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
             memo[xi] = permutation_matrix(xi), cycle_type_of_permutation(xi)
         xi_matrix, ct = memo[xi]
         for problem in _inverse_and_xi_problems(
-                m, q.arrows, inverse_arrows, prefixes.gram_cols, xi_matrix):
+                m, q.arrows, inverse_arrows, gram_cols, xi_matrix):
             rec(check, f"{label()}: {problem}")
         # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T, whose one
         # solution is -G^T G^-1
+        gram = tuple(zip(*gram_cols))
         phi = _coxeter_matrix(q.arrows, inverse_arrows)
         if mat_mul(phi, gram) != tuple(
-                [tuple([-x for x in col]) for col in prefixes.gram_cols]):
+                [tuple([-x for x in col]) for col in gram_cols]):
             rec(check, f"{label()}: the two Coxeter matrix formulas disagree")
 
         check = "cycle_type_membership"
-        if ct.length not in admissible:
+        if not admits_length(n - m + 1, ct.length):
             rec(check, f"{label()}: {ct} not admissible for corank {n - m + 1}")
-        return gram_tri, ct.parts
+        return gram, ct.parts
     except Exception as exc:  # one quiver's fault must not end the sweep
         rec(check, f"{label()}: raised {exc!r}")
         return None
@@ -351,17 +341,18 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
 def _check_congruence(rec, q: Quiver, rng) -> None:
     """Cycle type invariance under vertex relabeling and orientation flip."""
     label = f"m={q.m} arrows={q.arrows}"
+    form = form_of_quiver(q)
     ct = cycle_type_of_permutation(vertex_permutation(q))
     rho = list(range(1, q.m + 1))
     rng.shuffle(rho)
     relabeled = relabel_vertices(q, tuple(rho))
-    if triangular_gram(relabeled) != triangular_gram(q):
+    if form_of_quiver(relabeled) != form:
         rec("congruence_invariance",
             f"{label}: relabeling changed the triangular Gram matrix")
     if cycle_type_of_permutation(vertex_permutation(relabeled)) != ct:
         rec("congruence_invariance", f"{label}: relabeling changed the cycle type")
     flipped = opposite(q)
-    if triangular_gram(flipped) != triangular_gram(q):
+    if form_of_quiver(flipped) != form:
         rec("congruence_invariance",
             f"{label}: opposite quiver changed the triangular Gram matrix")
     if cycle_type_of_permutation(vertex_permutation(flipped)) != ct:
@@ -372,9 +363,6 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     m, n, pair_index, seed = args
     report = SweepReport(m, n)
     rec = report.record
-    # xi permutes m vertices, so its cycle type is a partition of m, and it
-    # is admissible exactly when its length is
-    admissible = admissible_lengths(n - m + 1, m)
     first_pair = None if pair_index < 0 else ordered_pairs(m)[pair_index]
     rng = None
     if seed is not None:
@@ -387,7 +375,7 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
     forms: dict[bytes, tuple[int, ...]] = {}
     for shared, q in iter_connected_quivers(m, n, first_pair):
         report.quiver_count += 1
-        checked = _check_quiver(q, shared, prefixes, rec, admissible, memo)
+        checked = _check_quiver(q, shared, prefixes, rec, memo)
         if checked is None:
             continue
         gram_tri, ct_parts = checked
@@ -414,20 +402,18 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                 class_memo: dict) -> None:
     rec = report.record
     n = isqrt(len(blob))
-    ct = Partition(ct_parts)
-    c = n - ct.m + 1
+    c = n - sum(ct_parts) + 1
+    # the blob holds G row by row, 2 added to each entry
+    values = [x - 2 for x in blob]
+    gram = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
 
     def label() -> str:  # formatted only for a failure
-        values = [x - 2 for x in blob]
-        gram_tri = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
-        return f"n={n} c={c} gram={gram_tri}"
+        return f"n={n} c={c} gram={gram}"
     try:
-        check = "polynomial_factorization"
-        poly = coxeter_polynomial_of_cycle_type(ct, c)
-
         # realization round trip, basis change to the canonical quiver included
         check = "realization_roundtrip"
-        form = UnitForm(n, _decode_gram(blob))
+        form = UnitForm(n, [(i + 1, j + 1, row[j]) for i, row in enumerate(gram)
+                            for j in range(i + 1, n) if row[j]])
         try:
             q = realize(form).quiver
         except (ValueError, InvariantViolation) as exc:
@@ -445,20 +431,23 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
                 f"{label()}: realization changed the cycle type")
         # q realizes the form, so the two identities prove its factored
         # polynomial and Coxeter-number laws (proof in
-        # _inverse_and_xi_problems); column j of G is blob[j::n]
+        # _inverse_and_xi_problems)
         check = "polynomial_factorization"
-        gram_cols = [tuple([x - 2 for x in blob[j::n]]) for j in range(n)]
         for problem in _inverse_and_xi_problems(
-                q.m, q.arrows, inverse_arrows, gram_cols, permutation_matrix(xi)):
+                q.m, q.arrows, inverse_arrows, tuple(zip(*gram)),
+                permutation_matrix(xi)):
             rec(check, f"{label()}: {problem}")
 
         # what depends on the class (ct, c) alone, as (check, problem) pairs
         # memoized per class, from its first form realized with its G: the
-        # walk of the powers of that form's Coxeter matrix, a numeric check
-        # of the proof, then the polynomial -> cycle type round trip and the
-        # spectral multiplicities by exact division, from the expansion
+        # factored polynomial, the walk of the powers of that form's Coxeter
+        # matrix, a numeric check of the proof, then the polynomial -> cycle
+        # type round trip and the spectral multiplicities by exact division,
+        # from the expansion
         key = (ct_parts, c)
         if key not in class_memo:
+            ct = Partition(ct_parts)
+            poly = coxeter_polynomial_of_cycle_type(ct, c)
             polynomial, laws = coxeter_matrix_violations(
                 _coxeter_matrix(q.arrows, inverse_arrows), poly)
             problems = [(check, problem) for problem in polynomial]

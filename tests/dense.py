@@ -7,7 +7,7 @@ the arrows of a quiver and its inverse, and the Coxeter matrix of any unit
 form, connected or not, that the tests need."""
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from coxquiver.partitions import Partition
 from coxquiver.quiver import spanning_tree
@@ -36,6 +36,20 @@ def incidence_matrix(q):
     for i, (s, t) in enumerate(q.arrows):
         rows[s - 1][i] = 1
         rows[t - 1][i] = -1
+    return tuple(map(tuple, rows))
+
+
+def gram_from_incidence(q):
+    """The upper triangular G with G + G^T = I(Q)^T I(Q), read off the dense
+    product: its entries above the diagonal, and half its diagonal, 1 for a
+    loop-less quiver.  The oracle for the G that ``form_of_quiver`` and the
+    sweep build from the arrows at each vertex."""
+    columns = tuple(zip(*incidence_matrix(q)))
+    product = [[sum(map(mul, a, b)) for b in columns] for a in columns]
+    rows = [[0] * q.n for _ in range(q.n)]
+    for i, row in enumerate(rows):
+        row[i] = product[i][i] // 2
+        row[i + 1:] = product[i][i + 1:]
     return tuple(map(tuple, rows))
 
 

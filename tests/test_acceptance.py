@@ -97,8 +97,8 @@ def test_criterion_3_matrix_identities(sweep_report):
           and report.quiver_count == EXPECTED_QUIVERS)
     detail = (f"{report.quiver_count} quivers, {failures} failures, "
               f"sweep {elapsed:.1f}s")
-    _report(3, "all four matrix identities, permutation matrices, and "
-               "Laplace kernels hold on the exhaustive sweep", ok, detail)
+    _report(3, "I(Q^-1) G = I(Q), Id - I(Q^-1) I(Q)^T = P(xi), Phi G = -G^T "
+               "and the Laplace kernels hold on the exhaustive sweep", ok, detail)
 
 
 def test_criterion_4_polynomial_factorization(sweep_report):

@@ -187,6 +187,20 @@ def test_from_poly_huge_corank_is_domain_error(capsys):
     assert "(v-1)^999999999 does not divide it" in err
 
 
+def test_from_poly_takes_a_negative_constant_term_after_an_equals_sign(capsys):
+    # argparse reads "-1,1" after "--poly" as an option, so the argument is
+    # missing; "--poly=-1,1" reaches the polynomial, v - 1, whose cycle type
+    # (1) corank 1 does not admit
+    code, out, err = run_cli(capsys, "from-poly", "--poly", "-1,1", "--c", "1")
+    assert (code, out) == (2, "")
+    assert "argument --poly: expected one argument" in err
+    code, out, err = run_cli(capsys, "from-poly", "--poly=-1,1", "--c", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: not a type-A Coxeter polynomial for corank 1: its "
+                   "cycle type has length 1, and c - (l - 1) = 1 is not even "
+                   "and non-negative\n")
+
+
 @pytest.mark.parametrize("poly, c", [("1,-2,1", "2"), ("1,-4,6,-4,1", "4")])
 def test_from_poly_one_vertex_cycle_type_is_domain_error(capsys, poly, c):
     # (v-1)^c at even c recovers the cycle type (1): one vertex, no arrow

@@ -31,7 +31,6 @@ from coxquiver.quiver import (
     Quiver,
     cycle_type_of_quiver,
     iter_connected_quivers,
-    triangular_gram,
 )
 from coxquiver.realize import representative_quiver_A
 from coxquiver.unitform import (
@@ -207,17 +206,17 @@ def test_coxeter_number_violations_against_plain_powers():
     for m in range(2, 5):
         for n in range(m - 1, 6):
             for _, q in iter_connected_quivers(m, n):
-                forms.setdefault(triangular_gram(q), q)
-    for gram, q in forms.items():
-        phi = dense_coxeter_matrix(form_of_quiver(q))
+                forms.setdefault(form_of_quiver(q), q)
+    for form, q in forms.items():
+        phi = dense_coxeter_matrix(form)
         own = cycle_type_of_quiver(q)
         c = q.n - q.m + 1
         assert coxeter_matrix_violations(
-            phi, coxeter_polynomial_of_cycle_type(own, c)) == ([], []), gram
+            phi, coxeter_polynomial_of_cycle_type(own, c)) == ([], []), form
         for length in range(1, q.m + 1):
             for ct in partitions_by_length(q.m, length):
                 assert (laws(phi, ct.parts, c)
-                        == plain_violations(phi, ct.parts)), (gram, ct)
+                        == plain_violations(phi, ct.parts)), (form, ct)
 
 
 def _bump_one_entry(phi, rng):
@@ -239,7 +238,7 @@ def test_polynomial_verdict_of_the_walk_against_char_poly():
     for m in range(2, 4):
         for n in range(m - 1, 6):
             for _, q in iter_connected_quivers(m, n):
-                forms.setdefault(triangular_gram(q), q)
+                forms.setdefault(form_of_quiver(q), q)
     flagged = checked = 0
     for q in forms.values():
         phi = dense_coxeter_matrix(form_of_quiver(q))

@@ -43,20 +43,19 @@ from coxquiver.quiver import (
     inverse_quiver,
     is_connected,
     iter_connected_quivers,
-    laplace,
     opposite,
     ordered_pairs,
     relabel_vertices,
     spanning_tree,
-    triangular_gram,
     vertex_permutation,
 )
-from coxquiver.sweep import _inverse_and_xi_problems, _phase1_units
+from coxquiver.sweep import _Prefixes, _inverse_and_xi_problems, _phase1_units
 from coxquiver.unitform import UnitForm, form_of_quiver
 
 from dense import (
     coxeter_from_gram,
     form_connected,
+    gram_from_incidence,
     incidence_matrix,
     unitriangular_inverse,
 )
@@ -74,6 +73,14 @@ def coxeter_laplace(q):
     """The Coxeter-Laplace matrix of a connected quiver as the sweep builds
     it, from the arrows of q and of its inverse quiver."""
     return _coxeter_laplace(q.m, q.arrows, inverse_quiver(q).arrows)
+
+
+def prefix_matrices(q):
+    """G and the Laplace matrix I I^T of q as sweep phase 1 builds them,
+    one arrow prefix after the other."""
+    prefixes = _Prefixes(q.m, q.n)
+    prefixes.rebuild(q.arrows, 0)
+    return tuple(zip(*prefixes.gram_cols)), prefixes.laplace[-1]
 
 
 def mat_neg(a):
@@ -178,19 +185,21 @@ def test_incidence_reorder_right_multiplies():
 
 
 def test_triangular_gram_examples():
-    assert triangular_gram(Quiver(2, ((1, 2),))) == ((1,),)
-    assert triangular_gram(KRONECKER) == ((1, 2), (0, 1))
-    assert triangular_gram(A3) == ((1, -1), (0, 1))
+    for q, gram in ((Quiver(2, ((1, 2),)), ((1,),)),
+                    (KRONECKER, ((1, 2), (0, 1))),
+                    (A3, ((1, -1), (0, 1)))):
+        assert form_of_quiver(q).gram_upper == gram
+        assert prefix_matrices(q)[0] == gram
 
 
 def test_laplace_examples():
-    assert laplace(Quiver(2, ((1, 2),))) == ((1, -1), (-1, 1))
-    assert laplace(KRONECKER) == ((2, -2), (-2, 2))
+    assert prefix_matrices(Quiver(2, ((1, 2),)))[1] == ((1, -1), (-1, 1))
+    assert prefix_matrices(KRONECKER)[1] == ((2, -2), (-2, 2))
 
 
 def test_laplace_rank_connected():
     for q in (A3, KRONECKER, linear_quiver(5)):
-        assert psd_rank(laplace(q)) == q.m - 1
+        assert psd_rank(prefix_matrices(q)[1]) == q.m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +432,8 @@ def test_inverse_quiver_alternating_pairs():
 
 def test_inverse_gram_is_inverse():
     for q in (A3, KRONECKER, linear_quiver(5)):
-        assert triangular_gram(inverse_quiver(q)) == \
-            unitriangular_inverse(triangular_gram(q))
+        assert form_of_quiver(inverse_quiver(q)).gram_upper == \
+            unitriangular_inverse(form_of_quiver(q).gram_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +515,7 @@ def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case):
     q, _ = case
     images, inverse_arrows = _prefix_products(q)
     xi = tuple(images[1:])
-    gram_cols = tuple(zip(*triangular_gram(q)))
+    gram_cols = tuple(zip(*gram_from_incidence(q)))
     assert _inverse_and_xi_problems(
         q.m, q.arrows, inverse_arrows, gram_cols, permutation_matrix(xi)) == []
     poly = coxeter_polynomial_of_cycle_type(
@@ -550,7 +559,7 @@ def test_coxeter_matrix_of_quiver_is_the_dense_product(case):
     # arrows in any order, as the sweep's phase 2 takes them from the
     # realizer, against -G^T G^-1 with the unitriangular inverse
     q, _ = case
-    g = triangular_gram(q)
+    g = gram_from_incidence(q)
     assert coxeter_matrix_of_quiver(q) == coxeter_from_gram(g, unitriangular_inverse(g))
 
 
@@ -587,7 +596,7 @@ def test_relabel_preserves_gram():
     rho = (3, 1, 2)
     relabeled = relabel_vertices(q, rho)
     assert relabeled == Quiver(3, ((3, 1), (1, 2), (2, 3)))
-    assert triangular_gram(relabeled) == triangular_gram(q)
+    assert form_of_quiver(relabeled) == form_of_quiver(q)
     assert cycle_type_of_quiver(relabeled) == cycle_type_of_quiver(q)
 
 
@@ -601,7 +610,7 @@ def test_opposite():
     assert opposite(Quiver(2, ((1, 2),))) == Quiver(2, ((2, 1),))
     q = Quiver(3, ((1, 2), (3, 2)))
     assert opposite(opposite(q)) == q
-    assert triangular_gram(opposite(q)) == triangular_gram(q)
+    assert form_of_quiver(opposite(q)) == form_of_quiver(q)
 
 
 def test_adding_parallel_pair_preserves_permutation():
@@ -689,17 +698,17 @@ def test_all_identities_small_exhaustive_any_order():
                 checked += 1
                 inc = incidence_matrix(q)
                 inc_t = transpose(inc)
-                gram = triangular_gram(q)
+                gram = form_of_quiver(q).gram_upper
                 assert mat_mul(inc_t, inc) == tuple(
                     tuple(gram[i][j] + gram[j][i] for j in range(n))
                     for i in range(n)
                 )
-                assert mat_mul(inc, inc_t) == laplace(q)
+                assert prefix_matrices(q) == (gram, mat_mul(inc, inc_t))
                 gram_inv = unitriangular_inverse(gram)
                 qinv = inverse_quiver(q)
                 assert incidence_matrix(qinv) == mat_mul(inc, gram_inv)
                 assert inverse_quiver(qinv) == q
-                assert triangular_gram(qinv) == gram_inv
+                assert form_of_quiver(qinv).gram_upper == gram_inv
                 assert is_connected(qinv)
                 xi = vertex_permutation(q)
                 lam = mat_sub(identity(m),
@@ -738,7 +747,7 @@ def random_connected_quivers(draw):
 def test_identities_random_larger_quivers(q):
     inc = incidence_matrix(q)
     inc_t = transpose(inc)
-    gram = triangular_gram(q)
+    gram = gram_from_incidence(q)
     gram_inv = unitriangular_inverse(gram)
     qinv = inverse_quiver(q)
     assert incidence_matrix(qinv) == mat_mul(inc, gram_inv)

@@ -20,7 +20,6 @@ from coxquiver.quiver import (
     inverse_quiver,
     is_connected as quiver_connected,
     iter_connected_quivers,
-    triangular_gram,
 )
 from coxquiver.realize import (
     basis_change_to_canonical,
@@ -42,6 +41,7 @@ from dense import (
     form_connected,
     form_from_gram,
     fraction_det,
+    gram_from_incidence,
     incidence_matrix,
     symmetric_gram,
 )
@@ -310,7 +310,7 @@ def outcome(realizer, f):
         return "not type A"
     except ValueError:
         return "indefinite"
-    assert triangular_gram(q) == f.gram_upper
+    assert gram_from_incidence(q) == f.gram_upper
     return "realized"
 
 
@@ -489,17 +489,17 @@ def test_realize_and_the_search_oracle_reproduce_every_small_quiver_form():
             if n < 1:
                 continue
             for _, q in iter_connected_quivers(m, n):
-                gram = triangular_gram(q)
+                gram = gram_from_incidence(q)
                 if gram in seen:
                     continue
                 seen.add(gram)
                 f = form_from_gram(gram)
                 ct = cycle_type_of_quiver(q)
                 bt = realize_backtracking(f)
-                assert triangular_gram(bt) == gram
+                assert gram_from_incidence(bt) == gram
                 assert cycle_type_of_quiver(bt) == ct
                 result = realize(f)
-                assert triangular_gram(result.quiver) == gram
+                assert gram_from_incidence(result.quiver) == gram
                 assert cycle_type_of_quiver(result.quiver) == ct
                 assert fraction_det(result.basis_change) in (1, -1)
 
@@ -541,9 +541,9 @@ def shuffled_connected_quivers(draw, max_vertices=25):
 @given(shuffled_connected_quivers())
 @settings(max_examples=150, deadline=None)
 def test_realize_random_quivers(q):
-    gram = triangular_gram(q)
+    gram = gram_from_incidence(q)
     result = realize(form_from_gram(gram))
-    assert triangular_gram(result.quiver) == gram
+    assert gram_from_incidence(result.quiver) == gram
     assert result.quiver.m == q.m
     assert cycle_type_of_quiver(result.quiver) == cycle_type_of_quiver(q)
 
@@ -562,7 +562,7 @@ def test_basis_change_is_a_weak_congruence(q):
 def test_realize_agrees_with_search_oracle(q, position, value):
     # the form of a quiver with one Gram entry replaced: type A, another
     # non-negative form, or an indefinite one
-    rows = [list(row) for row in triangular_gram(q)]
+    rows = [list(row) for row in form_of_quiver(q).gram_upper]
     pairs = [(i, j) for i in range(q.n) for j in range(i + 1, q.n)]
     if pairs:
         i, j = pairs[position % len(pairs)]

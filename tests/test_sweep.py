@@ -10,9 +10,9 @@ import coxquiver.realize as realize_module
 from coxquiver import sweep
 from coxquiver.cli import main
 from coxquiver.partitions import FactoredCoxPoly, Partition
-from coxquiver.quiver import Quiver, triangular_gram
+from coxquiver.quiver import Quiver, iter_connected_quivers
 from coxquiver.realize import RealizationResult
-from coxquiver.unitform import UnitForm
+from coxquiver.unitform import UnitForm, form_of_quiver
 from coxquiver.sweep import (
     SweepReport,
     _encode_gram,
@@ -32,7 +32,7 @@ def test_two_workers_match_one():
 
 def test_form_checks_fire_on_a_wrong_cycle_type():
     # the linear quiver on 4 vertices has cycle type (4)
-    blob = _encode_gram(triangular_gram(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
+    blob = _encode_gram(form_of_quiver(Quiver(4, ((1, 2), (2, 3), (3, 4)))).gram_upper)
     right = _phase2_worker((4, 3, [(blob, (4,))]))
     assert right.ok()
     assert right.form_count == 1
@@ -103,11 +103,34 @@ def _swap_first_images(products):
     return [images[0], images[2], images[1]] + images[3:], inverse_arrows
 
 
+def _bump_last_prefix(prefixes_class, bump):
+    """``_Prefixes`` with ``bump`` applied to its state after the last
+    arrow, which every quiver of the walk builds anew."""
+    class Bumped(prefixes_class):
+        def _extend(self, arrows, j):
+            super()._extend(arrows, j)
+            if j == self.n - 1:
+                bump(self)
+    return Bumped
+
+
+def _bump_gram_corner(prefixes):
+    """Entry (1, n) of the prefix G, off the diagonal when n >= 2."""
+    if prefixes.n >= 2:
+        col = prefixes.gram_cols[-1]
+        prefixes.gram_cols[-1] = (col[0] + 1,) + col[1:]
+
+
+def _bump_laplace_corner(prefixes):
+    """Entry (1, m) of the prefix Laplace matrix, off the diagonal."""
+    prefixes.laplace[-1] = _bump_corner(prefixes.laplace[-1])
+
+
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
 # that must record a failure)
 PHASE1_CORRUPTIONS = {
     "triangular Gram": (
-        "triangular_gram", lambda route: lambda q: _bump_corner(route(q)),
+        "_Prefixes", lambda route: _bump_last_prefix(route, _bump_gram_corner),
         {"matrix_identities"}),
     "inverse arrows": (
         "_prefix_products",
@@ -122,8 +145,8 @@ PHASE1_CORRUPTIONS = {
         lambda route: lambda arrows, inverse: _bump_corner(route(arrows, inverse)),
         {"matrix_identities"}),
     "Laplace": (
-        "laplace", lambda route: lambda q: _bump_corner(route(q)),
-        {"matrix_identities", "laplace_kernel"}),
+        "_Prefixes", lambda route: _bump_last_prefix(route, _bump_laplace_corner),
+        {"laplace_kernel"}),
     # the Laplace matrix itself stays right, so only its rank can fire
     "Laplace rank": (
         "psd_rank", lambda route: lambda m: route(m) + 1, {"laplace_kernel"}),
@@ -155,6 +178,28 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     assert expected <= fired, (route, report.failure_counts)
     for check in fired:
         assert all(s.startswith("m=") for s in report.failure_samples[check])
+
+
+@pytest.mark.parametrize("route, check, min_arrows", [
+    ("triangular Gram", "matrix_identities", 2),
+    ("Laplace", "laplace_kernel", 1),
+])
+def test_a_bumped_prefix_matrix_fails_every_quiver(monkeypatch, route, check,
+                                                   min_arrows):
+    """Phase 1's own G and Laplace matrix are checked too: one bumped entry
+    off the diagonal fails its check on every quiver that has the entry,
+    and no other check."""
+    name, corrupt, _ = PHASE1_CORRUPTIONS[route]
+    monkeypatch.setattr(sweep, name, corrupt(getattr(sweep, name)))
+    records = set()
+    monkeypatch.setattr(SweepReport, "record", lambda self, fired, message:
+                        records.add((fired, message.split(": ")[0])))
+    _phase1_report(3, 4)
+    expected = {f"m={m} arrows={q.arrows}"
+                for m in (2, 3) for n in range(min_arrows, 5)
+                for _, q in iter_connected_quivers(m, n)}
+    assert {label for _, label in records} == expected
+    assert {fired for fired, _ in records} == {check}
 
 
 def test_a_cycle_type_of_the_wrong_length_fails_membership_on_every_quiver(monkeypatch):
@@ -355,7 +400,7 @@ def test_a_fault_in_one_form_after_the_first_of_its_class_is_its_own(monkeypatch
 
     def faulty(q):
         products = route(q)
-        if _encode_gram(triangular_gram(q)) == blob:
+        if _encode_gram(form_of_quiver(q).gram_upper) == blob:
             return _reverse_last_inverse_arrow(products)
         return products
 
@@ -408,20 +453,23 @@ def test_phase2_round_trip_fires_on_a_wrong_basis_change_column(monkeypatch):
 FAULTY_ARROWS = ((1, 2), (1, 3), (2, 3))
 
 
-def _raise_on_one_quiver(route):
-    def wrapped(q):
-        if q.arrows == FAULTY_ARROWS:
-            raise RuntimeError("injected fault")
-        return route(q)
-    return wrapped
+def _raise_on_one_quiver(prefixes_class):
+    """``_Prefixes`` that raises once it has built the quiver
+    FAULTY_ARROWS, so the next quiver of the walk finds a whole state."""
+    class Raising(prefixes_class):
+        def rebuild(self, arrows, shared):
+            super().rebuild(arrows, shared)
+            if tuple(arrows) == FAULTY_ARROWS:
+                raise RuntimeError("injected fault")
+    return Raising
 
 
 def test_a_route_that_raises_on_one_quiver_is_recorded_not_fatal(monkeypatch, capsys):
     clean = run_sweep(3, 4, seed=5)
-    # ``laplace`` runs in phase 1 alone; phase 2 realizes a form of (3, 4) as
-    # the quiver FAULTY_ARROWS and runs the inverse-arrow identities on it,
-    # so a fault in their builders would count twice
-    monkeypatch.setattr(sweep, "laplace", _raise_on_one_quiver(sweep.laplace))
+    # ``_Prefixes`` runs in phase 1 alone; phase 2 realizes a form of (3, 4)
+    # as the quiver FAULTY_ARROWS and runs the inverse-arrow identities on
+    # it, so a fault in their builders would count twice
+    monkeypatch.setattr(sweep, "_Prefixes", _raise_on_one_quiver(sweep._Prefixes))
     faulty = run_sweep(3, 4, seed=5)
     assert faulty.quiver_count == clean.quiver_count
     assert faulty.failure_samples["matrix_identities"] == [
@@ -442,7 +490,7 @@ def test_a_form_check_that_raises_is_recorded_against_that_check(monkeypatch):
 
     # the walk checks the polynomial first, so its raise counts against that
     monkeypatch.setattr(sweep, "coxeter_matrix_violations", boom)
-    gram = triangular_gram(Quiver(4, ((1, 2), (2, 3), (3, 4))))
+    gram = form_of_quiver(Quiver(4, ((1, 2), (2, 3), (3, 4)))).gram_upper
     report = _phase2_worker((4, 3, [(_encode_gram(gram), (4,))]))
     assert report.failure_samples["polynomial_factorization"] == [
         f"n=3 c=0 gram={gram}: raised RuntimeError('injected fault')"]

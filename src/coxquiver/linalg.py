@@ -19,7 +19,8 @@ Conventions
   (``IntPoly``).
 * A permutation of ``{1..m}`` is a tuple ``images`` of length ``m`` with
   ``images[v-1]`` the image of ``v`` (``PermutationMap``, 1-based values).
-  Its permutation matrix ``P`` satisfies ``P e_v = e_{images[v-1]}``.
+  Its permutation matrix ``P``, with ``P e_v = e_{images[v-1]}``, is never
+  built: identities that name it are checked on the images.
 """
 
 from __future__ import annotations
@@ -352,39 +353,6 @@ def check_permutation(p: PermutationMap) -> PermutationMap:
     if sorted(p) != list(range(1, m + 1)):
         raise ValueError("not a permutation of 1..m")
     return tuple(p)
-
-
-def permutation_matrix(p: PermutationMap) -> IntMatrix:
-    """Matrix P with P e_v = e_{p(v)} (column v has a 1 in row p(v))."""
-    m = len(p)
-    rows = [[0] * m for _ in range(m)]
-    for v in range(m):
-        rows[p[v] - 1][v] = 1
-    return tuple(tuple(row) for row in rows)
-
-
-def cycle_decomposition(p: PermutationMap) -> tuple[tuple[int, ...], ...]:
-    """Orbits of ``p`` as disjoint cycles covering {1..m}.
-
-    Each cycle starts at its smallest element; cycles are ordered by that
-    element.
-    """
-    check_permutation(p)
-    m = len(p)
-    seen = [False] * (m + 1)
-    cycles = []
-    for start in range(1, m + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        v = p[start - 1]
-        while v != start:
-            cycle.append(v)
-            seen[v] = True
-            v = p[v - 1]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------

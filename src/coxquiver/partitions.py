@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import FrozenRecord
-from .linalg import IntPoly, PermutationMap, cycle_decomposition
+from .linalg import IntPoly, PermutationMap, check_permutation
 
 
 class Partition(FrozenRecord):
@@ -174,6 +174,19 @@ def part1c(c: int, m: int) -> tuple[Partition, ...]:
 
 
 def cycle_type_of_permutation(p: PermutationMap) -> Partition:
-    """Orbit sizes of a permutation, sorted non-increasingly."""
-    sizes = sorted((len(c) for c in cycle_decomposition(p)), reverse=True)
+    """Orbit sizes of a permutation, sorted non-increasingly: one pass over
+    the vertices walks each orbit from its first vertex, marking it."""
+    check_permutation(p)
+    seen = [False] * (len(p) + 1)
+    sizes = []
+    for start in range(1, len(p) + 1):
+        size = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            v = p[v - 1]
+            size += 1
+        if size:
+            sizes.append(size)
+    sizes.sort(reverse=True)
     return Partition(tuple(sizes))

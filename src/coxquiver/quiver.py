@@ -9,10 +9,11 @@ The central construction is the vertex permutation.  It is defined by
 minimally decreasing walks and computed as the product of the
 transpositions that swap the endpoints of each arrow, in arrow order; the
 inverse quiver comes from the prefixes of the same product.  The Coxeter
-matrix is built entrywise from the arrows of the quiver and its inverse,
-and the Coxeter-Laplace matrix as a sum over arrows; their docstrings prove
-the identities that tie them to the triangular Gram matrix and to the
-vertex permutation.
+matrix is built entrywise from the arrows of the quiver and its inverse;
+its docstring proves the identity that ties it to the triangular Gram
+matrix.  The identity Id - I(Q^-1) I(Q)^T = P(xi) that ties the inverse
+quiver to the vertex permutation is proved, and checked on the arrows, in
+``sweep._inverse_and_xi_problems``.
 """
 
 from __future__ import annotations
@@ -155,25 +156,6 @@ def inverse_quiver(q: Quiver) -> Quiver:
     return Quiver(q.m, tuple(arrows))
 
 
-def _coxeter_laplace(m: int, arrows, inverse_arrows) -> IntMatrix:
-    """The m x m Coxeter-Laplace matrix Id_m - I(Q^{-1}) I(Q)^T: Id_m minus
-    the sum over arrows i of (e_{s'_i} - e_{t'_i})(e_{s_i} - e_{t_i})^T,
-    where (s_i, t_i) is arrow i of Q and (s'_i, t'_i) arrow i of Q^{-1}.
-
-    Proof that this is the permutation matrix of the vertex permutation.
-    tau_i = Id - (e_{s_i} - e_{t_i})(e_{s_i} - e_{t_i})^T and
-    P_{i-1}(e_{s_i} - e_{t_i}) = e_{s'_i} - e_{t'_i}, so term i is
-    P_{i-1}(Id - tau_i) = P_{i-1} - P_i; the sum telescopes to Id - P(xi).
-    """
-    rows = [[int(u == v) for u in range(m)] for v in range(m)]
-    for (s, t), (s2, t2) in zip(arrows, inverse_arrows):
-        rows[s2 - 1][s - 1] -= 1
-        rows[s2 - 1][t - 1] += 1
-        rows[t2 - 1][s - 1] += 1
-        rows[t2 - 1][t - 1] -= 1
-    return tuple([tuple(row) for row in rows])
-
-
 def coxeter_matrix_of_quiver(q: Quiver) -> IntMatrix:
     """The n x n Coxeter matrix -G^T G^{-1}, built entrywise as
     Id_n - I(Q)^T I(Q^{-1}) (see :func:`_coxeter_matrix`)."""
@@ -190,9 +172,9 @@ def _coxeter_matrix(arrows, inverse_arrows) -> IntMatrix:
     Proof that this is -G^T G^{-1}.  I(Q^{-1}) = I(Q) G^{-1} and
     I(Q)^T I(Q) = G + G^T give
     Id - I(Q)^T I(Q^{-1}) = Id - (G + G^T) G^{-1} = -G^T G^{-1}.  With
-    Id - I(Q^{-1}) I(Q)^T = P(xi) (:func:`_coxeter_laplace`) it gives
-    Phi I(Q)^T = I(Q)^T - I(Q)^T I(Q^{-1}) I(Q)^T = I(Q)^T P(xi): Phi acts
-    on the image of I(Q)^T as P(xi) acts on R^m.
+    Id - I(Q^{-1}) I(Q)^T = P(xi) (``sweep._inverse_and_xi_problems``) it
+    gives Phi I(Q)^T = I(Q)^T - I(Q)^T I(Q^{-1}) I(Q)^T = I(Q)^T P(xi):
+    Phi acts on the image of I(Q)^T as P(xi) acts on R^m.
 
     The column of arrow i of Q is e_{s_i} - e_{t_i}, so its inner product
     with a column of Q^{-1} is that column's entry at s_i minus its entry

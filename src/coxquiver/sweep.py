@@ -12,8 +12,9 @@ are checked against these matrices:
 * the Laplace matrix by its kernel and its rank;
 * the prefix-product inverse arrows by I(Q^{-1}) G = I(Q), whose one
   solution is I(Q) G^{-1};
-* the Coxeter-Laplace builder against the permutation matrix of the
-  prefix-product vertex permutation xi;
+* the inverse arrows against the prefix-product vertex permutation xi by
+  Id - I(Q^{-1}) I(Q)^T = P(xi), column by column on the arrows, with no
+  m x m matrix built;
 * the Coxeter matrix builder Phi = Id - I(Q)^T I(Q^{-1}), which reads the
   arrows alone, by Phi G = -G^T, whose one solution is -G^T G^{-1};
 * the length of the cycle type of xi against those the corank admits.
@@ -56,17 +57,10 @@ from .invariants import (
     cycle_type_from_cox_poly,
     spectral_multiplicity_of_cycle_type,
 )
-from .linalg import (
-    IntMatrix,
-    divide_by_v_power_minus_one,
-    mat_mul,
-    permutation_matrix,
-    psd_rank,
-)
+from .linalg import IntMatrix, divide_by_v_power_minus_one, mat_mul, psd_rank
 from .partitions import Partition, admits_length, cycle_type_of_permutation
 from .quiver import (
     Quiver,
-    _coxeter_laplace,
     _coxeter_matrix,
     _prefix_products,
     iter_connected_quivers,
@@ -225,11 +219,19 @@ class _Prefixes:
 
 
 def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
-                             xi_matrix: IntMatrix) -> list[str]:
+                             xi) -> list[str]:
     """What the quiver Q with ``arrows`` on the vertices 1..m and the
     ``inverse_arrows`` break of I(Q^-1) G = I(Q), for the G with columns
-    ``gram_cols``, and of Id - I(Q^-1) I(Q)^T = P(xi), for the permutation
-    matrix ``xi_matrix``: a list of problems, empty when both hold.
+    ``gram_cols``, and of Id - I(Q^-1) I(Q)^T = P(xi), for the map with
+    images ``xi``: a list of problems, empty when both hold.
+
+    Proof that the inverse arrows and xi of ``quiver._prefix_products``
+    satisfy the second.  Write (s_i, t_i) for arrow i of Q, (s'_i, t'_i)
+    for arrow i of Q^-1 and d_i = e_{s_i} - e_{t_i}, so I(Q^-1) I(Q)^T is
+    the sum over arrows i of (e_{s'_i} - e_{t'_i}) d_i^T.
+    tau_i = Id - d_i d_i^T and P_{i-1} d_i = e_{s'_i} - e_{t'_i}, so term i
+    is P_{i-1}(Id - tau_i) = P_{i-1} - P_i; the sum telescopes to
+    Id - P(xi).
 
     Proof that, for a connected Q with I(Q)^T I(Q) = G + G^T, the two give
     the invariants of the form f with triangular Gram matrix G.  Write
@@ -266,9 +268,10 @@ def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
     # as a list comparison would, and keeps a vertex 0 or -1 from
     # indexing y without an error.
     vertices = range(1, m + 1)
-    solved = len(inverse_arrows) == len(arrows) and all(
+    formed = len(inverse_arrows) == len(arrows) and all(
         s2 in vertices and t2 in vertices for s2, t2 in inverse_arrows)
-    for (s, t), col in zip(arrows, gram_cols if solved else ()):
+    solved = formed
+    for (s, t), col in zip(arrows, gram_cols if formed else ()):
         y = [0] * (m + 1)
         y[s], y[t] = -1, 1
         for (s2, t2), g in zip(inverse_arrows, col):
@@ -276,9 +279,29 @@ def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
             y[t2] -= g
         solved = solved and not any(y)
     problems = [] if solved else ["I(Q^-1) G != I(Q)"]
-    # Coxeter-Laplace matrix Id - I(Q^-1) I^T against the permutation
-    # matrix of the vertex permutation
-    if _coxeter_laplace(m, arrows, inverse_arrows) != xi_matrix:
+    # Column v of I(Q^-1) I(Q)^T is the sum of the inverse columns of the
+    # arrows at v, each signed by v's entry in the arrow's column, and
+    # must be e_v - e_xi(v).  Entry (u, v) of the difference is kept at
+    # key u k + v, O(n + m) steps and no m x m matrix.  Every column v is
+    # in 1..m, so the key names one (u, v) for any integer u: an image
+    # outside 1..m leaves an entry that nothing cancels.  A malformed
+    # inverse-arrow list, or a xi of another length than m, fails it.
+    held = formed and len(xi) == m
+    if held:
+        k = m + 1
+        diff: dict[int, int] = {}
+        get = diff.get
+        for (s, t), (s2, t2) in zip(arrows, inverse_arrows):
+            a, b = s2 * k, t2 * k
+            diff[a + s] = get(a + s, 0) + 1
+            diff[b + s] = get(b + s, 0) - 1
+            diff[a + t] = get(a + t, 0) - 1
+            diff[b + t] = get(b + t, 0) + 1
+        for v, u in enumerate(xi, 1):
+            diff[v * k + v] = get(v * k + v, 0) - 1
+            diff[u * k + v] = get(u * k + v, 0) + 1
+        held = not any(diff.values())
+    if not held:
         problems.append("Coxeter-Laplace matrix != walk permutation matrix")
     return problems
 
@@ -316,10 +339,10 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         images, inverse_arrows = _prefix_products(q)
         xi = tuple(images[1:])
         if xi not in memo:
-            memo[xi] = permutation_matrix(xi), cycle_type_of_permutation(xi)
-        xi_matrix, ct = memo[xi]
+            memo[xi] = cycle_type_of_permutation(xi)
+        ct = memo[xi]
         for problem in _inverse_and_xi_problems(
-                m, q.arrows, inverse_arrows, gram_cols, xi_matrix):
+                m, q.arrows, inverse_arrows, gram_cols, xi):
             rec(check, f"{label()}: {problem}")
         # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T, whose one
         # solution is -G^T G^-1
@@ -434,8 +457,7 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
         # _inverse_and_xi_problems)
         check = "polynomial_factorization"
         for problem in _inverse_and_xi_problems(
-                q.m, q.arrows, inverse_arrows, tuple(zip(*gram)),
-                permutation_matrix(xi)):
+                q.m, q.arrows, inverse_arrows, tuple(zip(*gram)), xi):
             rec(check, f"{label()}: {problem}")
 
         # what depends on the class (ct, c) alone, as (check, problem) pairs

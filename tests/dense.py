@@ -4,7 +4,9 @@ division: the oracle for the package's one polynomial routine, exact
 division by v^t - 1.  The Coxeter matrix -G^T G^{-1} from the unitriangular
 inverse is the oracle for ``quiver._coxeter_matrix``, which builds it from
 the arrows of a quiver and its inverse, and the Coxeter matrix of any unit
-form, connected or not, that the tests need."""
+form, connected or not, that the tests need.  The permutation matrix and
+the incidence matrices give the dense oracle for the sweep's check of
+Id - I(Q^-1) I(Q)^T = P(xi) on the arrows."""
 
 from fractions import Fraction
 from operator import add, mul, sub
@@ -36,6 +38,17 @@ def incidence_matrix(q):
     for i, (s, t) in enumerate(q.arrows):
         rows[s - 1][i] = 1
         rows[t - 1][i] = -1
+    return tuple(map(tuple, rows))
+
+
+def permutation_matrix(p):
+    """Matrix P with P e_v = e_{p(v)} (column v has a 1 in row p(v)): the
+    dense side of the identity Id - I(Q^-1) I(Q)^T = P(xi), which the
+    sweep checks on the images of xi."""
+    m = len(p)
+    rows = [[0] * m for _ in range(m)]
+    for v in range(m):
+        rows[p[v] - 1][v] = 1
     return tuple(map(tuple, rows))
 
 

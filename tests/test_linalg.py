@@ -8,9 +8,9 @@ for the modular Hessenberg reduction of char_poly at large entries and on
 sparse input; on Coxeter matrices of quivers the oracle is the factored
 Coxeter polynomial of the cycle type the walks of ``test_quiver`` give.
 Long division in the polynomial ring of ``dense`` is the oracle for the
-exact division by v^t - 1.  The unitriangular inverse and the Coxeter
-matrix from it, oracles of ``dense`` too, are checked here against their
-definitions.
+exact division by v^t - 1.  The unitriangular inverse, the Coxeter
+matrix from it and the permutation matrix, oracles of ``dense`` too, are
+checked here against their definitions.
 """
 
 import random
@@ -28,12 +28,10 @@ from coxquiver.invariants import coxeter_polynomial_of_cycle_type
 from coxquiver.linalg import (
     _char_poly_modulus,
     char_poly,
-    cycle_decomposition,
     divide_by_v_power_minus_one,
     identity,
     is_nilpotent,
     mat_mul,
-    permutation_matrix,
     psd_rank,
     transpose,
 )
@@ -41,12 +39,14 @@ from coxquiver.partitions import cycle_type_of_permutation
 from coxquiver.quiver import Quiver, coxeter_matrix_of_quiver
 from dense import (
     coxeter_from_gram,
+    permutation_matrix,
     poly_divmod,
     poly_mul,
     poly_normalize,
     unitriangular_inverse,
     v_power_minus_one,
 )
+from test_partitions import orbit_sizes
 from test_quiver import walk_permutation
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -280,8 +280,8 @@ def test_char_poly_against_cofactor_oracle(m):
 def test_char_poly_of_permutation_matrix_is_cycle_product(images):
     p = tuple(images)
     expected = (1,)
-    for cycle in cycle_decomposition(p):
-        expected = poly_mul(expected, v_power_minus_one(len(cycle)))
+    for size in orbit_sizes(p):
+        expected = poly_mul(expected, v_power_minus_one(size))
     assert char_poly(permutation_matrix(p)) == expected
 
 
@@ -691,21 +691,8 @@ def test_exactness_guard_fires_on_an_inconsistent_recorded_scale(
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# the dense permutation matrix oracle
 # ---------------------------------------------------------------------------
-
-def test_cycle_decomposition_identity():
-    assert cycle_decomposition((1, 2, 3)) == ((1,), (2,), (3,))
-
-
-def test_cycle_decomposition_three_cycle():
-    assert cycle_decomposition((2, 3, 1)) == ((1, 2, 3),)
-
-
-def test_cycle_decomposition_partition_permutation():
-    # consecutive cycles of lengths 2 and 1
-    assert cycle_decomposition((2, 1, 3)) == ((1, 2), (3,))
-
 
 def test_permutation_matrix_convention():
     # column v holds e_{p(v)}

@@ -4,16 +4,19 @@ The brute-force partition generator below is the oracle for the iterative
 construction; the recursive construction it replaced is a second oracle,
 for the order of the results as well.  The expansion of a factored
 polynomial through its (v^k - 1)-form is the oracle for the nu-form
-expansion the package uses.
+expansion the package uses.  A walk out of every vertex back to itself
+(``orbit_sizes``) is the oracle for the one-pass orbit count behind
+``cycle_type_of_permutation``.
 """
 
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxquiver.linalg import char_poly, permutation_matrix
+from coxquiver.linalg import char_poly
 from coxquiver.partitions import (
     FactoredCoxPoly,
     Partition,
@@ -21,7 +24,7 @@ from coxquiver.partitions import (
     part1c,
     partitions_by_length,
 )
-from dense import poly_mul, poly_pow, v_power_minus_one
+from dense import permutation_matrix, poly_mul, poly_pow, v_power_minus_one
 
 
 def brute_force_partitions(m):
@@ -61,6 +64,25 @@ def expand_unit_form(f):
     for p in f.cycle_parts:
         out = poly_mul(out, v_power_minus_one(p))
     return out
+
+
+def orbit_sizes(p):
+    """The orbit sizes of the permutation with images ``p``, non-increasing,
+    from a walk out of every vertex back to itself: an orbit of size s is
+    walked once from each of its s vertices, so its size is read once per
+    s walks."""
+    lengths = []
+    for v in range(1, len(p) + 1):
+        length, u = 1, p[v - 1]
+        while u != v:
+            length, u = length + 1, p[u - 1]
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    sizes, i = [], 0
+    while i < len(lengths):
+        sizes.append(lengths[i])
+        i += lengths[i]
+    return tuple(sizes)
 
 
 def degree(f):
@@ -271,3 +293,29 @@ def test_cycle_type_of_partition_permutation():
     for m in range(1, 11):
         for pi in brute_force_partitions(m):
             assert cycle_type_of_permutation(permutation_of_partition(pi)) == pi
+
+
+@pytest.mark.parametrize("images, parts", [
+    ((1, 2, 3), (1, 1, 1)),
+    ((2, 3, 1), (3,)),
+    ((2, 1, 3), (2, 1)),
+], ids=["identity", "three cycle", "two cycle and a fixed point"])
+def test_cycle_type_examples(images, parts):
+    assert cycle_type_of_permutation(images) == Partition(parts)
+
+
+def test_cycle_type_of_every_small_permutation_is_its_orbit_sizes():
+    count = 0
+    for m in range(1, 7):
+        for images in permutations(range(1, m + 1)):
+            assert cycle_type_of_permutation(images).parts == orbit_sizes(images)
+            count += 1
+    assert count == 1 + 2 + 6 + 24 + 120 + 720
+
+
+@pytest.mark.parametrize("images", [
+    (1, 1), (2, 3), (0, 1), (1, 3, 3), (2, 1, 4, 5),
+], ids=["repeated", "out of range", "vertex 0", "repeated 3", "too large"])
+def test_cycle_type_of_a_non_permutation_raises(images):
+    with pytest.raises(ValueError, match="not a permutation of 1..m"):
+        cycle_type_of_permutation(images)

@@ -28,14 +28,12 @@ from coxquiver.linalg import (
     identity,
     mat_mul,
     mat_sub,
-    permutation_matrix,
     psd_rank,
     transpose,
 )
 from coxquiver.partitions import Partition, cycle_type_of_permutation, part1c
 from coxquiver.quiver import (
     Quiver,
-    _coxeter_laplace,
     _coxeter_matrix,
     _prefix_products,
     coxeter_matrix_of_quiver,
@@ -57,6 +55,7 @@ from dense import (
     form_connected,
     gram_from_incidence,
     incidence_matrix,
+    permutation_matrix,
     unitriangular_inverse,
 )
 from test_acceptance import EXPECTED_QUIVERS
@@ -69,10 +68,27 @@ def linear_quiver(m):
     return Quiver(m, tuple((j, j + 1) for j in range(1, m)))
 
 
-def coxeter_laplace(q):
-    """The Coxeter-Laplace matrix of a connected quiver as the sweep builds
-    it, from the arrows of q and of its inverse quiver."""
-    return _coxeter_laplace(q.m, q.arrows, inverse_quiver(q).arrows)
+def coxeter_laplace(q, inverse_arrows=None):
+    """The Coxeter-Laplace matrix Id - I(Q^-1) I(Q)^T of a connected quiver
+    from the dense incidence matrices of q and of its inverse quiver, or of
+    the quiver on q's vertices with ``inverse_arrows``: the dense oracle
+    for the sweep's check on the arrows."""
+    inverse = (inverse_quiver(q) if inverse_arrows is None
+               else Quiver(q.m, tuple(inverse_arrows)))
+    return mat_sub(identity(q.m),
+                   mat_mul(incidence_matrix(inverse), transpose(incidence_matrix(q))))
+
+
+def xi_problems(q, xi, inverse_arrows=None):
+    """What the sweep's check reports on q, with its own G, its inverse
+    arrows or ``inverse_arrows``, and the images ``xi``: the problems past
+    the first identity's, empty when Id - I(Q^-1) I(Q)^T = P(xi) holds."""
+    if inverse_arrows is None:
+        inverse_arrows = inverse_quiver(q).arrows
+    gram_cols = tuple(zip(*gram_from_incidence(q)))
+    problems = _inverse_and_xi_problems(q.m, q.arrows, inverse_arrows,
+                                        gram_cols, xi)
+    return [p for p in problems if p != "I(Q^-1) G != I(Q)"]
 
 
 def prefix_matrices(q):
@@ -484,8 +500,8 @@ def test_transposition_products_match_the_walk_oracle(case):
         inc_inverse = incidence_matrix(Quiver(q.m, expected))
         assert coxeter_matrix_of_quiver(q) == mat_sub(
             identity(q.n), mat_mul(transpose(inc), inc_inverse))
-        assert coxeter_laplace(q) == mat_sub(
-            identity(q.m), mat_mul(inc_inverse, transpose(inc)))
+        assert mat_sub(identity(q.m), mat_mul(inc_inverse, transpose(inc))) == \
+            permutation_matrix(xi)
         # Gram inversion: Q^-1 inverts xi, is an involution, and its form
         # has the cycle type and corank of the form of Q
         inverse = inverse_quiver(q)
@@ -505,23 +521,45 @@ def test_transposition_products_match_the_walk_oracle(case):
     assert all(xi_of_inverse[xi[v] - 1] == v + 1 for v in range(q.m))
 
 
-@given(quivers_in_any_order(max_vertices=12).filter(lambda case: case[1]))
+@given(quivers_in_any_order(max_vertices=12).filter(lambda case: case[1]),
+       st.data())
 @settings(max_examples=150, deadline=None)
-def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case):
+def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case, data):
     """Beyond the sweep's range, arrows in any order: the two identities
     that prove the polynomial and the Coxeter-number laws hold on the
     quiver's own G, and the walk of the powers of its Coxeter matrix finds
-    the polynomial and the laws that the proof gives."""
+    the polynomial and the laws that the proof gives.  With one inverse
+    arrow's endpoint moved, two images of xi swapped, or both, the check
+    on the arrows reports Id - I(Q^-1) I(Q)^T != P(xi) exactly when the
+    dense product does."""
     q, _ = case
     images, inverse_arrows = _prefix_products(q)
     xi = tuple(images[1:])
     gram_cols = tuple(zip(*gram_from_incidence(q)))
     assert _inverse_and_xi_problems(
-        q.m, q.arrows, inverse_arrows, gram_cols, permutation_matrix(xi)) == []
+        q.m, q.arrows, inverse_arrows, gram_cols, xi) == []
     poly = coxeter_polynomial_of_cycle_type(
         cycle_type_of_permutation(xi), q.n - q.m + 1)
     assert coxeter_matrix_violations(
         _coxeter_matrix(q.arrows, inverse_arrows), poly) == ([], [])
+
+    vertices = range(1, q.m + 1)
+    mode = data.draw(st.sampled_from(["arrow", "images", "both"]))
+    if mode != "images":
+        i = data.draw(st.integers(0, q.n - 1))
+        end = data.draw(st.integers(0, 1))
+        other = inverse_arrows[i][1 - end]
+        moved = list(inverse_arrows[i])
+        moved[end] = data.draw(st.sampled_from([v for v in vertices if v != other]))
+        inverse_arrows = inverse_arrows[:i] + [tuple(moved)] + inverse_arrows[i + 1:]
+    if mode != "arrow":
+        u, v = data.draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2))
+        swapped = list(xi)
+        swapped[u - 1], swapped[v - 1] = xi[v - 1], xi[u - 1]
+        xi = tuple(swapped)
+    dense_holds = coxeter_laplace(q, inverse_arrows) == permutation_matrix(xi)
+    assert xi_problems(q, xi, inverse_arrows) == (
+        [] if dense_holds else ["Coxeter-Laplace matrix != walk permutation matrix"])
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +569,16 @@ def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case):
 def test_coxeter_laplace_a3():
     expected = permutation_matrix((2, 3, 1))
     assert coxeter_laplace(A3) == expected
+    assert xi_problems(A3, (2, 3, 1)) == []
+    assert xi_problems(A3, (3, 2, 1)) == [
+        "Coxeter-Laplace matrix != walk permutation matrix"]
 
 
 def test_coxeter_laplace_kronecker():
     assert coxeter_laplace(KRONECKER) == identity(2)
+    assert xi_problems(KRONECKER, (1, 2)) == []
+    assert xi_problems(KRONECKER, (2, 1)) == [
+        "Coxeter-Laplace matrix != walk permutation matrix"]
 
 
 def test_coxeter_laplace_tree_is_cyclic():
@@ -714,7 +758,8 @@ def test_all_identities_small_exhaustive_any_order():
                 lam = mat_sub(identity(m),
                               mat_mul(incidence_matrix(qinv), inc_t))
                 assert lam == permutation_matrix(xi)
-                assert coxeter_laplace(q) == lam
+                assert _inverse_and_xi_problems(
+                    m, q.arrows, qinv.arrows, tuple(zip(*gram)), xi) == []
                 phi = mat_sub(identity(n),
                               mat_mul(inc_t, incidence_matrix(qinv)))
                 assert phi == mat_neg(mat_mul(transpose(gram), gram_inv))

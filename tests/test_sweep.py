@@ -126,6 +126,16 @@ def _bump_laplace_corner(prefixes):
     prefixes.laplace[-1] = _bump_corner(prefixes.laplace[-1])
 
 
+def _double_laplace_row_and_column_1(prefixes):
+    """The prefix Laplace matrix L as D L D, D = diag(2, 1, ..., 1): still
+    symmetric, positive semidefinite and of rank m - 1, but its row 1 sums
+    to 2 L_11, twice the degree of vertex 1, which is not 0 on a connected
+    quiver."""
+    rows = [[2 * row[0]] + list(row[1:]) for row in prefixes.laplace[-1]]
+    rows[0] = [2 * x for x in rows[0]]
+    prefixes.laplace[-1] = tuple(map(tuple, rows))
+
+
 # route corrupted -> (name the sweep calls it by, corrupting wrapper, checks
 # that must record a failure)
 PHASE1_CORRUPTIONS = {
@@ -147,17 +157,26 @@ PHASE1_CORRUPTIONS = {
     "Laplace": (
         "_Prefixes", lambda route: _bump_last_prefix(route, _bump_laplace_corner),
         {"laplace_kernel"}),
+    # the rank stays m - 1, so only the row sums can fire
+    "Laplace row sums": (
+        "_Prefixes",
+        lambda route: _bump_last_prefix(route, _double_laplace_row_and_column_1),
+        {"laplace_kernel"}),
     # the Laplace matrix itself stays right, so only its rank can fire
     "Laplace rank": (
         "psd_rank", lambda route: lambda m: route(m) + 1, {"laplace_kernel"}),
-    "Coxeter-Laplace": (
-        "_coxeter_laplace",
-        lambda route: lambda m, arrows, inverse: _bump_corner(
-            route(m, arrows, inverse)),
-        {"matrix_identities"}),
     "xi": (
         "_prefix_products", lambda route: lambda q: _swap_first_images(route(q)),
         {"matrix_identities"}),
+}
+
+XI_IDENTITY_FAILURE = "Coxeter-Laplace matrix != walk permutation matrix"
+
+# route -> the one problem that every sample of its expected checks names,
+# for the corruptions that pin a check by its message
+PHASE1_MESSAGES = {
+    "xi": XI_IDENTITY_FAILURE,
+    "Laplace row sums": "all-ones vector not in the kernel",
 }
 
 
@@ -173,16 +192,22 @@ def _phase1_report(max_vertices, max_arrows):
 def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     name, corrupt, expected = PHASE1_CORRUPTIONS[route]
     monkeypatch.setattr(sweep, name, corrupt(getattr(sweep, name)))
+    monkeypatch.setattr(sweep, "_SAMPLE_CAP", 10 ** 6)  # keep every message
     report = _phase1_report(3, 4)
     fired = {check for check in PHASE1_CHECKS if report.failure_counts[check]}
     assert expected <= fired, (route, report.failure_counts)
     for check in fired:
         assert all(s.startswith("m=") for s in report.failure_samples[check])
+    if route in PHASE1_MESSAGES:
+        for check in expected:
+            assert all(s.endswith(f": {PHASE1_MESSAGES[route]}")
+                       for s in report.failure_samples[check])
 
 
 @pytest.mark.parametrize("route, check, min_arrows", [
     ("triangular Gram", "matrix_identities", 2),
     ("Laplace", "laplace_kernel", 1),
+    ("Laplace row sums", "laplace_kernel", 1),
 ])
 def test_a_bumped_prefix_matrix_fails_every_quiver(monkeypatch, route, check,
                                                    min_arrows):
@@ -253,6 +278,21 @@ def test_a_malformed_inverse_arrow_list_fails_the_inverse_identity(
                         _inverse_arrows_of_a3(inverse_arrows))
     report, _ = _phase1_worker((3, 2, -1, None))
     assert INVERSE_IDENTITY_FAILURE in report.failure_samples["matrix_identities"]
+
+
+@pytest.mark.parametrize("xi", [
+    (2, 3),        # one image short
+    (2, 3, 1, 4),  # one image too many
+    (0, 3, 1),     # an image 0
+    (2, 4, 1),     # an image past m
+    (2, -1, 1),    # -1
+], ids=["short", "long", "image 0", "image m + 1", "image -1"])
+def test_a_malformed_xi_fails_the_xi_identity_without_raising(xi):
+    gram_cols = tuple(zip(*form_of_quiver(Quiver(3, A3_ARROWS)).gram_upper))
+    assert sweep._inverse_and_xi_problems(
+        3, A3_ARROWS, [(1, 2), (1, 3)], gram_cols, xi) == [XI_IDENTITY_FAILURE]
+    assert sweep._inverse_and_xi_problems(
+        3, A3_ARROWS, [(1, 2), (1, 3)], gram_cols, (2, 3, 1)) == []
 
 
 def _bump_first_diagonal_entry(matrix):
@@ -329,12 +369,13 @@ PHASE2_CORRUPTIONS = {
         "_prefix_products",
         lambda route: lambda q: _reverse_last_inverse_arrow(route(q)),
         {"polynomial_factorization"}),
-    "Coxeter-Laplace of the realized quiver": (
-        "_coxeter_laplace",
-        lambda route: lambda m, arrows, inverse: _bump_corner(
-            route(m, arrows, inverse)),
+    "xi of the realized quiver": (
+        "_prefix_products", lambda route: lambda q: _swap_first_images(route(q)),
         {"polynomial_factorization"}),
 }
+
+# route -> the one problem that every sample of its expected checks names
+PHASE2_MESSAGES = {"xi of the realized quiver": XI_IDENTITY_FAILURE}
 
 
 def _phase2_items(max_vertices, max_arrows):
@@ -363,6 +404,10 @@ def test_phase2_checks_fire_on_a_corrupted_route(monkeypatch, route):
         assert expected <= fired, (route, item, report.failure_counts)
         for check in fired:
             assert all(s.startswith("n=") for s in report.failure_samples[check])
+        if route in PHASE2_MESSAGES:
+            for check in expected:
+                assert all(s.endswith(f": {PHASE2_MESSAGES[route]}")
+                           for s in report.failure_samples[check])
 
 
 def _class_of(item):

@@ -302,6 +302,13 @@ def basis_change_to_canonical(q: Quiver) -> IntMatrix:
     cycle of one arrow outside the tree.  B is unimodular because the tree
     paths are a basis change of the root lattice and each fundamental
     cycle adds one new arrow with coefficient 1.
+
+    One breadth-first pass from vertex 1 records each vertex's parent, the
+    tree arrow to that parent with its sign, and its depth.  A tree path is
+    found by walking its two ends up to their common ancestor, so a column
+    costs the length of its paths: j -> j + 1 for spine column j, and
+    m -> 1, plus the arrow, plus t -> s for the arc column of an arrow
+    (s, t) outside the tree.
     """
     m, n, arrows = q.m, q.n, q.arrows
     tree_arrows = spanning_tree(m, arrows)
@@ -314,43 +321,62 @@ def basis_change_to_canonical(q: Quiver) -> IntMatrix:
         tree[t].append(i)
     in_tree = set(tree_arrows)
     cycles = [i for i in range(n) if i not in in_tree]
-    # path[v]: arrow coefficients of the tree path with sum e_v - e_1
-    path: list = [None] * (m + 1)
-    path[1] = {}
-    stack = [1]
-    while stack:
-        v = stack.pop()
+    # per vertex v other than the root 1: its parent, the tree arrow up[v]
+    # between them and the sign that makes that arrow's column
+    # e_v - e_parent, and its depth
+    parent = [0] * (m + 1)
+    up = [0] * (m + 1)
+    sign = [0] * (m + 1)
+    depth = [-1] * (m + 1)
+    depth[1] = 0
+    order = [1]
+    for v in order:  # the list grows while it is walked
         for i in tree[v]:
             s, t = arrows[i]
             w = s if t == v else t
-            if path[w] is None:
-                path[w] = {**path[v], i: 1 if s == w else -1}
-                stack.append(w)
+            if depth[w] < 0:
+                parent[w], up[w], depth[w] = v, i, depth[v] + 1
+                sign[w] = 1 if s == w else -1
+                order.append(w)
 
-    def combine(*terms: tuple[int, dict]) -> dict:
-        out: dict[int, int] = {}
-        for sign, vector in terms:
-            for i, x in vector.items():
-                out[i] = out.get(i, 0) + sign * x
-        return out
-
-    columns = [combine((1, path[j]), (-1, path[j + 1])) for j in range(1, m)]
-    columns += [combine((1, path[m]), (1, {i: 1}), (-1, path[arrows[i][0]]),
-                        (1, path[arrows[i][1]])) for i in cycles]
-    target = canonical_extension_quiver(m - 1, len(cycles)).arrows
     rows = [[0] * n for _ in range(n)]
-    for k, (column, (s, t)) in enumerate(zip(columns, target)):
+
+    def walk(k: int, image: list, u: int, v: int) -> None:
+        """Add the tree arrows with sum e_u - e_v to column k of B, and
+        their columns to ``image``: the deeper end steps up until the two
+        ends meet."""
+        while u != v:
+            if depth[u] >= depth[v]:
+                i, x, u = up[u], sign[u], parent[u]
+            else:
+                i, x, v = up[v], -sign[v], parent[v]
+            rows[i][k] += x
+            s, t = arrows[i]
+            image[s] += x
+            image[t] -= x
+
+    # image: column k of I(Q) B, which must be the canonical arrow's column
+    target = canonical_extension_quiver(m - 1, len(cycles)).arrows
+    for k, (s, t) in enumerate(target):
         image = [0] * (m + 1)
-        for i, x in column.items():
-            rows[i][k] = x
-            u, v = arrows[i]
-            image[u] += x
-            image[v] -= x
+        if k < m - 1:
+            walk(k, image, k + 1, k + 2)
+        else:
+            # e_m - e_1 = (e_m - e_1) + (e_a - e_b) + (e_b - e_a) for the
+            # arrow i = (a, b) outside the tree
+            i = cycles[k - m + 1]
+            a, b = arrows[i]
+            rows[i][k] = 1
+            image[a] += 1
+            image[b] -= 1
+            walk(k, image, m, 1)
+            walk(k, image, b, a)
         if image[s] != 1 or image[t] != -1 or sum(map(abs, image)) != 2:
             raise InvariantViolation(
                 f"column {k + 1} of the basis change does not map the quiver's "
                 "incidence matrix onto the canonical one")
-    return tuple(tuple(row) for row in rows)
+    # from a list: tuple() of a generator resizes its result
+    return tuple([tuple(row) for row in rows])
 
 
 def realize(f: UnitForm) -> RealizationResult:

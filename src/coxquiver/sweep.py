@@ -5,9 +5,11 @@ over sorted arrow multisets (``quiver.iter_connected_quivers``).  Along the
 walk it keeps, per arrow prefix, the columns of the triangular Gram matrix
 G, from sparse products with the incidence columns, and the Laplace matrix
 I I^T as a sum of rank-one terms.  Quivers next to each other in the walk
-share these entries below the first arrow that changed.  This G keys the
-distinct unit forms it collects, and on every quiver the library routes
-are checked against these matrices:
+share these entries below the first arrow that changed.  G is kept by
+sparse columns, the sorted pairs (k, G_kj) of its nonzero entries, and no
+check reads it densely.  This G keys the distinct unit forms it collects,
+and on every quiver the library routes are checked against these
+matrices:
 
 * the Laplace matrix by its kernel and its rank;
 * the prefix-product inverse arrows by I(Q^{-1}) G = I(Q), whose one
@@ -16,7 +18,8 @@ are checked against these matrices:
   Id - I(Q^{-1}) I(Q)^T = P(xi), column by column on the arrows, with no
   m x m matrix built;
 * the Coxeter matrix builder Phi = Id - I(Q)^T I(Q^{-1}), which reads the
-  arrows alone, by Phi G = -G^T, whose one solution is -G^T G^{-1};
+  arrows alone, by Phi G = -G^T, whose one solution is -G^T G^{-1}, in
+  O(n nnz G) steps;
 * the length of the cycle type of xi against those the corank admits.
 
 The inverse-arrow identity and Phi G = -G^T together check G itself: with
@@ -26,7 +29,9 @@ solves.
 
 Phase 2 runs the form-level checks once per distinct form, through the
 library's realizer and ``form_of_quiver`` (the route of every ``--quiver``
-verb), so a clean sweep vouches for the code that users call.  Per form:
+verb), so a clean sweep vouches for the code that users call.  Each key is
+read once, into the form's entries and the sparse columns of its G.  Per
+form:
 the realization round trip, whose ``form_of_quiver`` comparison ties the
 realized quiver to the G phase 1 keyed, and on the realized quiver the
 two identities of phase 1 that tie the inverse arrows to G and to xi,
@@ -57,7 +62,7 @@ from .invariants import (
     cycle_type_from_cox_poly,
     spectral_multiplicity_of_cycle_type,
 )
-from .linalg import IntMatrix, divide_by_v_power_minus_one, mat_mul, psd_rank
+from .linalg import IntMatrix, divide_by_v_power_minus_one, psd_rank
 from .partitions import Partition, admits_length, cycle_type_of_permutation
 from .quiver import (
     Quiver,
@@ -149,9 +154,16 @@ class SweepReport(Record):
         }
 
 
-def _encode_gram(gram_tri) -> bytes:
-    """Triangular Gram matrices of quivers have entries in [-2, 2]."""
-    return bytes(x + 2 for row in gram_tri for x in row)
+def _encode_gram(gram_cols) -> bytes:
+    """The key of the triangular Gram matrix G with sparse columns
+    ``gram_cols``: G row by row, 2 added to each entry.  Triangular Gram
+    matrices of quivers have entries in [-2, 2]."""
+    n = len(gram_cols)
+    key = bytearray(b"\x02") * (n * n)
+    for j, col in enumerate(gram_cols):
+        for k, g in col:
+            key[k * n + j] = g + 2
+    return bytes(key)
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +174,19 @@ class _Prefixes:
     """Phase 1's G and Laplace matrix, kept per arrow prefix of the
     depth-first walk over one (m, n) unit.
 
-    For arrow j (from 0) of the current quiver this holds column j of G and
-    the Laplace matrix of arrows 0..j.  Each depends on those arrows alone,
-    so consecutive quivers of the walk share every entry below the first
-    arrow that changed, and a new arrow costs one column of G and a rank-one
-    update.
+    For arrow j (from 0) of the current quiver this holds column j of G, as
+    the pairs (k, G_kj) of its nonzero entries in ascending k <= j, diagonal
+    included, and the Laplace matrix of arrows 0..j.  Each depends on those
+    arrows alone, so consecutive quivers of the walk share every entry below
+    the first arrow that changed, and a new arrow costs one column of G and
+    a rank-one update.
     """
 
     def __init__(self, m: int, n: int) -> None:
         self.n = n
         # incidence rows: (arrow index, sign) for each arrow at each vertex
         self.incident: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
-        self.gram_cols: list[tuple[int, ...]] = [()] * n
+        self.gram_cols: list[tuple[tuple[int, int], ...]] = [()] * n
         self.laplace: list[IntMatrix] = [()] * n
         self.built = 0
         self._zero = ((0,) * m,) * m
@@ -191,21 +204,21 @@ class _Prefixes:
             self.built = j + 1
 
     def _extend(self, arrows, j: int) -> None:
-        n = self.n
         s, t = arrows[j]
         at_s, at_t = self.incident[s], self.incident[t]
         at_s.append((j, 1))
         at_t.append((j, -1))
 
         # column j of I^T I from the incidence rows of s and t; G + G^T = I^T I
-        # puts its upper part in G and half its diagonal entry 2
-        col = [0] * n
-        for k, sign in at_s:
-            col[k] += sign
+        # puts its upper part in G and half its diagonal entry 2.  An arrow
+        # at both s and t joins them and has opposite entries there, so no
+        # entry cancels to 0.
+        col = dict(at_s)
+        get = col.get
         for k, sign in at_t:
-            col[k] -= sign
-        col[j] //= 2
-        self.gram_cols[j] = tuple(col)
+            col[k] = get(k, 0) - sign
+        col[j] = 1
+        self.gram_cols[j] = tuple(sorted(col.items()))
 
         # I I^T as the sum of the outer products of the incidence columns
         rows = list(self.laplace[j - 1] if j else self._zero)
@@ -221,9 +234,10 @@ class _Prefixes:
 def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
                              xi) -> list[str]:
     """What the quiver Q with ``arrows`` on the vertices 1..m and the
-    ``inverse_arrows`` break of I(Q^-1) G = I(Q), for the G with columns
-    ``gram_cols``, and of Id - I(Q^-1) I(Q)^T = P(xi), for the map with
-    images ``xi``: a list of problems, empty when both hold.
+    ``inverse_arrows`` break of I(Q^-1) G = I(Q), for the G with sparse
+    columns ``gram_cols`` (the pairs (k, G_kj) of column j), and of
+    Id - I(Q^-1) I(Q)^T = P(xi), for the map with images ``xi``: a list of
+    problems, empty when both hold.
 
     Proof that the inverse arrows and xi of ``quiver._prefix_products``
     satisfy the second.  Write (s_i, t_i) for arrow i of Q, (s'_i, t'_i)
@@ -263,21 +277,24 @@ def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
     # G is upper unitriangular, so X G = I(Q) has the one solution
     # X = I(Q) G^-1: the inverse arrows solve it exactly when they are
     # those of the paper's I(Q^-1) = I(Q) G^-1.  Column j of I(Q^-1) G
-    # is the sum over l <= j of G_lj (e_s'l - e_t'l).
+    # is the sum over the pairs (l, G_lj) of column j of G_lj (e_s'l - e_t'l),
+    # kept by vertex: O(n + nnz G) steps.
     # The guard fails a list that is not n arrows on the vertices 1..m,
-    # as a list comparison would, and keeps a vertex 0 or -1 from
-    # indexing y without an error.
+    # as a list comparison would.
     vertices = range(1, m + 1)
     formed = len(inverse_arrows) == len(arrows) and all(
         s2 in vertices and t2 in vertices for s2, t2 in inverse_arrows)
     solved = formed
     for (s, t), col in zip(arrows, gram_cols if formed else ()):
-        y = [0] * (m + 1)
-        y[s], y[t] = -1, 1
-        for (s2, t2), g in zip(inverse_arrows, col):
-            y[s2] += g
-            y[t2] -= g
-        solved = solved and not any(y)
+        y = {s: -1, t: 1}
+        get = y.get
+        for l, g in col:
+            s2, t2 = inverse_arrows[l]
+            y[s2] = get(s2, 0) + g
+            y[t2] = get(t2, 0) - g
+        if any(y.values()):
+            solved = False
+            break
     problems = [] if solved else ["I(Q^-1) G != I(Q)"]
     # Column v of I(Q^-1) I(Q)^T is the sum of the inverse columns of the
     # arrows at v, each signed by v's entry in the arrow's column, and
@@ -306,12 +323,37 @@ def _inverse_and_xi_problems(m: int, arrows, inverse_arrows, gram_cols,
     return problems
 
 
+def _coxeter_problems(phi, gram_cols) -> list[str]:
+    """What the rows ``phi`` of a Coxeter matrix break of Phi G = -G^T, for
+    the G with sparse columns ``gram_cols``: a list of problems, empty when
+    it holds.  G is upper unitriangular, so -G^T G^-1 is its one solution.
+
+    Entry (i, j) of Phi G is the sum of Phi_ik g over the pairs (k, g) of
+    column j, and row i of -G^T is minus column i: row i of Phi G + G^T is
+    column i plus those sums, O(n nnz G) steps with no dense G."""
+    n = len(gram_cols)
+    holds = len(phi) == n
+    entries = [(j, k, g) for j, col in enumerate(gram_cols) for k, g in col]
+    for row, col_i in zip(phi if holds else (), gram_cols):
+        out = [0] * n
+        for k, g in col_i:
+            out[k] = g
+        for j, k, g in entries:
+            out[j] += row[k] * g
+        if any(out):
+            holds = False
+            break
+    return [] if holds else ["the two Coxeter matrix formulas disagree"]
+
+
 def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
                   memo: dict) -> tuple | None:
     """All matrix identities for one connected quiver, each library route
     against the G and the Laplace matrix in ``prefixes``.  Returns the pair
-    (triangular Gram, cycle type parts), or None when a route raised; the
-    exception is recorded as a failure of the check that was running.
+    (sparse columns of the triangular Gram matrix, cycle type parts), or
+    None when a route raised; the exception is recorded as a failure of the
+    check that was running.  The columns are ``prefixes``' own, valid until
+    its next rebuild.
 
     ``memo`` keeps the results that depend on the Laplace matrix or on the
     vertex permutation alone."""
@@ -344,18 +386,15 @@ def _check_quiver(q: Quiver, shared: int, prefixes: _Prefixes, rec,
         for problem in _inverse_and_xi_problems(
                 m, q.arrows, inverse_arrows, gram_cols, xi):
             rec(check, f"{label()}: {problem}")
-        # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T, whose one
-        # solution is -G^T G^-1
-        gram = tuple(zip(*gram_cols))
-        phi = _coxeter_matrix(q.arrows, inverse_arrows)
-        if mat_mul(phi, gram) != tuple(
-                [tuple([-x for x in col]) for col in gram_cols]):
-            rec(check, f"{label()}: the two Coxeter matrix formulas disagree")
+        # Coxeter matrix Id - I^T I(Q^-1) against Phi G = -G^T
+        for problem in _coxeter_problems(
+                _coxeter_matrix(q.arrows, inverse_arrows), gram_cols):
+            rec(check, f"{label()}: {problem}")
 
         check = "cycle_type_membership"
         if not admits_length(n - m + 1, ct.length):
             rec(check, f"{label()}: {ct} not admissible for corank {n - m + 1}")
-        return gram, ct.parts
+        return gram_cols, ct.parts
     except Exception as exc:  # one quiver's fault must not end the sweep
         rec(check, f"{label()}: raised {exc!r}")
         return None
@@ -401,8 +440,8 @@ def _phase1_worker(args: tuple) -> tuple[SweepReport, dict]:
         checked = _check_quiver(q, shared, prefixes, rec, memo)
         if checked is None:
             continue
-        gram_tri, ct_parts = checked
-        key = _encode_gram(gram_tri)
+        gram_cols, ct_parts = checked
+        key = _encode_gram(gram_cols)
         known = forms.get(key)
         if known is None:
             forms[key] = ct_parts
@@ -426,17 +465,27 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
     rec = report.record
     n = isqrt(len(blob))
     c = n - sum(ct_parts) + 1
-    # the blob holds G row by row, 2 added to each entry
-    values = [x - 2 for x in blob]
-    gram = tuple([tuple(values[i:i + n]) for i in range(0, n * n, n)])
 
     def label() -> str:  # formatted only for a failure
+        gram = tuple([tuple([x - 2 for x in blob[i:i + n]])
+                      for i in range(0, n * n, n)])
         return f"n={n} c={c} gram={gram}"
+    check = "realization_roundtrip"
     try:
+        # the blob holds G row by row, 2 added to each entry; its strictly
+        # upper part is read once, into the form's entries and the sparse
+        # columns of G, unit diagonal included
+        upper = []
+        gram_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i in range(n):
+            gram_cols[i].append((i, 1))
+            for j in range(i + 1, n):
+                g = blob[i * n + j] - 2
+                if g:
+                    upper.append((i + 1, j + 1, g))
+                    gram_cols[j].append((i, g))
         # realization round trip, basis change to the canonical quiver included
-        check = "realization_roundtrip"
-        form = UnitForm(n, [(i + 1, j + 1, row[j]) for i, row in enumerate(gram)
-                            for j in range(i + 1, n) if row[j]])
+        form = UnitForm(n, upper)
         try:
             q = realize(form).quiver
         except (ValueError, InvariantViolation) as exc:
@@ -457,7 +506,7 @@ def _check_form(report: SweepReport, blob: bytes, ct_parts: tuple[int, ...],
         # _inverse_and_xi_problems)
         check = "polynomial_factorization"
         for problem in _inverse_and_xi_problems(
-                q.m, q.arrows, inverse_arrows, tuple(zip(*gram)), xi):
+                q.m, q.arrows, inverse_arrows, gram_cols, xi):
             rec(check, f"{label()}: {problem}")
 
         # what depends on the class (ct, c) alone, as (check, problem) pairs

@@ -6,7 +6,10 @@ inverse is the oracle for ``quiver._coxeter_matrix``, which builds it from
 the arrows of a quiver and its inverse, and the Coxeter matrix of any unit
 form, connected or not, that the tests need.  The permutation matrix and
 the incidence matrices give the dense oracle for the sweep's check of
-Id - I(Q^-1) I(Q)^T = P(xi) on the arrows."""
+Id - I(Q^-1) I(Q)^T = P(xi) on the arrows.  The sweep reads G by sparse
+columns, which ``sparse_columns`` gives for a dense G, and the basis
+change onto the canonical extension quiver is checked against root paths
+kept whole and summed."""
 
 from fractions import Fraction
 from operator import add, mul, sub
@@ -49,6 +52,59 @@ def permutation_matrix(p):
     rows = [[0] * m for _ in range(m)]
     for v in range(m):
         rows[p[v] - 1][v] = 1
+    return tuple(map(tuple, rows))
+
+
+def sparse_columns(gram):
+    """The columns of ``gram`` as the sweep keeps them: for each column j,
+    the pairs (k, G_kj) of its nonzero entries in ascending k."""
+    return tuple(tuple((k, row[j]) for k, row in enumerate(gram) if row[j])
+                 for j in range(len(gram)))
+
+
+def basis_change_from_root_paths(q):
+    """The basis change B with I(Q) B = I(C) onto the canonical extension
+    quiver C of a connected quiver Q, from the whole tree path from vertex
+    1 to each vertex: spine column j is path(j) - path(j + 1), and the arc
+    column of an arrow i = (s, t) outside the spanning tree is
+    path(m) + e_i - path(s) + path(t).  The oracle for
+    ``realize.basis_change_to_canonical``, which walks parent pointers."""
+    m, n, arrows = q.m, q.n, q.arrows
+    tree_arrows = spanning_tree(m, arrows)
+    tree = [[] for _ in range(m + 1)]
+    for i in tree_arrows:
+        s, t = arrows[i]
+        tree[s].append(i)
+        tree[t].append(i)
+    # path[v]: arrow coefficients of the tree path with sum e_v - e_1
+    path = [None] * (m + 1)
+    path[1] = {}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for i in tree[v]:
+            s, t = arrows[i]
+            w = s if t == v else t
+            if path[w] is None:
+                path[w] = {**path[v], i: 1 if s == w else -1}
+                stack.append(w)
+
+    def combine(*terms):
+        out = {}
+        for sign, vector in terms:
+            for i, x in vector.items():
+                out[i] = out.get(i, 0) + sign * x
+        return out
+
+    in_tree = set(tree_arrows)
+    columns = [combine((1, path[j]), (-1, path[j + 1])) for j in range(1, m)]
+    columns += [combine((1, path[m]), (1, {i: 1}), (-1, path[arrows[i][0]]),
+                        (1, path[arrows[i][1]]))
+                for i in range(n) if i not in in_tree]
+    rows = [[0] * n for _ in range(n)]
+    for k, column in enumerate(columns):
+        for i, x in column.items():
+            rows[i][k] = x
     return tuple(map(tuple, rows))
 
 

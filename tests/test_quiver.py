@@ -47,7 +47,12 @@ from coxquiver.quiver import (
     spanning_tree,
     vertex_permutation,
 )
-from coxquiver.sweep import _Prefixes, _inverse_and_xi_problems, _phase1_units
+from coxquiver.sweep import (
+    _Prefixes,
+    _coxeter_problems,
+    _inverse_and_xi_problems,
+    _phase1_units,
+)
 from coxquiver.unitform import UnitForm, form_of_quiver
 
 from dense import (
@@ -56,6 +61,7 @@ from dense import (
     gram_from_incidence,
     incidence_matrix,
     permutation_matrix,
+    sparse_columns,
     unitriangular_inverse,
 )
 from test_acceptance import EXPECTED_QUIVERS
@@ -85,18 +91,18 @@ def xi_problems(q, xi, inverse_arrows=None):
     the first identity's, empty when Id - I(Q^-1) I(Q)^T = P(xi) holds."""
     if inverse_arrows is None:
         inverse_arrows = inverse_quiver(q).arrows
-    gram_cols = tuple(zip(*gram_from_incidence(q)))
+    gram_cols = sparse_columns(gram_from_incidence(q))
     problems = _inverse_and_xi_problems(q.m, q.arrows, inverse_arrows,
                                         gram_cols, xi)
     return [p for p in problems if p != "I(Q^-1) G != I(Q)"]
 
 
 def prefix_matrices(q):
-    """G and the Laplace matrix I I^T of q as sweep phase 1 builds them,
-    one arrow prefix after the other."""
+    """The sparse columns of G and the Laplace matrix I I^T of q as sweep
+    phase 1 builds them, one arrow prefix after the other."""
     prefixes = _Prefixes(q.m, q.n)
     prefixes.rebuild(q.arrows, 0)
-    return tuple(zip(*prefixes.gram_cols)), prefixes.laplace[-1]
+    return tuple(prefixes.gram_cols), prefixes.laplace[-1]
 
 
 def mat_neg(a):
@@ -205,7 +211,7 @@ def test_triangular_gram_examples():
                     (KRONECKER, ((1, 2), (0, 1))),
                     (A3, ((1, -1), (0, 1)))):
         assert form_of_quiver(q).gram_upper == gram
-        assert prefix_matrices(q)[0] == gram
+        assert prefix_matrices(q)[0] == sparse_columns(gram)
 
 
 def test_laplace_examples():
@@ -535,7 +541,7 @@ def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case, data):
     q, _ = case
     images, inverse_arrows = _prefix_products(q)
     xi = tuple(images[1:])
-    gram_cols = tuple(zip(*gram_from_incidence(q)))
+    gram_cols = sparse_columns(gram_from_incidence(q))
     assert _inverse_and_xi_problems(
         q.m, q.arrows, inverse_arrows, gram_cols, xi) == []
     poly = coxeter_polynomial_of_cycle_type(
@@ -560,6 +566,27 @@ def test_the_inverse_and_xi_identities_hold_and_the_walk_agrees(case, data):
     dense_holds = coxeter_laplace(q, inverse_arrows) == permutation_matrix(xi)
     assert xi_problems(q, xi, inverse_arrows) == (
         [] if dense_holds else ["Coxeter-Laplace matrix != walk permutation matrix"])
+
+
+@given(quivers_in_any_order(max_vertices=12).filter(lambda case: case[0].n),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_sparse_coxeter_check_agrees_with_the_dense_product(case, data):
+    """Sweep phase 1's check of Phi G = -G^T on the sparse columns of G
+    reports a problem exactly when the dense product disagrees: on the
+    builder's Phi of a quiver with arrows in any order, and on that Phi
+    with one entry bumped."""
+    q, _ = case
+    gram = gram_from_incidence(q)
+    phi = _coxeter_matrix(q.arrows, _prefix_products(q)[1])
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.tuples(st.integers(0, q.n - 1), st.integers(0, q.n - 1)))
+        rows = [list(row) for row in phi]
+        rows[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        phi = tuple(map(tuple, rows))
+    dense_holds = mat_mul(phi, gram) == mat_neg(transpose(gram))
+    assert _coxeter_problems(phi, sparse_columns(gram)) == (
+        [] if dense_holds else ["the two Coxeter matrix formulas disagree"])
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +774,8 @@ def test_all_identities_small_exhaustive_any_order():
                     tuple(gram[i][j] + gram[j][i] for j in range(n))
                     for i in range(n)
                 )
-                assert prefix_matrices(q) == (gram, mat_mul(inc, inc_t))
+                assert prefix_matrices(q) == (sparse_columns(gram),
+                                              mat_mul(inc, inc_t))
                 gram_inv = unitriangular_inverse(gram)
                 qinv = inverse_quiver(q)
                 assert incidence_matrix(qinv) == mat_mul(inc, gram_inv)
@@ -759,7 +787,7 @@ def test_all_identities_small_exhaustive_any_order():
                               mat_mul(incidence_matrix(qinv), inc_t))
                 assert lam == permutation_matrix(xi)
                 assert _inverse_and_xi_problems(
-                    m, q.arrows, qinv.arrows, tuple(zip(*gram)), xi) == []
+                    m, q.arrows, qinv.arrows, sparse_columns(gram), xi) == []
                 phi = mat_sub(identity(n),
                               mat_mul(inc_t, incidence_matrix(qinv)))
                 assert phi == mat_neg(mat_mul(transpose(gram), gram_inv))

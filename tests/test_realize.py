@@ -38,6 +38,7 @@ from coxquiver.unitform import (
 )
 
 from dense import (
+    basis_change_from_root_paths,
     form_connected,
     form_from_gram,
     fraction_det,
@@ -546,6 +547,24 @@ def test_realize_random_quivers(q):
     assert gram_from_incidence(result.quiver) == gram
     assert result.quiver.m == q.m
     assert cycle_type_of_quiver(result.quiver) == cycle_type_of_quiver(q)
+
+
+def test_basis_change_matches_the_root_path_oracle_on_every_small_quiver():
+    count = 0
+    for m in range(2, 5):
+        for n in range(m - 1, 6):
+            for _, q in iter_connected_quivers(m, n):
+                assert basis_change_to_canonical(q) == basis_change_from_root_paths(q), q
+                count += 1
+    assert count == 4629
+
+
+@given(shuffled_connected_quivers(max_vertices=30))
+@settings(max_examples=150, deadline=None)
+def test_basis_change_matches_the_root_path_oracle(q):
+    """Arrows in any order, so the spanning tree, the root's subtrees and
+    the arcs fall anywhere among the arrows."""
+    assert basis_change_to_canonical(q) == basis_change_from_root_paths(q)
 
 
 @given(shuffled_connected_quivers(max_vertices=6).filter(lambda q: q.n <= 8))

@@ -5,6 +5,8 @@ import json
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxquiver.realize as realize_module
 from coxquiver import sweep
@@ -22,6 +24,8 @@ from coxquiver.sweep import (
     run_sweep,
 )
 
+from dense import sparse_columns
+
 
 def test_two_workers_match_one():
     serial = run_sweep(3, 4, seed=5, jobs=1)
@@ -32,7 +36,8 @@ def test_two_workers_match_one():
 
 def test_form_checks_fire_on_a_wrong_cycle_type():
     # the linear quiver on 4 vertices has cycle type (4)
-    blob = _encode_gram(form_of_quiver(Quiver(4, ((1, 2), (2, 3), (3, 4)))).gram_upper)
+    blob = _encode_gram(sparse_columns(
+        form_of_quiver(Quiver(4, ((1, 2), (2, 3), (3, 4)))).gram_upper))
     right = _phase2_worker((4, 3, [(blob, (4,))]))
     assert right.ok()
     assert right.form_count == 1
@@ -42,6 +47,26 @@ def test_form_checks_fire_on_a_wrong_cycle_type():
     for check in ("polynomial_factorization", "coxeter_numbers"):
         assert wrong.failure_counts[check] >= 1, check
         assert all(s.startswith("n=3 c=0 ") for s in wrong.failure_samples[check])
+
+
+@st.composite
+def triangular_grams(draw, max_n=8):
+    """An upper unitriangular matrix with entries in [-2, 2] above the
+    diagonal, the range of quiver Gram matrices."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.integers(min_value=-2, max_value=2)
+    return tuple(tuple(1 if j == i else draw(entry) if j > i else 0
+                       for j in range(n)) for i in range(n))
+
+
+@given(triangular_grams())
+@settings(max_examples=200, deadline=None)
+def test_the_key_is_the_dense_rows_plus_two(gram):
+    """The key phase 1 writes from sparse columns is G row by row, 2 added
+    to each entry: the order phase 2 takes the forms in, and the pinned
+    ``verify`` output, depend on these bytes."""
+    assert _encode_gram(sparse_columns(gram)) == bytes(
+        x + 2 for row in gram for x in row)
 
 
 def test_record_keeps_the_first_twenty_samples():
@@ -115,10 +140,13 @@ def _bump_last_prefix(prefixes_class, bump):
 
 
 def _bump_gram_corner(prefixes):
-    """Entry (1, n) of the prefix G, off the diagonal when n >= 2."""
+    """Entry (1, n) of the prefix G, off the diagonal when n >= 2: the first
+    pair of the last sparse column, or a new first pair (0, 1) when that
+    entry is 0."""
     if prefixes.n >= 2:
         col = prefixes.gram_cols[-1]
-        prefixes.gram_cols[-1] = (col[0] + 1,) + col[1:]
+        k, g = col[0]
+        prefixes.gram_cols[-1] = ((0, g + 1),) + col[1:] if k == 0 else ((0, 1),) + col
 
 
 def _bump_laplace_corner(prefixes):
@@ -171,12 +199,16 @@ PHASE1_CORRUPTIONS = {
 }
 
 XI_IDENTITY_FAILURE = "Coxeter-Laplace matrix != walk permutation matrix"
+INVERSE_FAILURE = "I(Q^-1) G != I(Q)"
+COXETER_FAILURE = "the two Coxeter matrix formulas disagree"
 
-# route -> the one problem that every sample of its expected checks names,
-# for the corruptions that pin a check by its message
+# route -> the problems one of which every sample of its expected checks
+# names, for the corruptions that pin a check by its message
 PHASE1_MESSAGES = {
-    "xi": XI_IDENTITY_FAILURE,
-    "Laplace row sums": "all-ones vector not in the kernel",
+    "xi": (XI_IDENTITY_FAILURE,),
+    "Laplace row sums": ("all-ones vector not in the kernel",),
+    # a bumped G is read by both identities that use it, and raises nowhere
+    "triangular Gram": (INVERSE_FAILURE, COXETER_FAILURE),
 }
 
 
@@ -199,8 +231,9 @@ def test_phase1_checks_fire_on_a_corrupted_route(monkeypatch, route):
     for check in fired:
         assert all(s.startswith("m=") for s in report.failure_samples[check])
     if route in PHASE1_MESSAGES:
+        endings = tuple(f": {message}" for message in PHASE1_MESSAGES[route])
         for check in expected:
-            assert all(s.endswith(f": {PHASE1_MESSAGES[route]}")
+            assert all(s.endswith(endings) and "raised" not in s
                        for s in report.failure_samples[check])
 
 
@@ -241,7 +274,7 @@ def test_a_cycle_type_of_the_wrong_length_fails_membership_on_every_quiver(monke
 
 
 A3_ARROWS = ((1, 2), (2, 3))  # its inverse arrows are (1, 2) and (1, 3)
-INVERSE_IDENTITY_FAILURE = f"m=3 arrows={A3_ARROWS}: I(Q^-1) G != I(Q)"
+INVERSE_IDENTITY_FAILURE = f"m=3 arrows={A3_ARROWS}: {INVERSE_FAILURE}"
 
 
 def _inverse_arrows_of_a3(inverse_arrows):
@@ -288,7 +321,7 @@ def test_a_malformed_inverse_arrow_list_fails_the_inverse_identity(
     (2, -1, 1),    # -1
 ], ids=["short", "long", "image 0", "image m + 1", "image -1"])
 def test_a_malformed_xi_fails_the_xi_identity_without_raising(xi):
-    gram_cols = tuple(zip(*form_of_quiver(Quiver(3, A3_ARROWS)).gram_upper))
+    gram_cols = sparse_columns(form_of_quiver(Quiver(3, A3_ARROWS)).gram_upper)
     assert sweep._inverse_and_xi_problems(
         3, A3_ARROWS, [(1, 2), (1, 3)], gram_cols, xi) == [XI_IDENTITY_FAILURE]
     assert sweep._inverse_and_xi_problems(
@@ -445,7 +478,7 @@ def test_a_fault_in_one_form_after_the_first_of_its_class_is_its_own(monkeypatch
 
     def faulty(q):
         products = route(q)
-        if _encode_gram(form_of_quiver(q).gram_upper) == blob:
+        if _encode_gram(sparse_columns(form_of_quiver(q).gram_upper)) == blob:
             return _reverse_last_inverse_arrow(products)
         return products
 
@@ -456,7 +489,7 @@ def test_a_fault_in_one_form_after_the_first_of_its_class_is_its_own(monkeypatch
     n = isqrt(len(blob))
     gram = tuple(tuple(x - 2 for x in blob[i:i + n]) for i in range(0, n * n, n))
     label = f"n={n} c={_class_of((blob, ct_parts))[1]} gram={gram}"
-    assert f"{label}: I(Q^-1) G != I(Q)" in samples
+    assert f"{label}: {INVERSE_FAILURE}" in samples
     assert all(s.startswith(f"{label}: ") for s in samples), samples
 
 
@@ -536,7 +569,7 @@ def test_a_form_check_that_raises_is_recorded_against_that_check(monkeypatch):
     # the walk checks the polynomial first, so its raise counts against that
     monkeypatch.setattr(sweep, "coxeter_matrix_violations", boom)
     gram = form_of_quiver(Quiver(4, ((1, 2), (2, 3), (3, 4)))).gram_upper
-    report = _phase2_worker((4, 3, [(_encode_gram(gram), (4,))]))
+    report = _phase2_worker((4, 3, [(_encode_gram(sparse_columns(gram)), (4,))]))
     assert report.failure_samples["polynomial_factorization"] == [
         f"n=3 c=0 gram={gram}: raised RuntimeError('injected fault')"]
     assert report.total_failures == 1
